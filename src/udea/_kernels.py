@@ -47,7 +47,13 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
         for i in range(m):
             a = T[i, enter]
             if a > tol:
-                r = T[i, n] / a
+                # degenerate pivots leave round-off negatives (~-1e-12) in
+                # basic right-hand sides; as strict minima they would break
+                # Bland's tie-break and let the loop cycle, so read them as 0
+                rhs = T[i, n]
+                if rhs < 0.0:
+                    rhs = 0.0
+                r = rhs / a
                 if r < best - 1e-12:
                     best = r
                     leave = i

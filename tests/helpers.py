@@ -124,3 +124,54 @@ def segment_min_uncertainty(ds, dmu, seg, xs, ys):
         return (ys[-1] - ds.Y[0, dmu]) / 2.0
     h = segment_hyperplane_2d(xs[seg.lo], ys[seg.lo], xs[seg.hi], ys[seg.hi])
     return min_uncertainty_to_facet(ds, dmu, h).value
+
+
+def linear_walk_udea(ds, dmu, cfg):
+    """Reference iterative solver: the plain walk up the sigma grid.
+
+    Solves at every grid point ``k * step`` below the cap until the unit is
+    efficient, then rounds with one midpoint solve; with no success it
+    decides capability by one solve at the cap.  ``iterative_udea`` must
+    return the same upsilon, bracket, gamma and capability.
+    """
+    from udea.dataset import SCORE_TOL
+    from udea.outcome import CAPABLE, INCAPABLE, UdeaOutcome
+    from udea.robust import robust_efficiency
+
+    i = int(dmu)
+    t = cfg.step
+
+    def score_at(sigma):
+        return robust_efficiency(ds, i, sigma, cfg.eps).theta
+
+    trace = []
+    k = 0
+    sigma = 0.0
+    while True:
+        score = score_at(sigma)
+        trace.append((sigma, score))
+        if score >= 1.0 - SCORE_TOL:
+            break
+        k += 1
+        sigma = k * t
+        if sigma >= cfg.nu:
+            break
+
+    if score >= 1.0 - SCORE_TOL:
+        if k == 0:
+            return UdeaOutcome(dmu=i, upsilon=0.0, gamma=score,
+                               capability=CAPABLE, trace=trace,
+                               bracket=(0.0, 0.0))
+        upsilon = sigma - t if score_at(sigma - 0.5 * t) >= 1.0 - SCORE_TOL \
+            else sigma
+        return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=score,
+                           capability=CAPABLE, trace=trace,
+                           bracket=(sigma - t, sigma))
+    score = score_at(cfg.nu)
+    trace.append((cfg.nu, score))
+    if score >= 1.0 - SCORE_TOL:
+        return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=score,
+                           capability=CAPABLE, trace=trace,
+                           bracket=(max(cfg.nu - t, 0.0), cfg.nu))
+    return UdeaOutcome(dmu=i, upsilon=None, gamma=score,
+                       capability=INCAPABLE, trace=trace)

@@ -71,15 +71,18 @@ def test_select_backend_env(monkeypatch):
 
 
 def test_numpy_backend_forced_in_subprocess():
-    env = dict(os.environ, UDEA_BACKEND="numpy")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # the child imports udea from src/ as the suite does, installed or not
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, UDEA_BACKEND="numpy", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c",
          "import udea; print(udea.BACKEND); "
          "from tests.helpers import table1_dataset; "
          "from udea.dataset import solve_nominal; "
          "print(solve_nominal(table1_dataset(), 4).theta)"],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        capture_output=True, text=True, env=env, cwd=root)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.split()
     assert lines[0] == "numpy"

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import random_dataset_2d
-from udea.dataset import solve_nominal
+import udea.iterative
+from helpers import (linear_walk_udea, random_dataset, random_dataset_2d,
+                     table1_dataset)
+from udea.cli import ingest_csv
+from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.iterative import classify_capability, iterative_udea, udea_sweep
 from udea.robust import UncertaintyConfig
@@ -123,3 +128,126 @@ def test_terminates_with_infinite_cap(table1):
     out = iterative_udea(table1, 5, UncertaintyConfig(nu=np.inf, step=0.1))
     assert out.capable
     assert out.upsilon == pytest.approx(1.2, abs=1e-9)
+
+
+def _assert_same_as_walk(ds, dmu, cfg):
+    ref = linear_walk_udea(ds, dmu, cfg)
+    out = iterative_udea(ds, dmu, cfg)
+    assert out.upsilon == ref.upsilon
+    assert out.bracket == ref.bracket
+    assert out.gamma == ref.gamma
+    assert out.capability == ref.capability
+    sigmas = [s for s, _ in out.trace]
+    assert sigmas == sorted(sigmas)
+    walked = dict(ref.trace)
+    for sigma, score in out.trace:
+        if sigma in walked:
+            assert score == walked[sigma]
+    assert classify_capability(out, cfg) == out.capability
+    return out
+
+
+# (nu, step): the case-study grid, an unbounded cap, coarse grids and a cap
+# that is itself a grid point
+SEARCH_CONFIGS = [(3.6, 0.01), (np.inf, 0.01), (0.5, 0.2), (1.0, 0.3),
+                  (11.0 / 14.0, 11.0 / 28.0), (2.0, 0.05)]
+
+
+@pytest.mark.parametrize("nu, step", SEARCH_CONFIGS)
+def test_search_matches_walk_table1(table1, nu, step):
+    for dmu in range(table1.n_units):
+        _assert_same_as_walk(table1, dmu,
+                             UncertaintyConfig(nu=nu, step=step))
+
+
+@pytest.mark.parametrize("nu, step", SEARCH_CONFIGS)
+def test_search_matches_walk_example_csv(example1_csv, nu, step):
+    ds = ingest_csv(example1_csv)
+    for dmu in range(ds.n_units):
+        _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+
+
+# the eps floor and the zero floor bind well below 1.5 x max(X) here, where
+# the robust score is not monotone in sigma
+CLAMP_X = [1.568, 2.956, 3.584, 3.153, 3.934, 4.689, 5.781, 2.421]
+CLAMP_Y = [4.243, 4.481, 2.464, 1.007, 5.867, 2.492, 2.57, 5.459]
+
+
+@pytest.mark.parametrize("nu, step", [(1.5 * max(CLAMP_X), 0.05),
+                                      (1.5 * max(CLAMP_X), 0.5),
+                                      (3.5, 0.01), (3.0, 0.5), (1.2, 0.1)])
+def test_search_matches_walk_where_clamps_bind(nu, step):
+    ds = DeaDataset(names=[f"u{k}" for k in range(len(CLAMP_X))],
+                    X=[CLAMP_X], Y=[CLAMP_Y])
+    for dmu in range(ds.n_units):
+        _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+
+
+@pytest.mark.parametrize("dmu, k", [(1, 10), (2, 13), (3, 6), (6, 21)])
+def test_search_matches_walk_when_grid_grazes_own_input(dmu, k):
+    # outputs lifted clear of the cap, so the unit's own input is the first
+    # value to reach a floor; the grid point k * step falls one rounding
+    # error short of it, where the solver already returns a score of 0
+    ds = DeaDataset(names=[f"u{j}" for j in range(len(CLAMP_X))],
+                    X=[CLAMP_X], Y=[np.array(CLAMP_Y) + 5.0])
+    step = CLAMP_X[dmu] / k
+    assert 0.0 < CLAMP_X[dmu] - k * step < 1e-9
+    _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=CLAMP_X[dmu] + 1.0,
+                                                    step=step))
+
+
+def test_search_matches_walk_random(rng):
+    configs = [(3.6, 0.05), (1.0, 0.01), (2.5, 0.3), (4.0, 0.1)]
+    for case in range(24):
+        ds = random_dataset(rng, max_units=8)
+        nu, step = configs[case % len(configs)]
+        for dmu in range(ds.n_units):
+            _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+
+
+def test_search_matches_walk_random_unbounded_cap(rng):
+    # with nu = inf the walk only stops on success, so keep units that a
+    # finite cap shows succeed on the grid
+    checked = 0
+    while checked < 20:
+        ds = random_dataset(rng, max_units=8)
+        dmu = int(rng.integers(ds.n_units))
+        step = 0.05
+        capped = linear_walk_udea(ds, dmu, UncertaintyConfig(nu=6.0,
+                                                             step=step))
+        if not capped.capable or capped.upsilon >= 6.0 - step:
+            continue
+        out = _assert_same_as_walk(ds, dmu,
+                                   UncertaintyConfig(nu=np.inf, step=step))
+        assert out.upsilon == capped.upsilon
+        checked += 1
+
+
+def test_search_solve_count(monkeypatch):
+    # shifted Table 1: every input and output exceeds the cap, so no clamp
+    # binds below it and the whole grid is bisected
+    base = table1_dataset()
+    ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
+    cfg = UncertaintyConfig(nu=3.6, step=0.01)
+    n_grid = 359  # k * 0.01 < 3.6 for k = 1 .. 359
+    assert 359 * cfg.step < cfg.nu <= 360 * cfg.step
+    calls = []
+    original = udea.iterative.robust_efficiency
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(udea.iterative, "robust_efficiency", counting)
+    capable = 0
+    for dmu in range(ds.n_units):
+        calls.clear()
+        out = iterative_udea(ds, dmu, cfg)
+        assert len(calls) <= 3 + math.ceil(math.log2(n_grid))
+        sigmas = [s for s, _ in out.trace]
+        assert sigmas == sorted(sigmas)
+        capable += out.capable and out.upsilon > 0
+    monkeypatch.undo()
+    assert capable >= 2  # the count covers real bisections
+    for dmu in range(ds.n_units):
+        _assert_same_as_walk(ds, dmu, cfg)

@@ -128,3 +128,40 @@ def test_matches_vertex_enumeration(seed):
     else:
         assert sol.optimal
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
+
+
+def _highs_objective(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rows = {"<=": ([], []), ">=": ([], []), "=": ([], [])}
+    for a, s, b in zip(lp.A, lp.senses, lp.b):
+        rows[s][0].append(a)
+        rows[s][1].append(b)
+    A_ub = rows["<="][0] + [-a for a in rows[">="][0]]
+    b_ub = rows["<="][1] + [-b for b in rows[">="][1]]
+    res = linprog(lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=rows["="][0],
+                  b_eq=rows["="][1], bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+# case-study plan sets (perfbench/workloads.py, case_study seeds 11 and 3)
+# whose robust programs once cycled to the pivot limit: round-off negatives
+# in basic right-hand sides broke Bland's tie-break in phase 1 (plan14) and
+# phase 2 (plan37)
+@pytest.mark.parametrize("fixture, unit, sigma", [
+    ("case_study_s11_p0.csv", "plan14", 0.14),
+    ("case_study_s3_p4.csv", "plan37", 1.36),
+])
+def test_degenerate_case_study_programs_terminate(fixture, unit, sigma):
+    from conftest import DATA_DIR
+    from udea.cli import RunConfig, apply_scaling, ingest_csv
+    from udea.robust import robust_efficiency, transform_box
+
+    ds = apply_scaling(ingest_csv(DATA_DIR / fixture),
+                       RunConfig(mode="iterative", preset="radiotherapy"))
+    i = ds.names.index(unit)
+    lp = build_envelopment_lp(transform_box(ds, i, sigma), i)
+    sol = solve_lp(lp, max_iter=1000)
+    assert sol.optimal
+    assert robust_efficiency(ds, i, sigma).theta == sol.objective
+    assert sol.objective == pytest.approx(_highs_objective(lp), abs=1e-9)
