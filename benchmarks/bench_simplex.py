@@ -1,7 +1,8 @@
 """Compare the numba-compiled and pure-numpy simplex kernels.
 
 Times full nominal sweeps (one envelopment LP per unit) on synthetic
-datasets of growing size with each backend swapped in.
+datasets of growing size with each backend swapped in.  Without numba only
+the numpy backend is timed and the numba columns read n/a.
 
 Usage: python benchmarks/bench_simplex.py [--units 20 60 120] [--repeats 3]
 """
@@ -44,18 +45,18 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if not HAVE_NUMBA:
-        raise SystemExit("numba is not installed; nothing to compare")
-
     rng = np.random.default_rng(args.seed)
     print(f"{'units':>6}  {'numpy [ms]':>11}  {'numba [ms]':>11}  "
           f"{'speed-up':>8}")
     for units in args.units:
         ds = make_dataset(rng, units)
         t_np = time_backend(simplex_core_numpy, ds, args.repeats)
-        t_nb = time_backend(simplex_core_numba, ds, args.repeats)
-        print(f"{units:>6}  {t_np * 1e3:>11.2f}  {t_nb * 1e3:>11.2f}  "
-              f"{t_np / t_nb:>7.1f}x")
+        if HAVE_NUMBA:
+            t_nb = time_backend(simplex_core_numba, ds, args.repeats)
+            numba_cols = f"{t_nb * 1e3:>11.2f}  {t_np / t_nb:>7.1f}x"
+        else:
+            numba_cols = f"{'n/a':>11}  {'n/a':>8}"
+        print(f"{units:>6}  {t_np * 1e3:>11.2f}  {numba_cols}")
 
 
 if __name__ == "__main__":

@@ -2,13 +2,20 @@
 
 Finds the first point of the sigma grid ``k * t`` (``t`` the step, ``k * t``
 below the cap ``nu``) at which the robust model makes the unit efficient.
-While no clamp of the box transform binds, the robust score is monotone in
-sigma, so that stretch of the grid is searched by bisection over grid
-indices; past it the grid is walked upwards one step at a time.  If no grid
-point succeeds, one solve at ``nu`` itself decides capability.  On success
-the true minimum lies in a width-``t`` bracket below the first successful
-grid point; one extra midpoint solve rounds the reported value to the
-nearest grid multiple.
+An efficient unit stops at sigma = 0.  Otherwise the search splits the grid
+at ``safe``, the last grid point at least half a step below every datum the
+box transform can floor.  Up to ``safe`` no clamp binds, so the robust score
+is monotone in sigma and its first success lies at the grid point just above
+``beta* / 2``, where ``beta*`` is the directional distance of the unit along
+the box direction (one LP).  That point and the one below it are probed; if
+the score succeeds there and fails below, the search is over.  Any other
+outcome, or a seed that is unavailable or off the span, narrows the interval
+that bisection over grid indices then finishes, so the seed only saves
+solves and never changes the answer.  Past ``safe`` the grid is walked
+upwards one step at a time.  If no grid point succeeds, one solve at ``nu``
+itself decides capability.  On success the true minimum lies in a
+width-``t`` bracket below the first successful grid point; one extra
+midpoint solve rounds the reported value to the nearest grid multiple.
 """
 
 import math
@@ -16,8 +23,9 @@ import math
 import numpy as np
 
 from .dataset import DeaDataset, SCORE_TOL
+from .lp import SolverFault
 from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
-from .robust import UncertaintyConfig, robust_efficiency
+from .robust import UncertaintyConfig, directional_distance, robust_efficiency
 
 
 def iterative_udea(ds: DeaDataset, dmu: int,
@@ -43,9 +51,17 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            bracket=(0.0, 0.0))
 
     safe = _clamp_free_span(ds, i, t, cfg.nu)
-    if safe and reached(safe):
-        # score monotone on [0, safe]: fails at lo, succeeds at k
-        lo, k = 0, safe
+    if safe:
+        # beta* / 2 is exact on [0, safe]: when g succeeds and g - 1 fails,
+        # the bisection below has nothing left to do
+        g = _seed_index(ds, i, t, safe)
+        if g and reached(g):
+            reached(g - 1)
+    # the probes so far lie in [0, safe]: the score fails at lo and, if it
+    # succeeds at k, is monotone on [lo, k]
+    lo = max(j for j in scores if not reached(j))
+    k = min((j for j in scores if reached(j)), default=safe)
+    if safe and reached(k):
         while k - lo > 1:
             mid = (lo + k) // 2
             if reached(mid):
@@ -99,6 +115,25 @@ def _clamp_free_span(ds, dmu, t, nu):
     return k
 
 
+def _seed_index(ds, dmu, t, safe):
+    """Smallest grid index ``g`` with ``g * t >= beta* / 2``, or 0 when
+    ``g`` falls outside ``1 .. safe`` or the directional distance solve
+    fails to give a finite optimum."""
+    try:
+        target = 0.5 * directional_distance(ds, dmu)
+    except SolverFault:
+        return 0
+    if not 0 < target <= safe * t:  # also rejects nan
+        return 0
+    g = math.ceil(target / t)
+    # settle rounding of the division with the walk's own arithmetic
+    while g * t < target:
+        g += 1
+    while g > 1 and (g - 1) * t >= target:
+        g -= 1
+    return g
+
+
 def _round_to_grid(ds, dmu, sigma, t, eps):
     """Round the first successful grid point to the grid multiple nearest
     the true minimum, deciding with one solve at the bracket midpoint."""
@@ -116,12 +151,15 @@ def udea_sweep(ds: DeaDataset, cfg: UncertaintyConfig = None) -> list:
 
 
 def classify_capability(outcome: UdeaOutcome, cfg: UncertaintyConfig) -> str:
-    """Capability per the final trace entry: capable iff efficiency was
-    reached at some sigma <= nu.
+    """Capability from the trace: capable iff efficiency was reached at
+    some probed sigma <= nu; the label set is {capable, incapable}.
 
-    The box with finite cap is compact and the score monotone in sigma, so
-    the best achievable score is attained at sigma = nu; "weakly incapable"
-    cannot arise and the label set is {capable, incapable}.
+    Only while no ``eps``/0 floor binds is the score monotone in sigma.
+    There the compact box attains its best score at the largest sigma, so
+    the solve at ``nu`` settles capability and "weakly incapable"
+    (efficiency approached but not attained) cannot arise.  Once a floor
+    binds the score can fall as sigma grows: a unit may succeed at a grid
+    point and fail at ``nu``, so every probe counts, not only the last.
     """
     if not outcome.trace:
         raise ValueError("outcome has no trace to classify")

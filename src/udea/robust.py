@@ -7,12 +7,14 @@ drop.  The robust solve is therefore one nominal solve on that transformed
 ("virtual") dataset.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DeaDataset, EfficiencyResult, solve_nominal
+from .dataset import DeaDataset, EfficiencyResult, _check_index, solve_nominal
+from .lp import EQ, GEQ, LEQ, LinearProgram, SolverFault, solve_lp
 
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
@@ -49,7 +51,8 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     """Shift every unit to the corner of its box most favourable to ``dmu``.
 
     Transformed inputs are floored at ``eps`` and outputs at zero so
-    uncertainty never introduces negative (or vanishing-input) data.
+    uncertainty never introduces negative data.  With ``eps = 0`` a unit
+    whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
     Environmental output rows are left untouched.
     """
     if sigma < 0:
@@ -65,11 +68,51 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     if sigma > 0:
         np.maximum(X, eps, out=X)
         np.maximum(Y, 0.0, out=Y)
-    return DeaDataset(names=list(ds.names), X=X, Y=Y,
-                      env_outputs=ds.env_outputs.copy(),
-                      input_names=list(ds.input_names),
-                      output_names=list(ds.output_names),
-                      scale_factors=ds.scale_factors.copy())
+        if not X[:, i].sum() > 0:
+            raise ValueError("every unit needs at least one positive input")
+    # ds is already validated, and the floors keep the corner valid except
+    # for the check above, so the copy skips DeaDataset.__post_init__
+    corner = copy.copy(ds)
+    vars(corner).update(names=list(ds.names), X=X, Y=Y,
+                        env_outputs=ds.env_outputs.copy(),
+                        input_names=list(ds.input_names),
+                        output_names=list(ds.output_names),
+                        scale_factors=ds.scale_factors.copy())
+    return corner
+
+
+def directional_distance(ds: DeaDataset, dmu: int) -> float:
+    """Directional distance ``beta*`` of ``dmu`` along the box direction
+    g = (-1 on inputs, +1 on non-environmental outputs):
+
+        max beta  s.t.  X lam + beta <= x_i,  Y lam - g beta >= y_i,
+                        sum(lam) = 1,  lam >= 0,  beta >= 0
+
+    (Chambers, Chung & Färe 1996).  ``lam = e_i`` is feasible, so
+    ``beta* >= 0``.  The box transform moves ``dmu`` by ``sigma`` along g
+    and every rival by ``sigma`` against it, so while no ``eps``/0 floor
+    binds, ``beta* / 2`` is the minimum uncertainty making ``dmu``
+    efficient.
+    """
+    i = _check_index(ds, dmu)
+    n_units, m = ds.n_units, ds.n_outputs
+    c = np.zeros(n_units + 1)
+    c[-1] = 1.0
+    A = np.zeros((m + ds.n_inputs + 1, n_units + 1))
+    A[:m, :n_units] = ds.Y
+    A[:m, -1] = np.where(ds.env_outputs, 0.0, -1.0)
+    A[m:-1, :n_units] = ds.X
+    A[m:-1, -1] = 1.0
+    A[-1, :n_units] = 1.0
+    b = np.concatenate([ds.Y[:, i], ds.X[:, i], [1.0]])
+    senses = [GEQ] * m + [LEQ] * ds.n_inputs + [EQ]
+    sol = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b,
+                                 maximize=True))
+    if not sol.optimal:
+        # bounded by the input rows and feasible at lam = e_i
+        raise SolverFault(f"directional distance solve ended {sol.status} "
+                          f"for unit {i}")
+    return float(sol.x[-1])
 
 
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,

@@ -10,7 +10,8 @@ from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.iterative import classify_capability, iterative_udea, udea_sweep
-from udea.robust import UncertaintyConfig
+from udea.lp import SolverFault
+from udea.robust import UncertaintyConfig, directional_distance
 
 
 def test_example_units(table1):
@@ -130,8 +131,9 @@ def test_terminates_with_infinite_cap(table1):
     assert out.upsilon == pytest.approx(1.2, abs=1e-9)
 
 
-def _assert_same_as_walk(ds, dmu, cfg):
-    ref = linear_walk_udea(ds, dmu, cfg)
+def _assert_same_as_walk(ds, dmu, cfg, ref=None):
+    if ref is None:
+        ref = linear_walk_udea(ds, dmu, cfg)
     out = iterative_udea(ds, dmu, cfg)
     assert out.upsilon == ref.upsilon
     assert out.bracket == ref.bracket
@@ -251,3 +253,77 @@ def test_search_solve_count(monkeypatch):
     assert capable >= 2  # the count covers real bisections
     for dmu in range(ds.n_units):
         _assert_same_as_walk(ds, dmu, cfg)
+
+
+def test_seeded_search_solve_count(monkeypatch):
+    # as above, with every grid point clamp-free: the seed from one
+    # directional-distance LP is exact, so an inefficient unit needs
+    # sigma = 0, the seed point, the point below and the midpoint
+    base = table1_dataset()
+    ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
+    cfg = UncertaintyConfig(nu=3.6, step=0.01)
+    robust_calls, seed_calls = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(udea.iterative, "robust_efficiency",
+                        counting(robust_calls,
+                                 udea.iterative.robust_efficiency))
+    monkeypatch.setattr(udea.iterative, "directional_distance",
+                        counting(seed_calls, directional_distance))
+    inefficient = 0
+    for dmu in range(ds.n_units):
+        robust_calls.clear()
+        seed_calls.clear()
+        out = iterative_udea(ds, dmu, cfg)
+        if out.upsilon == 0.0:
+            assert (len(robust_calls), len(seed_calls)) == (1, 0)
+        else:
+            assert len(robust_calls) <= 4
+            assert len(seed_calls) == 1
+            inefficient += 1
+    assert inefficient == 2  # E and F
+
+
+def _wrong_seeds(step):
+    """Seeds for beta* that are off by grid steps or more, or unusable."""
+    def shifted(delta):
+        return lambda ds, dmu: directional_distance(ds, dmu) + delta
+
+    def constant(value):
+        return lambda ds, dmu: value
+
+    def failing(ds, dmu):
+        raise SolverFault("simplex iteration limit reached in phase 1")
+
+    return [shifted(2 * step), shifted(-2 * step), shifted(0.3),
+            shifted(-0.3), constant(0.0), constant(1e300),
+            constant(math.inf), constant(math.nan), failing]
+
+
+def _wrong_seed_cases(rng, example1_csv):
+    base = table1_dataset()
+    yield base, UncertaintyConfig(nu=3.6, step=0.01)
+    yield base, UncertaintyConfig(nu=1.0, step=0.3)
+    yield ingest_csv(example1_csv), UncertaintyConfig(nu=3.6, step=0.05)
+    for _ in range(6):
+        # shifted clear of the floors, so the seed lies on the bisected span
+        ds = random_dataset(rng, max_units=8)
+        yield (DeaDataset(names=ds.names, X=ds.X + 3.0, Y=ds.Y + 3.0),
+               UncertaintyConfig(nu=3.6, step=0.05))
+    yield random_dataset(rng, max_units=8), UncertaintyConfig(nu=2.5,
+                                                              step=0.1)
+
+
+def test_wrong_seed_gives_walk_result(rng, example1_csv, monkeypatch):
+    for ds, cfg in _wrong_seed_cases(rng, example1_csv):
+        for dmu in range(ds.n_units):
+            ref = linear_walk_udea(ds, dmu, cfg)
+            for seed in _wrong_seeds(cfg.step):
+                monkeypatch.setattr(udea.iterative, "directional_distance",
+                                    seed)
+                _assert_same_as_walk(ds, dmu, cfg, ref)

@@ -3,8 +3,10 @@ import pytest
 
 from helpers import best_corner_score, random_dataset
 from udea.dataset import DeaDataset, solve_all, solve_nominal
-from udea.robust import (UncertaintyConfig, efficiency_gain_upper_bound,
-                         robust_efficiency, transform_box)
+from udea.facets import enumerate_efficient_facets, exact_udea
+from udea.robust import (UncertaintyConfig, directional_distance,
+                         efficiency_gain_upper_bound, robust_efficiency,
+                         transform_box)
 
 
 def test_config_validation():
@@ -43,6 +45,35 @@ def test_transform_clamps(table1):
     own = transform_box(table1, 0, 2.0)
     assert own.X[0, 0] == pytest.approx(1e-9)
     assert own.Y[0, 0] == pytest.approx(3.0)
+
+
+def test_transform_rejects_unit_without_positive_input():
+    ds = DeaDataset(names=["a", "b", "c"], X=[[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]],
+                    Y=[[1.0, 1.0, 2.0]])
+    # one input on the floor is allowed, as it is in DeaDataset
+    assert transform_box(ds, 0, 1.5, eps=0.0).X[:, 0].tolist() == [0.0, 0.5]
+    with pytest.raises(ValueError, match="at least one positive input"):
+        transform_box(ds, 0, 2.0, eps=0.0)
+    with pytest.raises(ValueError, match="at least one positive input"):
+        robust_efficiency(ds, 0, 2.5, eps=0.0)
+    # the default floor keeps every input positive
+    assert transform_box(ds, 0, 2.5).X[:, 0].tolist() == [1e-9, 1e-9]
+
+
+def test_transform_skips_revalidation(table1, monkeypatch):
+    calls = []
+    original = DeaDataset.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(DeaDataset, "__post_init__", counting)
+    t = transform_box(table1, 4, 0.5)
+    assert calls == []
+    assert isinstance(t, DeaDataset)
+    assert t.names == table1.names and t.names is not table1.names
+    assert t.env_outputs is not table1.env_outputs
 
 
 def test_environmental_outputs_untouched(table1):
@@ -163,3 +194,66 @@ def test_transform_preserves_metadata(table1):
     assert t.input_names == table1.input_names
     assert t.output_names == table1.output_names
     assert solve_all(t)[1].theta >= solve_all(table1)[1].theta - 1e-9
+
+
+def _highs_beta(ds, dmu):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n_units = ds.n_units
+    g = (~ds.env_outputs).astype(float)
+    # max beta: X lam + beta <= x_i, -Y lam + g beta <= -y_i, sum lam = 1
+    A_ub = np.vstack([np.hstack([ds.X, np.ones((ds.n_inputs, 1))]),
+                      np.hstack([-ds.Y, g[:, None]])])
+    b_ub = np.concatenate([ds.X[:, dmu], -ds.Y[:, dmu]])
+    A_eq = np.hstack([np.ones((1, n_units)), np.zeros((1, 1))])
+    c = np.zeros(n_units + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_directional_distance_matches_highs(rng):
+    for case in range(20):
+        ds = random_dataset(rng, max_units=10, max_dim=5)
+        if case % 2 and ds.n_outputs > 1:
+            ds = DeaDataset(names=ds.names, X=ds.X, Y=ds.Y,
+                            env_outputs=[True] + [False] * (ds.n_outputs - 1))
+        for i in range(ds.n_units):
+            assert directional_distance(ds, i) == pytest.approx(
+                _highs_beta(ds, i), abs=1e-9)
+
+
+def test_directional_distance_table1(table1):
+    assert directional_distance(table1, 4) == pytest.approx(11.0 / 7.0,
+                                                            abs=1e-12)
+    assert directional_distance(table1, 4) / 2.0 == pytest.approx(
+        exact_udea(table1, 4).upsilon, abs=1e-12)
+    for i in range(4):  # A..D are efficient
+        assert directional_distance(table1, i) == 0.0
+
+
+def test_directional_distance_zero_for_efficient_units(rng):
+    for _ in range(10):
+        ds = random_dataset(rng, max_units=10, max_dim=4)
+        for i in range(ds.n_units):
+            if solve_nominal(ds, i).theta == 1.0:
+                assert directional_distance(ds, i) == pytest.approx(
+                    0.0, abs=1e-12)
+
+
+def test_half_directional_distance_is_exact_upsilon(rng):
+    checked = 0
+    while checked < 15:
+        ds = random_dataset(rng, max_units=10, max_dim=4)
+        try:
+            facet_set = enumerate_efficient_facets(ds)
+        except ValueError:
+            continue
+        # neither the facet thresholds nor beta* / 2 see the clamps, so
+        # they agree whether or not a clamp binds below the threshold
+        for i in range(ds.n_units):
+            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
+            assert directional_distance(ds, i) / 2.0 == pytest.approx(
+                exact, abs=1e-9)
+        checked += 1
