@@ -9,7 +9,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,15 +47,12 @@ class RunConfig:
     preset: str = None
     out: str = None
     plot_out: str = None
-    jobs: int = 1
     fmt: str = "csv"
     full_precision: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.fmt not in ("csv", "text"):
             raise ValueError("format must be csv or text")
 
@@ -205,9 +201,9 @@ def run(config: RunConfig, ds: DeaDataset) -> dict:
 
 def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
     """Dispatch on mode; returns (header, rows, plot_rows_or_None)."""
-    jobs = config.jobs
+    units = range(ds.n_units)
     if config.mode == "nominal":
-        results = _map(lambda i: solve_nominal(ds, i), range(ds.n_units), jobs)
+        results = [solve_nominal(ds, i) for i in units]
         header = (["dmu", "score", "peers"]
                   + [f"slack_in:{v}" for v in ds.input_names]
                   + [f"slack_out:{v}" for v in ds.output_names])
@@ -219,28 +215,22 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
         return header, rows, None
 
     if config.mode == "robust":
-        results = _map(lambda i: robust_efficiency(ds, i, config.sigma, cfg.eps),
-                       range(ds.n_units), jobs)
+        results = [robust_efficiency(ds, i, config.sigma, cfg.eps)
+                   for i in units]
         rows = [[ds.names[r.dmu], config.sigma, r.theta] for r in results]
         return ["dmu", "sigma", "score"], rows, None
 
     if config.mode == "sweep":
         sigmas = _sigma_grid(cfg)
-        def trace_unit(i):
-            return [(s, robust_efficiency(ds, i, s, cfg.eps).theta)
-                    for s in sigmas]
-        traces = _map(trace_unit, range(ds.n_units), jobs)
-        rows = [[ds.names[i], s, score]
-                for i, tr in enumerate(traces) for s, score in tr]
+        rows = [[ds.names[i], s, robust_efficiency(ds, i, s, cfg.eps).theta]
+                for i in units for s in sigmas]
         return ["dmu", "sigma", "score"], rows, None
 
     nominal = solve_all(ds)
     if config.mode == "exact":
         facet_set = enumerate_efficient_facets(ds)
-        outcomes = _map(
-            lambda i: exact_udea(ds, i, nu=cfg.nu, eps=cfg.eps,
-                                 facet_set=facet_set),
-            range(ds.n_units), jobs)
+        outcomes = [exact_udea(ds, i, nu=cfg.nu, eps=cfg.eps,
+                               facet_set=facet_set) for i in units]
         header = ["dmu", "nominal_score", "upsilon_star", "gamma_star",
                   "capable", "facet", "strict"]
         rows = []
@@ -256,8 +246,7 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
         return header, rows, plot_rows
 
     # iterative
-    outcomes = _map(lambda i: iterative_udea(ds, i, cfg),
-                    range(ds.n_units), jobs)
+    outcomes = [iterative_udea(ds, i, cfg) for i in units]
     header = ["dmu", "nominal_score", "upsilon_star", "bracket_lo",
               "bracket_hi", "gamma_star", "capable"]
     rows = []
@@ -281,14 +270,6 @@ def _sigma_grid(cfg: UncertaintyConfig):
     if sigmas[-1] < cfg.nu - 1e-12:
         sigmas.append(cfg.nu)
     return sigmas
-
-
-def _map(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _formatter(config: RunConfig):
@@ -339,7 +320,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--plot-out", default=None,
                        help="plot-data CSV path (default <out>.plot.csv)")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", dest="fmt", choices=["csv", "text"],
                        default="csv")
         p.add_argument("--full-precision", action="store_true")
@@ -375,7 +355,6 @@ def main(argv=None) -> int:
             preset=args.preset,
             out=args.out,
             plot_out=args.plot_out,
-            jobs=args.jobs,
             fmt=args.fmt,
             full_precision=args.full_precision,
         )

@@ -2,25 +2,24 @@
 
 Finds the first point of the sigma grid ``k * t`` (``t`` the step, ``k * t``
 below the cap ``nu``) at which the robust model makes the unit efficient.
-An efficient unit stops at sigma = 0.  Otherwise the search splits the grid
-at ``safe``, the last grid point at least half a step below every datum the
-box transform can floor.  Up to ``safe`` no clamp binds, so the robust score
-is monotone in sigma and its first success lies at the grid point just above
-``beta* / 2``, where ``beta*`` is the directional distance of the unit along
-the box direction (one LP).  That point and the one below it are probed; if
-the score succeeds there and fails below, the search is over.  Any other
-outcome, or a seed that is unavailable or off the span, narrows the interval
-that bisection over grid indices then finishes, so the seed only saves
-solves and never changes the answer.  Past ``safe`` the grid is walked
-upwards one step at a time.  If no grid point succeeds, one solve at ``nu``
-itself decides capability.  On success the true minimum lies in a
-width-``t`` bracket below the first successful grid point; one extra
-midpoint solve rounds the reported value to the nearest grid multiple.
+An efficient unit stops at sigma = 0.  Otherwise, as the robust score never
+falls as sigma grows, bisection over grid indices finds the first success.
+The bisected span ends at the last grid point below ``nu`` or, if earlier,
+at the first one reaching the unit's smallest own input, where
+``robust_efficiency`` scores 1.  Before bisecting, the search probes the
+grid point just above ``beta* / 2``, where ``beta*`` is the directional
+distance of the unit along the box direction (one LP); it is the first
+success wherever no ``eps``/0 floor binds.  If the score succeeds there
+and fails one point below, the search is over.  Any other outcome, or a
+seed that is unavailable or off the span, narrows the interval that
+bisection then finishes, so the seed only saves solves and never changes
+the answer.  If no grid point succeeds, one solve at ``nu`` itself decides
+capability.  On success the true minimum lies in a width-``t`` bracket
+below the first successful grid point; one extra midpoint solve rounds the
+reported value to the nearest grid multiple.
 """
 
 import math
-
-import numpy as np
 
 from .dataset import DeaDataset, SCORE_TOL
 from .lp import SolverFault
@@ -50,31 +49,23 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            capability=CAPABLE, trace=trace(),
                            bracket=(0.0, 0.0))
 
-    safe = _clamp_free_span(ds, i, t, cfg.nu)
-    if safe:
-        # beta* / 2 is exact on [0, safe]: when g succeeds and g - 1 fails,
-        # the bisection below has nothing left to do
-        g = _seed_index(ds, i, t, safe)
-        if g and reached(g):
-            reached(g - 1)
-    # the probes so far lie in [0, safe]: the score fails at lo and, if it
-    # succeeds at k, is monotone on [lo, k]
+    top = _search_top(ds, i, t, cfg)
+    # beta* / 2 is exact where no floor binds: when g succeeds and g - 1
+    # fails, the bisection below has nothing left to do
+    g = _seed_index(ds, i, t, top)
+    if g and reached(g):
+        reached(g - 1)
+    # the score is monotone and fails at lo; if it succeeds at k, its first
+    # success on the grid lies in (lo, k]
     lo = max(j for j in scores if not reached(j))
-    k = min((j for j in scores if reached(j)), default=safe)
-    if safe and reached(k):
+    k = min((j for j in scores if reached(j)), default=top)
+    if reached(k):  # k * t is below nu
         while k - lo > 1:
             mid = (lo + k) // 2
             if reached(mid):
                 k = mid
             else:
                 lo = mid
-    else:
-        # clamps may bind from here on; walk as the score need not be monotone
-        k = safe + 1
-        while k * t < cfg.nu and not reached(k):
-            k += 1
-
-    if k * t < cfg.nu:  # stopped on a successful grid point
         sigma = k * t
         upsilon = _round_to_grid(ds, i, sigma, t, cfg.eps)
         return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=scores[k],
@@ -92,44 +83,41 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                        capability=INCAPABLE, trace=probed)
 
 
-def _clamp_free_span(ds, dmu, t, nu):
-    """Largest grid index ``k`` with ``k * t`` below the cap and at least
-    half a step below the unit's own inputs and every perturbed output.
-
-    Up to there the transform moves no cell onto its ``eps``/0 floor, nor
-    leaves the unit's own input close enough to the floor for the solver
-    to lose the theta column, so the robust score is monotone.  Returns 0
-    when no grid point qualifies.
-    """
-    perturbed = ds.Y[~ds.env_outputs]
-    lowest = min(ds.X[:, dmu].min(), perturbed.min(initial=np.inf))
-    limit = min(lowest - 0.5 * t, nu)
-    if limit <= t:
-        return 0
-    k = math.ceil(limit / t) - 1
-    # settle rounding of the division with the walk's own arithmetic
-    while (k + 1) * t < limit:
-        k += 1
-    while k > 0 and k * t >= limit:
-        k -= 1
-    return k
+def _search_top(ds, dmu, t, cfg):
+    """Last grid index the search needs: the last with ``k * t`` below the
+    cap or, if earlier, the first where sigma exceeds ``eps`` and reaches
+    the unit's smallest own input, so that ``robust_efficiency`` scores 1
+    there."""
+    lowest = max(ds.X[:, dmu].min(), math.nextafter(cfg.eps, math.inf))
+    if lowest < cfg.nu:
+        k = _grid_index(lowest, t)
+        if k * t < cfg.nu:
+            return k
+    return max(_grid_index(cfg.nu, t) - 1, 0)
 
 
-def _seed_index(ds, dmu, t, safe):
+def _seed_index(ds, dmu, t, top):
     """Smallest grid index ``g`` with ``g * t >= beta* / 2``, or 0 when
-    ``g`` falls outside ``1 .. safe`` or the directional distance solve
+    ``g`` falls outside ``1 .. top`` or the directional distance solve
     fails to give a finite optimum."""
     try:
         target = 0.5 * directional_distance(ds, dmu)
     except SolverFault:
         return 0
-    if not 0 < target <= safe * t:  # also rejects nan
+    if not 0 < target <= top * t:  # also rejects nan and inf
         return 0
-    g = math.ceil(target / t)
-    # settle rounding of the division with the walk's own arithmetic
-    while g * t < target:
+    return _grid_index(target, t)
+
+
+def _grid_index(value, t):
+    """Smallest grid index ``g >= 0`` with ``g * t >= value``, in the
+    ``g * t`` arithmetic the grid points are made with; ``value / t`` must
+    be far below 2**52 for the settling steps to end."""
+    g = max(math.ceil(value / t), 0)
+    # settle rounding of the division
+    while g * t < value:
         g += 1
-    while g > 1 and (g - 1) * t >= target:
+    while g > 0 and (g - 1) * t >= value:
         g -= 1
     return g
 
@@ -154,12 +142,11 @@ def classify_capability(outcome: UdeaOutcome, cfg: UncertaintyConfig) -> str:
     """Capability from the trace: capable iff efficiency was reached at
     some probed sigma <= nu; the label set is {capable, incapable}.
 
-    Only while no ``eps``/0 floor binds is the score monotone in sigma.
-    There the compact box attains its best score at the largest sigma, so
-    the solve at ``nu`` settles capability and "weakly incapable"
-    (efficiency approached but not attained) cannot arise.  Once a floor
-    binds the score can fall as sigma grows: a unit may succeed at a grid
-    point and fail at ``nu``, so every probe counts, not only the last.
+    The score is monotone in sigma, also where an ``eps``/0 floor binds
+    (``robust_efficiency`` scores a floored own input exactly), so the
+    compact box attains its best score at the largest sigma: the solve at
+    ``nu`` settles capability and "weakly incapable" (efficiency approached
+    but not attained) cannot arise.
     """
     if not outcome.trace:
         raise ValueError("outcome has no trace to classify")

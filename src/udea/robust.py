@@ -118,8 +118,27 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
                       eps: float = DEFAULT_EPS) -> EfficiencyResult:
     """Best achievable score of ``dmu`` over the sigma-box: a nominal solve
-    on the worst-case-favourable corner dataset."""
-    return solve_nominal(transform_box(ds, dmu, sigma, eps), dmu)
+    on the worst-case-favourable corner dataset.
+
+    Once ``sigma > 0`` brings an own input ``x`` of ``dmu`` to ``sigma`` or
+    below, the ``eps`` floor included, the score is 1 with ``lam = e_i`` and
+    no solve: every rival input on that row is at least ``sigma``, so
+    ``x * sum(lam) <= X lam <= theta * x`` forces ``theta >= 1`` (at
+    ``x = 0`` the row admits only ``lam = e_i``, and the positive own input
+    the transform keeps does the same).  The LP cannot be trusted there, as
+    an own input near the pivot tolerance makes the theta column look zero.
+    """
+    corner = transform_box(ds, dmu, sigma, eps)
+    i = int(dmu)
+    if sigma > 0 and corner.X[:, i].min() <= sigma:
+        lam = np.zeros(ds.n_units)
+        lam[i] = 1.0
+        return EfficiencyResult(dmu=i, theta=1.0, lam=lam,
+                                input_slacks=np.zeros(ds.n_inputs),
+                                output_slacks=np.zeros(ds.n_outputs),
+                                peers=[i],
+                                binding_inputs=list(range(ds.n_inputs)))
+    return solve_nominal(corner, i)
 
 
 def efficiency_gain_upper_bound(ds: DeaDataset, dmu: int, sigma: float,

@@ -20,6 +20,16 @@ def table1_dataset():
     )
 
 
+# one input and one output on which sigma floors own inputs well below
+# 1.5 x max(X), and the zero floor binds on outputs
+CLAMP_X = [1.568, 2.956, 3.584, 3.153, 3.934, 4.689, 5.781, 2.421]
+CLAMP_Y = [4.243, 4.481, 2.464, 1.007, 5.867, 2.492, 2.57, 5.459]
+
+
+def clamp_dataset():
+    return DeaDataset(names=list("abcdefgh"), X=[CLAMP_X], Y=[CLAMP_Y])
+
+
 def random_dataset(rng, max_units=12, max_dim=3, lo=0.5, hi=5.0):
     """Random dataset with N + M <= max_dim and 2..max_units units."""
     n = int(rng.integers(1, max_dim))

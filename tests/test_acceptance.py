@@ -19,8 +19,8 @@ from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.geometry import (Hyperplane, Segment2D, dea_distance,
                            min_uncertainty_to_facet, select_segment_2d)
 from udea.iterative import iterative_udea
-from udea.robust import (DEFAULT_CAP, DEFAULT_STEP, UncertaintyConfig,
-                         robust_efficiency, transform_box)
+from udea.robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
+                         UncertaintyConfig, robust_efficiency, transform_box)
 
 SEED = 20240811
 
@@ -149,24 +149,34 @@ def test_05_iterative_bracket():
           "halving the step tightens both brackets")
 
 
-def test_06_monotonicity_and_capability():
+def _monotone_and_capable(eps, reach):
     rng = np.random.default_rng(SEED)
-    sigma_grid = np.linspace(0.0, 2.0, 20)
-    # a clamp floor at the solver tolerance makes the clamped column
-    # numerically degenerate, so the property runs at a safer floor
-    eps = 1e-6
     for _ in range(100):
         ds = random_dataset(rng, max_units=12, max_dim=3)
         dmu = int(rng.integers(ds.n_units))
+        nominal = solve_nominal(ds, dmu).theta
         prev = -np.inf
-        for sigma in sigma_grid:
+        for sigma in np.linspace(0.0, reach(ds), 20):
             theta = robust_efficiency(ds, dmu, float(sigma), eps).theta
             assert theta >= prev - 1e-7
+            assert theta >= nominal - 1e-7
             prev = theta
         cap = float(ds.X[:, dmu].max()) - eps
         assert robust_efficiency(ds, dmu, cap, eps).theta >= 1.0 - 1e-6
+
+
+def test_06_monotonicity_and_capability():
+    _monotone_and_capable(1e-6, lambda ds: 2.0)
     print("PASS 06 robust scores non-decreasing over a 20-point sigma grid "
           "on 100 random datasets; capability below the max-input cap")
+
+
+def test_06_monotonicity_and_capability_default_eps():
+    # the default floor sits at the pivot tolerance; past a unit's own
+    # input the score is 1 without a solve
+    _monotone_and_capable(DEFAULT_EPS, lambda ds: 1.5 * ds.X.max())
+    print("PASS 06 at the default eps: robust scores non-decreasing and at "
+          "least nominal for sigma up to 1.5 x max(X)")
 
 
 def test_07_corner_oracle():

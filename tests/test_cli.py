@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from helpers import clamp_dataset
 from udea.cli import (DataError, RunConfig, apply_scaling, emit_csv,
                       ingest_csv, main, run)
 from udea.dataset import solve_all
@@ -179,18 +180,6 @@ def test_exit_code_size_error(tmp_path, capsys):
     assert "iterative solver" in capsys.readouterr().err
 
 
-def test_jobs_deterministic(tmp_path, example1_csv):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    main(["iterative", "--data", str(example1_csv), "--out", str(a),
-          "--full-precision"])
-    main(["iterative", "--data", str(example1_csv), "--out", str(b),
-          "--jobs", "4", "--full-precision"])
-    assert a.read_text() == b.read_text()
-    assert (tmp_path / "a.csv.plot.csv").read_text() == \
-        (tmp_path / "b.csv.plot.csv").read_text()
-
-
 def test_text_format_stdout(example1_csv, capsys):
     assert main(["nominal", "--data", str(example1_csv),
                  "--format", "text"]) == 0
@@ -220,6 +209,32 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(mode="bogus")
     with pytest.raises(ValueError):
-        RunConfig(mode="nominal", jobs=0)
-    with pytest.raises(ValueError):
         RunConfig(mode="nominal", fmt="json")
+
+
+def test_robust_scores_floored_own_input(tmp_path):
+    # sigma = 3 puts the own inputs of a (1.568) and b (2.956) on the floor
+    data = tmp_path / "floor.csv"
+    emit_csv(clamp_dataset(), data)
+    out = tmp_path / "robust.csv"
+    assert main(["robust", "--data", str(data), "--sigma", "3",
+                 "--out", str(out)]) == 0
+    scores = {row["dmu"]: row["score"] for row in read_report(out)}
+    assert scores["a"] == scores["b"] == "1.000000"
+
+
+def test_sweep_never_below_nominal(tmp_path):
+    data = tmp_path / "floor.csv"
+    emit_csv(clamp_dataset(), data)
+    nominal_out = tmp_path / "nominal.csv"
+    sweep_out = tmp_path / "sweep.csv"
+    main(["nominal", "--data", str(data), "--out", str(nominal_out),
+          "--full-precision"])
+    main(["sweep", "--data", str(data), "--nu", "3.5", "--step", "0.5",
+          "--out", str(sweep_out), "--full-precision"])
+    nominal = {row["dmu"]: float(row["score"])
+               for row in read_report(nominal_out)}
+    rows = read_report(sweep_out)
+    assert len(rows) == 8 * 8  # sigma = 0, 0.5, ..., 3.5 for 8 units
+    for row in rows:
+        assert float(row["score"]) >= nominal[row["dmu"]] - 1e-9

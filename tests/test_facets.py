@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (random_dataset_2d, segment_min_uncertainty,
-                     sorted_extremes_2d)
+from helpers import (clamp_dataset, random_dataset_2d,
+                     segment_min_uncertainty, sorted_extremes_2d)
 from udea.dataset import DeaDataset, solve_nominal
-from udea.facets import (SizeLimitError, enumerate_efficient_facets,
+from udea.facets import (FacetSet, SizeLimitError, enumerate_efficient_facets,
                          exact_udea)
-from udea.geometry import min_uncertainty_to_facet, select_segment_2d
+from udea.geometry import (Hyperplane, min_uncertainty_to_facet,
+                           select_segment_2d)
 
 
 def facet_key(h):
@@ -145,3 +146,15 @@ def test_min_over_enumerated_facets(table1):
 def test_exact_udea_infinite_cap_gamma(table1):
     out = exact_udea(table1, 4, nu=math.inf)
     assert out.gamma == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_udea_gamma_past_own_input():
+    # with the data's own facets upsilon* = beta* / 2 stays below half of
+    # every own input, so a facet set is passed in: the output-axis facet
+    # y = 10 puts unit a (x = 1.568, y = 4.243) at (10 - 4.243) / 2 = 2.8785
+    ds = clamp_dataset()
+    facet = Hyperplane(alpha=[0.0], beta=[-1.0], d=-10.0)
+    out = exact_udea(ds, 0, nu=math.inf, facet_set=FacetSet([facet]))
+    assert out.upsilon == pytest.approx(2.8785, abs=1e-12)
+    assert out.upsilon > ds.X[0, 0]
+    assert out.gamma == 1.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import udea.iterative
-from helpers import (linear_walk_udea, random_dataset, random_dataset_2d,
-                     table1_dataset)
+from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
+                     random_dataset, random_dataset_2d, table1_dataset)
 from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
@@ -169,18 +169,13 @@ def test_search_matches_walk_example_csv(example1_csv, nu, step):
         _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
 
-# the eps floor and the zero floor bind well below 1.5 x max(X) here, where
-# the robust score is not monotone in sigma
-CLAMP_X = [1.568, 2.956, 3.584, 3.153, 3.934, 4.689, 5.781, 2.421]
-CLAMP_Y = [4.243, 4.481, 2.464, 1.007, 5.867, 2.492, 2.57, 5.459]
-
-
+# the eps floor and the zero floor bind well below 1.5 x max(X) here
 @pytest.mark.parametrize("nu, step", [(1.5 * max(CLAMP_X), 0.05),
                                       (1.5 * max(CLAMP_X), 0.5),
-                                      (3.5, 0.01), (3.0, 0.5), (1.2, 0.1)])
+                                      (3.5, 0.01), (3.0, 0.5), (1.2, 0.1),
+                                      (np.inf, 0.05)])
 def test_search_matches_walk_where_clamps_bind(nu, step):
-    ds = DeaDataset(names=[f"u{k}" for k in range(len(CLAMP_X))],
-                    X=[CLAMP_X], Y=[CLAMP_Y])
+    ds = clamp_dataset()
     for dmu in range(ds.n_units):
         _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
@@ -189,7 +184,7 @@ def test_search_matches_walk_where_clamps_bind(nu, step):
 def test_search_matches_walk_when_grid_grazes_own_input(dmu, k):
     # outputs lifted clear of the cap, so the unit's own input is the first
     # value to reach a floor; the grid point k * step falls one rounding
-    # error short of it, where the solver already returns a score of 0
+    # error short of it, where the eps floor already lifts the input
     ds = DeaDataset(names=[f"u{j}" for j in range(len(CLAMP_X))],
                     X=[CLAMP_X], Y=[np.array(CLAMP_Y) + 5.0])
     step = CLAMP_X[dmu] / k
@@ -225,11 +220,10 @@ def test_search_matches_walk_random_unbounded_cap(rng):
         checked += 1
 
 
-def test_search_solve_count(monkeypatch):
-    # shifted Table 1: every input and output exceeds the cap, so no clamp
-    # binds below it and the whole grid is bisected
-    base = table1_dataset()
-    ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
+def _assert_bisection_solve_count(ds, monkeypatch):
+    """At most 3 + ceil(log2 359) robust solves per unit on the case-study
+    grid, sorted traces, and the walk's results; returns how many units
+    needed a search."""
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
     n_grid = 359  # k * 0.01 < 3.6 for k = 1 .. 359
     assert 359 * cfg.step < cfg.nu <= 360 * cfg.step
@@ -250,9 +244,29 @@ def test_search_solve_count(monkeypatch):
         assert sigmas == sorted(sigmas)
         capable += out.capable and out.upsilon > 0
     monkeypatch.undo()
-    assert capable >= 2  # the count covers real bisections
     for dmu in range(ds.n_units):
         _assert_same_as_walk(ds, dmu, cfg)
+    return capable
+
+
+def test_search_solve_count(monkeypatch):
+    # shifted Table 1: every input and output exceeds the cap, so no clamp
+    # binds below it and the whole grid is bisected
+    base = table1_dataset()
+    ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
+    # the count covers real bisections
+    assert _assert_bisection_solve_count(ds, monkeypatch) >= 2
+
+
+def test_search_solve_count_where_floors_bind(monkeypatch):
+    # Table 1 plus G: G's output 0.05 is on the zero floor in every other
+    # unit's corner from sigma = 0.05 on, so the search runs where a floor
+    # binds
+    base = table1_dataset()
+    ds = DeaDataset(names=base.names + ["G"],
+                    X=np.hstack([base.X, [[12.0]]]),
+                    Y=np.hstack([base.Y, [[0.05]]]))
+    assert _assert_bisection_solve_count(ds, monkeypatch) == 3  # E, F, G
 
 
 def test_seeded_search_solve_count(monkeypatch):

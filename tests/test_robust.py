@@ -4,9 +4,9 @@ import pytest
 from helpers import best_corner_score, random_dataset
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
-from udea.robust import (UncertaintyConfig, directional_distance,
-                         efficiency_gain_upper_bound, robust_efficiency,
-                         transform_box)
+from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
+                         directional_distance, efficiency_gain_upper_bound,
+                         robust_efficiency, transform_box)
 
 
 def test_config_validation():
@@ -96,26 +96,40 @@ def test_robust_scores_table1(table1):
         1.0, abs=1e-9)
 
 
-def test_robust_monotone_in_sigma(rng):
+def _assert_monotone(rng, eps, sigmas_for):
     for _ in range(6):
         ds = random_dataset(rng, max_units=8)
         dmu = int(rng.integers(ds.n_units))
         prev = -np.inf
-        for sigma in (0.0, 0.1, 0.25, 0.5, 1.0):
-            theta = robust_efficiency(ds, dmu, sigma, eps=1e-6).theta
+        for sigma in sigmas_for(ds):
+            theta = robust_efficiency(ds, dmu, sigma, eps=eps).theta
             assert theta >= prev - 1e-9
             prev = theta
 
 
+def test_robust_monotone_in_sigma(rng):
+    _assert_monotone(rng, 1e-6, lambda ds: (0.0, 0.1, 0.25, 0.5, 1.0))
+
+
+def test_robust_monotone_in_sigma_default_eps(rng):
+    # past every own input, where the default floor sits at the pivot
+    # tolerance and robust_efficiency scores the floored unit without a solve
+    _assert_monotone(rng, DEFAULT_EPS,
+                     lambda ds: np.linspace(0.0, 1.5 * ds.X.max(), 40))
+
+
 def test_robust_at_least_nominal(rng):
+    # up to 1.5 x max(X), past every own input
     for _ in range(6):
         ds = random_dataset(rng, max_units=8)
         for i in range(ds.n_units):
-            assert robust_efficiency(ds, i, 0.3).theta >= \
-                solve_nominal(ds, i).theta - 1e-9
+            nominal = solve_nominal(ds, i).theta
+            for sigma in [0.3, *np.linspace(0.0, 1.5 * ds.X.max(), 40)]:
+                assert robust_efficiency(ds, i, sigma).theta >= \
+                    nominal - 1e-9
 
 
-def test_large_sigma_reaches_efficiency(rng):
+def _assert_large_sigma_efficient(rng, eps):
     # sigma large enough to drive the unit's own inputs to the clamp floor
     # makes any unit efficient
     for _ in range(6):
@@ -123,8 +137,41 @@ def test_large_sigma_reaches_efficiency(rng):
         for i in range(ds.n_units):
             sigma = float(ds.X[:, i].max()) - 1e-6
             assert robust_efficiency(ds, i, sigma,
-                                     eps=1e-6).theta == pytest.approx(
+                                     eps=eps).theta == pytest.approx(
                 1.0, abs=1e-9)
+
+
+def test_large_sigma_reaches_efficiency(rng):
+    _assert_large_sigma_efficient(rng, 1e-6)
+
+
+def test_large_sigma_reaches_efficiency_default_eps(rng):
+    _assert_large_sigma_efficient(rng, DEFAULT_EPS)
+
+
+def test_floored_own_input_matches_sound_floor(rng):
+    # sigma between the two smallest own inputs floors exactly one of them;
+    # at eps = 1e-6 the LP is well clear of the pivot tolerance and serves
+    # as the oracle for the score robust_efficiency gives without a solve
+    checked = 0
+    while checked < 20:
+        n_inputs, n_units = int(rng.integers(2, 4)), int(rng.integers(2, 9))
+        ds = DeaDataset(names=[f"u{k}" for k in range(n_units)],
+                        X=rng.uniform(0.5, 5.0, (n_inputs, n_units)).round(3),
+                        Y=rng.uniform(0.5, 5.0, (1, n_units)).round(3))
+        i = int(rng.integers(n_units))
+        low, second = np.sort(ds.X[:, i])[:2]
+        if low == second:
+            continue
+        sigma = 0.5 * (low + second)
+        got = robust_efficiency(ds, i, sigma)
+        oracle = solve_nominal(transform_box(ds, i, sigma, eps=1e-6), i)
+        assert oracle.theta == pytest.approx(1.0, abs=1e-6)
+        assert oracle.peers == [i]
+        assert got.theta == 1.0 and got.peers == [i]
+        assert got.lam.tolist() == [float(k == i) for k in range(ds.n_units)]
+        assert got.binding_inputs == list(range(ds.n_inputs))
+        checked += 1
 
 
 def test_corner_is_optimal_over_box(rng):
