@@ -5,7 +5,7 @@ below the cap ``nu``) at which the robust model makes the unit efficient.
 An efficient unit stops at sigma = 0.  Otherwise, as the robust score never
 falls as sigma grows, bisection over grid indices finds the first success.
 The bisected span ends at the last grid point below ``nu`` or, if earlier,
-at the first one reaching the unit's smallest own input, where
+at the first one reaching half the unit's smallest own input, where
 ``robust_efficiency`` scores 1.  Before bisecting, the search probes the
 grid point just above ``beta* / 2``, where ``beta*`` is the directional
 distance of the unit along the box direction (one LP); it is the first
@@ -86,9 +86,11 @@ def iterative_udea(ds: DeaDataset, dmu: int,
 def _search_top(ds, dmu, t, cfg):
     """Last grid index the search needs: the last with ``k * t`` below the
     cap or, if earlier, the first where sigma exceeds ``eps`` and reaches
-    the unit's smallest own input, so that ``robust_efficiency`` scores 1
-    there."""
-    lowest = max(ds.X[:, dmu].min(), math.nextafter(cfg.eps, math.inf))
+    half the unit's smallest own input.  There the own input is at most
+    sigma, so ``robust_efficiency`` scores 1, and still at least half its
+    value, so ``eps = 0`` leaves it positive."""
+    lowest = max(0.5 * ds.X[:, dmu].min(),
+                 math.nextafter(cfg.eps, math.inf))
     if lowest < cfg.nu:
         k = _grid_index(lowest, t)
         if k * t < cfg.nu:

@@ -20,6 +20,15 @@ def table1_dataset():
     )
 
 
+def table1_plus_g():
+    """Table 1 plus a unit G (X = 12, Y = 0.05) whose tiny output sits on
+    the zero floor in every other unit's corner from sigma = 0.05 on."""
+    base = table1_dataset()
+    return DeaDataset(names=base.names + ["G"],
+                      X=np.hstack([base.X, [[12.0]]]),
+                      Y=np.hstack([base.Y, [[0.05]]]))
+
+
 # one input and one output on which sigma floors own inputs well below
 # 1.5 x max(X), and the zero floor binds on outputs
 CLAMP_X = [1.568, 2.956, 3.584, 3.153, 3.934, 4.689, 5.781, 2.421]

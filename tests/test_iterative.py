@@ -5,7 +5,8 @@ import pytest
 
 import udea.iterative
 from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
-                     random_dataset, random_dataset_2d, table1_dataset)
+                     random_dataset, random_dataset_2d, table1_dataset,
+                     table1_plus_g)
 from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
@@ -180,6 +181,21 @@ def test_search_matches_walk_where_clamps_bind(nu, step):
         _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
 
+# with eps = 0 a one-input unit has no positive input left once sigma
+# reaches it, which transform_box rejects; the search must stop where the
+# walk does, by half the smallest own input
+@pytest.mark.parametrize("data, nu, step", [
+    ("table1_plus_g", np.inf, 0.01), ("table1_plus_g", 3.6, 0.01),
+    ("table1_plus_g", 20.0, 0.3), ("clamp", np.inf, 0.05),
+    ("clamp", 1.5 * max(CLAMP_X), 0.05), ("clamp", 3.5, 0.01),
+    ("clamp", 1.5 * max(CLAMP_X), 0.5)])
+def test_search_matches_walk_at_zero_eps(data, nu, step):
+    ds = {"table1_plus_g": table1_plus_g, "clamp": clamp_dataset}[data]()
+    cfg = UncertaintyConfig(nu=nu, step=step, eps=0.0)
+    for dmu in range(ds.n_units):
+        _assert_same_as_walk(ds, dmu, cfg)
+
+
 @pytest.mark.parametrize("dmu, k", [(1, 10), (2, 13), (3, 6), (6, 21)])
 def test_search_matches_walk_when_grid_grazes_own_input(dmu, k):
     # outputs lifted clear of the cap, so the unit's own input is the first
@@ -259,13 +275,9 @@ def test_search_solve_count(monkeypatch):
 
 
 def test_search_solve_count_where_floors_bind(monkeypatch):
-    # Table 1 plus G: G's output 0.05 is on the zero floor in every other
-    # unit's corner from sigma = 0.05 on, so the search runs where a floor
-    # binds
-    base = table1_dataset()
-    ds = DeaDataset(names=base.names + ["G"],
-                    X=np.hstack([base.X, [[12.0]]]),
-                    Y=np.hstack([base.Y, [[0.05]]]))
+    # G's output is on the zero floor in the other corners, so the search
+    # runs where a floor binds
+    ds = table1_plus_g()
     assert _assert_bisection_solve_count(ds, monkeypatch) == 3  # E, F, G
 
 
