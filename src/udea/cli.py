@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
-from .iterative import iterative_udea
+from .iterative import _grid_index, iterative_udea
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
                      UncertaintyConfig, robust_efficiency)
 
@@ -263,13 +263,12 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
 
 
 def _sigma_grid(cfg: UncertaintyConfig):
+    """The grid points below ``nu``, then ``nu``: the sigmas
+    ``iterative_udea`` may probe."""
     if not math.isfinite(cfg.nu):
         raise ValueError("sweep mode needs a finite cap nu")
-    count = int(math.floor(cfg.nu / cfg.step + 1e-9))
-    sigmas = [k * cfg.step for k in range(count + 1)]
-    if sigmas[-1] < cfg.nu - 1e-12:
-        sigmas.append(cfg.nu)
-    return sigmas
+    sigmas = [k * cfg.step for k in range(_grid_index(cfg.nu, cfg.step))]
+    return sigmas + [cfg.nu]
 
 
 def _formatter(config: RunConfig):

@@ -114,28 +114,29 @@ def build_envelopment_lp(ds: DeaDataset, dmu: int) -> LinearProgram:
     <= rows and the convexity equality.
     """
     i = _check_index(ds, dmu)
-    n_var = ds.n_units + 1
-    c = np.zeros(n_var)
-    c[-1] = 1.0
+    z_col = np.concatenate([np.zeros(ds.n_outputs), -ds.X[:, i]])
+    return _frontier_lp(ds, i, z_col, np.zeros(ds.n_inputs), 1.0)
 
-    A = np.zeros((ds.n_outputs + ds.n_inputs + 1, n_var))
-    senses = []
-    b = np.zeros(ds.n_outputs + ds.n_inputs + 1)
-    r = 0
-    for m in range(ds.n_outputs):
-        A[r, : ds.n_units] = ds.Y[m]
-        b[r] = ds.Y[m, i]
-        senses.append(GEQ)
-        r += 1
-    for n in range(ds.n_inputs):
-        A[r, : ds.n_units] = ds.X[n]
-        A[r, -1] = -ds.X[n, i]
-        b[r] = 0.0
-        senses.append(LEQ)
-        r += 1
-    A[r, : ds.n_units] = 1.0
-    b[r] = 1.0
-    senses.append(EQ)
+
+def _frontier_lp(ds: DeaDataset, i: int, z_col, x_rhs,
+                 z_cost) -> LinearProgram:
+    """The block every frontier program shares, over (lam_1..lam_I, z):
+
+        min z_cost * z  s.t.  Y lam + z_y z >= y_i,  X lam + z_x z <= x_rhs,
+                              sum(lam) = 1,  lam, z >= 0
+
+    where ``z_col`` = (z_y, z_x) is the z column, output rows first.
+    """
+    n_units, m = ds.n_units, ds.n_outputs
+    A = np.zeros((m + ds.n_inputs + 1, n_units + 1))
+    A[:m, :n_units] = ds.Y
+    A[m:-1, :n_units] = ds.X
+    A[-1, :n_units] = 1.0
+    A[:-1, -1] = z_col
+    c = np.zeros(n_units + 1)
+    c[-1] = z_cost
+    b = np.concatenate([ds.Y[:, i], x_rhs, [1.0]])
+    senses = [GEQ] * m + [LEQ] * ds.n_inputs + [EQ]
     return LinearProgram(c=c, A=A, senses=senses, b=b)
 
 
@@ -174,9 +175,8 @@ def is_extreme(ds: DeaDataset, dmu: int) -> bool:
     """
     i = _check_index(ds, dmu)
     lp = build_envelopment_lp(ds, i)
-    ub = np.full(ds.n_units + 1, np.inf)
-    ub[i] = 0.0
-    lp = LinearProgram(c=lp.c, A=lp.A, senses=lp.senses, b=lp.b, ub=ub)
+    # a zero column with zero cost never enters the basis: lam_i = 0
+    lp.A[:, i] = 0.0
     sol = solve_lp(lp)
     if sol.status == "infeasible":
         return True

@@ -40,21 +40,19 @@ class FacetSet:
         return iter(self.facets)
 
 
-def enumerate_efficient_facets(ds: DeaDataset,
-                               dim_limit: int = DEFAULT_DIM_LIMIT,
-                               unit_limit: int = DEFAULT_UNIT_LIMIT) -> FacetSet:
+def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
     """All supporting hyperplanes of the production set touching an extreme
     efficient unit, deduplicated and canonically ordered."""
     n, m = ds.n_inputs, ds.n_outputs
     phi = n + m
-    if phi > dim_limit:
+    if phi > DEFAULT_DIM_LIMIT:
         raise SizeLimitError(
-            f"dimension {phi} exceeds the enumeration limit {dim_limit}; "
-            "use the iterative solver")
-    if ds.n_units > unit_limit:
+            f"dimension {phi} exceeds the enumeration limit "
+            f"{DEFAULT_DIM_LIMIT}; use the iterative solver")
+    if ds.n_units > DEFAULT_UNIT_LIMIT:
         raise SizeLimitError(
-            f"{ds.n_units} units exceed the enumeration limit {unit_limit}; "
-            "use the iterative solver")
+            f"{ds.n_units} units exceed the enumeration limit "
+            f"{DEFAULT_UNIT_LIMIT}; use the iterative solver")
 
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
     extremes = [i for i in range(ds.n_units) if is_extreme(ds, i)]

@@ -113,9 +113,14 @@ def _seed_index(ds, dmu, t, top):
 
 def _grid_index(value, t):
     """Smallest grid index ``g >= 0`` with ``g * t >= value``, in the
-    ``g * t`` arithmetic the grid points are made with; ``value / t`` must
-    be far below 2**52 for the settling steps to end."""
-    g = max(math.ceil(value / t), 0)
+    ``g * t`` arithmetic the grid points are made with.  Beyond 2**52
+    steps neighbouring grid points round to the same float, so such a grid
+    is rejected."""
+    steps = float(value) / float(t)
+    if not steps < 2**52:  # also rejects nan and inf
+        raise ValueError(f"sigma grid of step {t} is too fine to reach "
+                         f"{value}: more than 2**52 points")
+    g = max(math.ceil(steps), 0)
     # settle rounding of the division
     while g * t < value:
         g += 1

@@ -5,7 +5,7 @@ small and frequently degenerate (many efficiency solves share a facet), so
 anti-cycling matters more than pivot speed heuristics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,13 @@ class SolverFault(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min (or max) c'x  s.t.  A x {<=,>=,=} b,  lb <= x <= ub."""
+    """min c'x  s.t.  A x {<=,>=,=} b,  x >= lb."""
 
     c: np.ndarray
     A: np.ndarray
     senses: list
     b: np.ndarray
     lb: np.ndarray = None
-    ub: np.ndarray = None
-    maximize: bool = False
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -60,19 +58,11 @@ class LinearProgram:
             self.lb = np.zeros(n)
         else:
             self.lb = np.asarray(self.lb, dtype=float)
-        if self.ub is None:
-            self.ub = np.full(n, np.inf)
-        else:
-            self.ub = np.asarray(self.ub, dtype=float)
-        if self.lb.shape != (n,) or self.ub.shape != (n,):
+        if self.lb.shape != (n,):
             raise MalformedProgramError("bound length mismatch")
         for arr in (self.c, self.A, self.b, self.lb):
             if not np.all(np.isfinite(arr)):
                 raise MalformedProgramError("non-finite entry in program data")
-        if np.any(np.isnan(self.ub)) or np.any(self.ub == -np.inf):
-            raise MalformedProgramError("invalid upper bound")
-        if np.any(self.ub < self.lb):
-            raise MalformedProgramError("upper bound below lower bound")
 
 
 @dataclass
@@ -80,8 +70,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float = np.nan
     x: np.ndarray = None
-    slacks: np.ndarray = None
-    basis: np.ndarray = field(default=None, repr=False)
 
     @property
     def optimal(self):
@@ -96,31 +84,16 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL,
     lowest index.
     """
     n0 = lp.c.shape[0]
-    m0 = lp.A.shape[0]
+    m = lp.A.shape[0]
 
-    # shift out lower bounds: x = lb + x', x' >= 0
-    c = -lp.c if lp.maximize else lp.c.copy()
+    # shift out lower bounds (x = lb + x', x' >= 0), then make b >= 0
     A = lp.A.copy()
     b = lp.b - A @ lp.lb
-    senses = list(lp.senses)
-
-    # finite upper bounds become extra <= rows in the shifted space
-    ub_rows = np.flatnonzero(np.isfinite(lp.ub))
-    for j in ub_rows:
-        row = np.zeros(n0)
-        row[j] = 1.0
-        A = np.vstack([A, row])
-        b = np.append(b, lp.ub[j] - lp.lb[j])
-        senses.append(LEQ)
-    m = A.shape[0]
-
-    # normalise to b >= 0
     neg = b < 0
     A[neg] *= -1.0
-    b = b.copy()
     b[neg] *= -1.0
     flip = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}
-    senses = [flip[s] if f else s for s, f in zip(senses, neg)]
+    senses = [flip[s] if f else s for s, f in zip(lp.senses, neg)]
 
     # column layout: originals, slacks/surpluses, artificials
     n_slack = sum(1 for s in senses if s != EQ)
@@ -179,9 +152,9 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL,
 
     # phase 2 cost row rebuilt from the original objective
     T[m, :] = 0.0
-    T[m, :n0] = c
+    T[m, :n0] = lp.c
     for i in range(m):
-        cb = c[basis[i]] if basis[i] < n0 else 0.0
+        cb = lp.c[basis[i]] if basis[i] < n0 else 0.0
         if cb != 0.0:
             T[m, :] -= cb * T[i, :]
     status = simplex_core(T, basis, allowed, tol, max_iter)
@@ -194,11 +167,4 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL,
     x_std = np.zeros(n_total)
     x_std[basis] = T[:m, n_total]
     x = lp.lb + x_std[:n0]
-    objective = float(lp.c @ x)
-
-    resid = lp.A @ x - lp.b
-    slacks = np.empty(m0)
-    for i, s in enumerate(lp.senses):
-        slacks[i] = -resid[i] if s == LEQ else resid[i]
-    return LpSolution(status="optimal", objective=objective, x=x,
-                      slacks=slacks, basis=basis.copy())
+    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x)

@@ -8,13 +8,13 @@ drop.  The robust solve is therefore one nominal solve on that transformed
 """
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DeaDataset, EfficiencyResult, _check_index, solve_nominal
-from .lp import EQ, GEQ, LEQ, LinearProgram, SolverFault, solve_lp
+from .dataset import (DeaDataset, EfficiencyResult, _check_index, _frontier_lp,
+                      solve_nominal)
+from .lp import SolverFault, solve_lp
 
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
@@ -23,23 +23,18 @@ DEFAULT_CAP = 3.6
 
 @dataclass
 class UncertaintyConfig:
-    """Box half-width, admissibility cap, grid step and input clamp floor.
+    """Admissibility cap, sigma grid step and input clamp floor.
 
     All values are in scaled data units; ``nu`` may be ``inf``.
     """
 
-    sigma: float = 0.0
     nu: float = DEFAULT_CAP
     step: float = DEFAULT_STEP
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        if math.isfinite(self.nu) and self.sigma > self.nu + 1e-12:
-            raise ValueError("sigma exceeds the cap nu")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.eps < 0:
@@ -95,19 +90,10 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
     efficient.
     """
     i = _check_index(ds, dmu)
-    n_units, m = ds.n_units, ds.n_outputs
-    c = np.zeros(n_units + 1)
-    c[-1] = 1.0
-    A = np.zeros((m + ds.n_inputs + 1, n_units + 1))
-    A[:m, :n_units] = ds.Y
-    A[:m, -1] = np.where(ds.env_outputs, 0.0, -1.0)
-    A[m:-1, :n_units] = ds.X
-    A[m:-1, -1] = 1.0
-    A[-1, :n_units] = 1.0
-    b = np.concatenate([ds.Y[:, i], ds.X[:, i], [1.0]])
-    senses = [GEQ] * m + [LEQ] * ds.n_inputs + [EQ]
-    sol = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b,
-                                 maximize=True))
+    # max beta as min -beta, with z column (-g on outputs, +1 on inputs)
+    z_col = np.concatenate([np.where(ds.env_outputs, 0.0, -1.0),
+                            np.ones(ds.n_inputs)])
+    sol = solve_lp(_frontier_lp(ds, i, z_col, ds.X[:, i], -1.0))
     if not sol.optimal:
         # bounded by the input rows and feasible at lam = e_i
         raise SolverFault(f"directional distance solve ended {sol.status} "

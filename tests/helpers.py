@@ -70,8 +70,6 @@ def lp_vertex_oracle(lp, feas_tol=1e-7):
         e = np.zeros(n)
         e[j] = 1.0
         cons.append((e, ">=", float(lp.lb[j])))
-        if np.isfinite(lp.ub[j]):
-            cons.append((e, "<=", float(lp.ub[j])))
     best = None
     for combo in itertools.combinations(range(len(cons)), n):
         A = np.array([cons[k][0] for k in combo])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import clamp_dataset
-from udea.cli import (DataError, RunConfig, apply_scaling, emit_csv,
-                      ingest_csv, main, run)
+from udea.cli import (DataError, RunConfig, _sigma_grid, apply_scaling,
+                      emit_csv, ingest_csv, main, run)
 from udea.dataset import solve_all
+from udea.iterative import iterative_udea
+from udea.robust import UncertaintyConfig
 
 
 def read_report(path):
@@ -170,6 +172,31 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert main(["nominal", "--data", path]) == 2
     assert "row 2" in capsys.readouterr().err
     assert main(["nominal", "--data", str(tmp_path / "missing.csv")]) == 2
+
+
+def test_exit_code_grid_too_fine(tmp_path, example1_csv):
+    path = write_csv(tmp_path / "huge.csv",
+                     ["dmu,in:x,out:y", "a,1e300,1", "b,2e300,1"])
+    assert main(["iterative", "--data", path, "--nu", "inf"]) == 2
+    assert main(["iterative", "--data", path, "--nu", "inf",
+                 "--step", "1e-10"]) == 2
+    assert main(["sweep", "--data", str(example1_csv), "--nu", "1e300"]) == 2
+
+
+@pytest.mark.parametrize("nu, step, count", [
+    (0.3, 0.1, 4), (0.7, 0.1, 8), (3.6, 0.01, 361), (0.0, 0.1, 1)])
+def test_sweep_grid_ends_at_nu(nu, step, count):
+    sigmas = _sigma_grid(UncertaintyConfig(nu=nu, step=step))
+    assert len(sigmas) == count
+    assert all(s <= nu for s in sigmas)
+    assert sigmas[-1] == nu
+
+
+def test_sweep_grid_holds_iterative_probes(table1):
+    cfg = UncertaintyConfig(nu=1.0, step=0.3)
+    grid = set(_sigma_grid(cfg))
+    for dmu in range(table1.n_units):
+        assert {s for s, _ in iterative_udea(table1, dmu, cfg).trace} <= grid
 
 
 def test_exit_code_size_error(tmp_path, capsys):

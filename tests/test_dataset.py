@@ -14,7 +14,6 @@ def test_envelopment_program_shape(table1):
     assert lp.c.size == 7              # six weights plus theta
     assert lp.A.shape == (3, 7)        # one output, one input, convexity
     assert lp.senses == [">=", "<=", "="]
-    assert not lp.maximize
 
 
 def test_self_solution_feasible(table1):

@@ -6,8 +6,8 @@ import pytest
 from helpers import (clamp_dataset, random_dataset_2d,
                      segment_min_uncertainty, sorted_extremes_2d)
 from udea.dataset import DeaDataset, solve_nominal
-from udea.facets import (FacetSet, SizeLimitError, enumerate_efficient_facets,
-                         exact_udea)
+from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
+                         enumerate_efficient_facets, exact_udea)
 from udea.geometry import (Hyperplane, min_uncertainty_to_facet,
                            select_segment_2d)
 
@@ -54,11 +54,14 @@ def test_single_unit_axis_facets():
     assert sorted(h.kind for h in fs) == ["input-axis", "output-axis"]
 
 
-def test_size_limits(table1):
+def test_size_limits():
+    many = DeaDataset(
+        names=[f"u{k}" for k in range(DEFAULT_UNIT_LIMIT + 1)],
+        X=np.ones((1, DEFAULT_UNIT_LIMIT + 1)),
+        Y=np.ones((1, DEFAULT_UNIT_LIMIT + 1)),
+    )
     with pytest.raises(SizeLimitError):
-        enumerate_efficient_facets(table1, dim_limit=1)
-    with pytest.raises(SizeLimitError):
-        enumerate_efficient_facets(table1, unit_limit=3)
+        enumerate_efficient_facets(many)
     big = DeaDataset(
         names=[f"u{k}" for k in range(4)],
         X=np.ones((3, 4)), Y=np.ones((2, 4)),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
 from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
-from udea.iterative import classify_capability, iterative_udea, udea_sweep
+from udea.iterative import (_grid_index, classify_capability,
+                            iterative_udea, udea_sweep)
 from udea.lp import SolverFault
 from udea.robust import UncertaintyConfig, directional_distance
 
@@ -130,6 +132,21 @@ def test_terminates_with_infinite_cap(table1):
     out = iterative_udea(table1, 5, UncertaintyConfig(nu=np.inf, step=0.1))
     assert out.capable
     assert out.upsilon == pytest.approx(1.2, abs=1e-9)
+
+
+def test_grid_too_fine_for_the_data_raises():
+    # a step of 0.01 against data of order 1e300 needs about 1e302 grid
+    # points; past 2**52 of them neighbouring points round together
+    ds = DeaDataset(names=["a", "b"], X=[[1e300, 2e300]], Y=[[1.0, 1.0]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="sigma grid"):
+        iterative_udea(ds, 1, UncertaintyConfig(nu=np.inf))
+    assert time.perf_counter() - start < 1.0
+    assert _grid_index(2.0**51, 1.0) == 2**51
+    for value, t in ((1e300, 0.01), (1e300, 1e-10), (2.0**52, 1.0),
+                     (math.nan, 0.01), (math.inf, 0.01)):
+        with pytest.raises(ValueError, match="sigma grid"):
+            _grid_index(value, t)
 
 
 def _assert_same_as_walk(ds, dmu, cfg, ref=None):

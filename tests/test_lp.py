@@ -22,8 +22,7 @@ def test_empty_feasible_set():
 
 
 def test_unbounded():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], senses=[">="], b=[0.0],
-                       maximize=True)
+    lp = LinearProgram(c=[-1.0], A=[[1.0]], senses=[">="], b=[0.0])
     assert solve_lp(lp).status == "unbounded"
 
 
@@ -36,19 +35,13 @@ def test_envelopment_program_for_unit_e():
 
 
 def test_maximize():
-    lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]],
-                       senses=["<=", "<="], b=[4.0, 6.0], maximize=True)
+    # max x1 + x2 as min -(x1 + x2)
+    lp = LinearProgram(c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]],
+                       senses=["<=", "<="], b=[4.0, 6.0])
     sol = solve_lp(lp)
     assert sol.optimal
-    assert sol.objective == pytest.approx(2.8, abs=1e-9)
-
-
-def test_upper_bounds_respected():
-    lp = LinearProgram(c=[-1.0], A=[[1.0]], senses=["<="], b=[10.0],
-                       ub=[2.5])
-    sol = solve_lp(lp)
-    assert sol.optimal
-    assert sol.x[0] == pytest.approx(2.5, abs=1e-9)
+    assert sol.objective == pytest.approx(-2.8, abs=1e-9)
+    assert sol.x == pytest.approx([1.6, 1.2], abs=1e-9)
 
 
 def test_equality_rows():
@@ -84,7 +77,6 @@ def test_determinism_bit_for_bit():
     b = solve_lp(lp)
     assert a.objective == b.objective
     assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.basis, b.basis)
 
 
 def test_objective_matches_primal_recomputation():
@@ -93,13 +85,6 @@ def test_objective_matches_primal_recomputation():
         lp = build_envelopment_lp(ds, i)
         sol = solve_lp(lp)
         assert sol.objective == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
-
-
-def test_slacks_reported_per_row():
-    lp = LinearProgram(c=[1.0], A=[[1.0], [1.0]], senses=[">=", "<="],
-                       b=[3.0, 10.0])
-    sol = solve_lp(lp)
-    assert sol.slacks == pytest.approx([0.0, 7.0], abs=1e-9)
 
 
 def _random_lp(rng):

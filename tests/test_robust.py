@@ -11,13 +11,9 @@ from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
 
 def test_config_validation():
     UncertaintyConfig()
-    UncertaintyConfig(sigma=0.5, nu=np.inf)
-    with pytest.raises(ValueError):
-        UncertaintyConfig(sigma=-0.1)
+    UncertaintyConfig(nu=np.inf)
     with pytest.raises(ValueError):
         UncertaintyConfig(nu=-1.0)
-    with pytest.raises(ValueError):
-        UncertaintyConfig(sigma=2.0, nu=1.0)
     with pytest.raises(ValueError):
         UncertaintyConfig(step=0.0)
     with pytest.raises(ValueError):
