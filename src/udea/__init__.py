@@ -9,7 +9,7 @@ from .geometry import (Hyperplane, MinUncertainty, Segment2D, TargetPoint,
                        dea_distance, min_dea_distance, min_uncertainty_2d,
                        min_uncertainty_to_facet, select_segment_2d,
                        segment_hyperplane_2d, target_point, translate_facet)
-from .iterative import classify_capability, iterative_udea, udea_sweep
+from .iterative import iterative_udea
 from .lp import (LinearProgram, LpSolution, MalformedProgramError, SolverFault,
                  solve_lp)
 from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
@@ -24,11 +24,10 @@ __all__ = [
     "FacetSet", "Hyperplane", "LinearProgram", "LpSolution",
     "MalformedProgramError", "MinUncertainty", "Segment2D", "SizeLimitError",
     "SolverFault", "TargetPoint", "UdeaOutcome", "UncertaintyConfig",
-    "build_envelopment_lp", "classify_capability", "dea_distance",
+    "build_envelopment_lp", "dea_distance",
     "directional_distance", "efficiency_gain_upper_bound", "enumerate_efficient_facets", "exact_udea",
     "is_extreme", "iterative_udea", "min_dea_distance", "min_uncertainty_2d",
     "min_uncertainty_to_facet", "robust_efficiency", "scale_dataset",
     "segment_hyperplane_2d", "select_segment_2d", "solve_all", "solve_lp",
     "solve_nominal", "target_point", "transform_box", "translate_facet",
-    "udea_sweep",
 ]

@@ -30,7 +30,7 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     ``T`` is ``(m+1, n+1)``: ``m`` constraint rows, a reduced-cost row at the
     bottom and the right-hand side in the last column.  ``basis[i]`` is the
     column basic in row ``i``; ``allowed`` masks columns eligible to enter
-    (used to lock out artificial columns in phase two).
+    (``solve_lp`` allows every column).
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1

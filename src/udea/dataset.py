@@ -6,13 +6,15 @@ The nominal score of unit ``i`` is the optimal value of
     min theta  s.t.  Y lam >= y_i,  X lam <= theta x_i,  sum(lam) = 1, lam >= 0
 
 which is always feasible (the unit is its own peer) and bounded in (0, 1].
+It is solved with lam_i eliminated and z = 1 - theta, so that the simplex
+starts at the unit itself (``_frontier_lp``).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GEQ, LEQ, LinearProgram, SolverFault, solve_lp
+from .lp import DEFAULT_TOL, LEQ, LinearProgram, SolverFault, solve_lp
 
 SCORE_TOL = 1e-6
 PEER_TOL = 1e-6
@@ -108,36 +110,44 @@ class EfficiencyResult:
 
 
 def build_envelopment_lp(ds: DeaDataset, dmu: int) -> LinearProgram:
-    """Assemble the envelopment program for unit ``dmu``.
+    """Assemble the envelopment program for unit ``dmu`` in the frontier
+    form of ``_frontier_lp``, with z = 1 - theta.
 
-    Variables are (lam_1..lam_I, theta); rows are M output >= rows, N input
-    <= rows and the convexity equality.
+    Variables are (lam_1..lam_I, z); rows are M output rows, N input rows
+    and the convexity row, all ``<=``.  The z column is 0 on outputs and
+    x_i on inputs, so an input row reads X lam <= theta x_i, and the
+    objective -z is theta - 1.
     """
     i = _check_index(ds, dmu)
-    z_col = np.concatenate([np.zeros(ds.n_outputs), -ds.X[:, i]])
-    return _frontier_lp(ds, i, z_col, np.zeros(ds.n_inputs), 1.0)
+    return _frontier_lp(ds, i, np.concatenate([np.zeros(ds.n_outputs),
+                                               ds.X[:, i]]))
 
 
-def _frontier_lp(ds: DeaDataset, i: int, z_col, x_rhs,
-                 z_cost) -> LinearProgram:
-    """The block every frontier program shares, over (lam_1..lam_I, z):
+def _frontier_lp(ds: DeaDataset, i: int, z_col) -> LinearProgram:
+    """The block every frontier program shares, over (lam_1..lam_I, z),
+    written with lam_i = 1 - sum_{k != i} lam_k substituted:
 
-        min z_cost * z  s.t.  Y lam + z_y z >= y_i,  X lam + z_x z <= x_rhs,
-                              sum(lam) = 1,  lam, z >= 0
+        min -z  s.t.  -(Y - y_i) lam + z_y z <= 0,
+                       (X - x_i) lam + z_x z <= 0,
+                       sum_{k != i} lam_k   <= 1,   lam, z >= 0
 
     where ``z_col`` = (z_y, z_x) is the z column, output rows first.
+    Column i is all zero, so lam_i stays 0 and is read back as one minus
+    the other weights.  x = 0 is the unit itself (lam = e_i), which every
+    row admits, so the simplex starts there.
     """
     n_units, m = ds.n_units, ds.n_outputs
     A = np.zeros((m + ds.n_inputs + 1, n_units + 1))
-    A[:m, :n_units] = ds.Y
-    A[m:-1, :n_units] = ds.X
+    A[:m, :n_units] = ds.Y[:, i:i + 1] - ds.Y
+    A[m:-1, :n_units] = ds.X - ds.X[:, i:i + 1]
     A[-1, :n_units] = 1.0
+    A[-1, i] = 0.0
     A[:-1, -1] = z_col
     c = np.zeros(n_units + 1)
-    c[-1] = z_cost
-    b = np.concatenate([ds.Y[:, i], x_rhs, [1.0]])
-    senses = [GEQ] * m + [LEQ] * ds.n_inputs + [EQ]
-    return LinearProgram(c=c, A=A, senses=senses, b=b)
+    c[-1] = -1.0
+    b = np.zeros(m + ds.n_inputs + 1)
+    b[-1] = 1.0
+    return LinearProgram(c=c, A=A, senses=[LEQ] * b.size, b=b)
 
 
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
@@ -149,7 +159,8 @@ def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
         # the envelopment program is always feasible and bounded
         raise SolverFault(f"envelopment solve ended {sol.status} for unit {i}")
     lam = sol.x[: ds.n_units]
-    theta = sol.x[-1]
+    lam[i] = 1.0 - lam.sum()
+    theta = 1.0 - sol.x[-1]
     # slacks recomputed from lam so they are basis-independent
     output_slacks = ds.Y @ lam - ds.Y[:, i]
     input_slacks = theta * ds.X[:, i] - ds.X @ lam
@@ -168,21 +179,23 @@ def solve_all(ds: DeaDataset) -> list:
 def is_extreme(ds: DeaDataset, dmu: int) -> bool:
     """True iff unit ``dmu`` is an extreme point of the production set.
 
-    Operational test: exclude the unit from its own reference set (lam_i = 0)
-    and re-solve.  The remaining units can radially reproduce a non-extreme
-    unit at its own input level (theta <= 1); for an extreme unit the
-    restricted program is infeasible or only reaches theta > 1.
+    Operational test: can the other units radially reproduce ``dmu`` at
+    its own input level, within ``SCORE_TOL`` (lam_i = 0 and theta <=
+    1 + SCORE_TOL)?  On the envelopment rows without z and with input
+    right-hand side ``SCORE_TOL * x_i``, maximise the other units' weight
+    sum(lam) = 1 - lam_i.  It reaches 1 exactly when they can, so the unit
+    is extreme iff the optimum stays below 1.
     """
     i = _check_index(ds, dmu)
     lp = build_envelopment_lp(ds, i)
-    # a zero column with zero cost never enters the basis: lam_i = 0
-    lp.A[:, i] = 0.0
+    lp.A[:, -1] = 0.0
+    lp.b[ds.n_outputs:-1] = SCORE_TOL * ds.X[:, i]
+    lp.c = -lp.A[-1]
     sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        return True
     if not sol.optimal:
+        # the weights are bounded by the convexity row
         raise SolverFault(f"extreme-point solve ended {sol.status} for unit {i}")
-    return sol.objective > 1.0 + SCORE_TOL
+    return 1.0 + sol.objective > DEFAULT_TOL
 
 
 def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:

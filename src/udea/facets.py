@@ -31,7 +31,6 @@ class SizeLimitError(ValueError):
 class FacetSet:
     facets: list
     generators: list = field(default_factory=list)   # extreme-unit indices per facet
-    directions: list = field(default_factory=list)   # recession labels per facet
 
     def __len__(self):
         return len(self.facets)
@@ -58,14 +57,7 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
     extremes = [i for i in range(ds.n_units) if is_extreme(ds, i)]
 
     # free-disposal recession directions of the production set
-    dirs = np.zeros((phi, phi))
-    dir_labels = []
-    for k in range(n):
-        dirs[k, k] = 1.0
-        dir_labels.append(f"in:{ds.input_names[k]}+")
-    for k in range(m):
-        dirs[n + k, n + k] = -1.0
-        dir_labels.append(f"out:{ds.output_names[k]}-")
+    dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
 
     scale = max(1.0, float(np.abs(points).max()))
     tol = SUPPORT_TOL * scale
@@ -111,13 +103,11 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
                 key = tuple(np.round(np.concatenate(
                     [h.alpha, h.beta, [h.d]]), 7))
                 if key not in found:
-                    found[key] = (h, sorted(subset),
-                                  [dir_labels[k] for k in dchoice])
+                    found[key] = (h, sorted(subset))
 
     ordered = sorted(found.items(), key=lambda kv: kv[0])
     return FacetSet(facets=[v[0] for _, v in ordered],
-                    generators=[v[1] for _, v in ordered],
-                    directions=[v[2] for _, v in ordered])
+                    generators=[v[1] for _, v in ordered])
 
 
 def _unique_normal(rows: np.ndarray, phi: int):

@@ -136,28 +136,3 @@ def _round_to_grid(ds, dmu, sigma, t, eps):
     if mid_score >= 1.0 - SCORE_TOL:
         return sigma - t
     return sigma
-
-
-def udea_sweep(ds: DeaDataset, cfg: UncertaintyConfig = None) -> list:
-    """Run the iterative solver for every unit, order preserved."""
-    if cfg is None:
-        cfg = UncertaintyConfig()
-    return [iterative_udea(ds, i, cfg) for i in range(ds.n_units)]
-
-
-def classify_capability(outcome: UdeaOutcome, cfg: UncertaintyConfig) -> str:
-    """Capability from the trace: capable iff efficiency was reached at
-    some probed sigma <= nu; the label set is {capable, incapable}.
-
-    The score is monotone in sigma, also where an ``eps``/0 floor binds
-    (``robust_efficiency`` scores a floored own input exactly), so the
-    compact box attains its best score at the largest sigma: the solve at
-    ``nu`` settles capability and "weakly incapable" (efficiency approached
-    but not attained) cannot arise.
-    """
-    if not outcome.trace:
-        raise ValueError("outcome has no trace to classify")
-    for sigma, score in outcome.trace:
-        if sigma <= cfg.nu + 1e-12 and score >= 1.0 - SCORE_TOL:
-            return CAPABLE
-    return INCAPABLE

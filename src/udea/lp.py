@@ -1,8 +1,11 @@
 """Self-contained dense linear-programming engine.
 
-Two-phase simplex on a dense tableau with Bland's rule.  Problems here are
-small and frequently degenerate (many efficiency solves share a facet), so
-anti-cycling matters more than pivot speed heuristics.
+One-phase simplex on a dense tableau with Bland's rule, started from the
+slack basis at x = lb.  Every program the package builds has that start:
+the frontier programs are written so that x = 0 is the unit under
+evaluation itself.  Problems here are small and frequently degenerate
+(many efficiency solves share a facet), so anti-cycling matters more than
+pivot speed heuristics.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,11 @@ class SolverFault(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min c'x  s.t.  A x {<=,>=,=} b,  x >= lb."""
+    """min c'x  s.t.  A x {<=,>=,=} b,  x >= lb.
+
+    ``solve_lp`` takes the program only when x = lb satisfies every row
+    and no row is an equality.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -67,7 +74,7 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective: float = np.nan
     x: np.ndarray = None
 
@@ -78,93 +85,39 @@ class LpSolution:
 
 def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL,
              max_iter: int = 100_000) -> LpSolution:
-    """Solve ``lp``, returning a basic optimal solution when one exists.
+    """Solve ``lp`` from its feasible vertex x = lb.
 
-    Deterministic for a fixed input: Bland's rule breaks all pivot ties by
-    lowest index.
+    ``>=`` rows are negated to ``<=``; an ``=`` row, or a row that x = lb
+    violates, raises ``MalformedProgramError``.  The status is "optimal",
+    with a basic optimal solution, or "unbounded".  Deterministic for a
+    fixed input: Bland's rule breaks all pivot ties by lowest index.
     """
     n0 = lp.c.shape[0]
     m = lp.A.shape[0]
+    if EQ in lp.senses:
+        raise MalformedProgramError("solve_lp takes no equality rows")
+    # shift out lower bounds (x = lb + x', x' >= 0), rows to <= form
+    sign = np.where(np.array(lp.senses) == GEQ, -1.0, 1.0)
+    b = sign * (lp.b - lp.A @ lp.lb)
+    if np.any(b < 0):
+        raise MalformedProgramError("x = lb violates a row: no start vertex")
 
-    # shift out lower bounds (x = lb + x', x' >= 0), then make b >= 0
-    A = lp.A.copy()
-    b = lp.b - A @ lp.lb
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    flip = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}
-    senses = [flip[s] if f else s for s, f in zip(lp.senses, neg)]
-
-    # column layout: originals, slacks/surpluses, artificials
-    n_slack = sum(1 for s in senses if s != EQ)
-    art_rows = [i for i, s in enumerate(senses) if s != LEQ]
-    n_art = len(art_rows)
-    n_total = n0 + n_slack + n_art
-
-    T = np.zeros((m + 1, n_total + 1))
-    T[:m, :n0] = A
-    T[:m, n_total] = b
-    basis = np.full(m, -1, dtype=np.int64)
-    col = n0
-    for i, s in enumerate(senses):
-        if s == LEQ:
-            T[i, col] = 1.0
-            basis[i] = col
-            col += 1
-        elif s == GEQ:
-            T[i, col] = -1.0
-            col += 1
-    art_start = col
-    for i in art_rows:
-        T[i, col] = 1.0
-        basis[i] = col
-        col += 1
-
-    allowed = np.ones(n_total, dtype=np.bool_)
-
-    if n_art:
-        # phase 1: minimise the artificial sum
-        T[m, art_start:n_total] = 1.0
-        for i in art_rows:
-            T[m, :] -= T[i, :]
-        status = simplex_core(T, basis, allowed, tol, max_iter)
-        if status == ITERATION_LIMIT:
-            raise SolverFault("simplex iteration limit reached in phase 1")
-        if -T[m, n_total] > tol * max(1.0, np.abs(b).max()):
-            return LpSolution(status="infeasible")
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= art_start:
-                piv = -1
-                for j in range(art_start):
-                    if abs(T[i, j]) > tol:
-                        piv = j
-                        break
-                if piv >= 0:
-                    p = T[i, piv]
-                    T[i, :] /= p
-                    for r in range(m + 1):
-                        if r != i and T[r, piv] != 0.0:
-                            T[r, :] -= T[r, piv] * T[i, :]
-                    basis[i] = piv
-                # else: redundant row, artificial stays basic at zero
-        allowed[art_start:] = False
-
-    # phase 2 cost row rebuilt from the original objective
-    T[m, :] = 0.0
+    # tableau [A | I | b] over [c | 0 | 0]; the slack basis is x' = 0
+    T = np.zeros((m + 1, n0 + m + 1))
+    T[:m, :n0] = sign[:, None] * lp.A
+    T[:m, n0:n0 + m] = np.eye(m)
+    T[:m, -1] = b
     T[m, :n0] = lp.c
-    for i in range(m):
-        cb = lp.c[basis[i]] if basis[i] < n0 else 0.0
-        if cb != 0.0:
-            T[m, :] -= cb * T[i, :]
+    basis = np.arange(n0, n0 + m, dtype=np.int64)
+    allowed = np.ones(n0 + m, dtype=np.bool_)
     status = simplex_core(T, basis, allowed, tol, max_iter)
     if status == ITERATION_LIMIT:
-        raise SolverFault("simplex iteration limit reached in phase 2")
+        raise SolverFault("simplex iteration limit reached")
     if status == UNBOUNDED:
         return LpSolution(status="unbounded")
     assert status == OPTIMAL
 
-    x_std = np.zeros(n_total)
-    x_std[basis] = T[:m, n_total]
+    x_std = np.zeros(n0 + m)
+    x_std[basis] = T[:m, -1]
     x = lp.lb + x_std[:n0]
     return LpSolution(status="optimal", objective=float(lp.c @ x), x=x)

@@ -33,12 +33,15 @@ class UncertaintyConfig:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        # written so that nan fails too; only nu may be inf
+        if not self.nu >= 0:
+            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, "
+                             f"got {self.step}")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be nonnegative and finite, "
+                             f"got {self.eps}")
 
 
 def transform_box(ds: DeaDataset, dmu: int, sigma: float,
@@ -50,8 +53,8 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
     Environmental output rows are left untouched.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not sigma >= 0:  # also rejects nan
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     i = int(dmu)
     if not 0 <= i < ds.n_units:
         raise IndexError(f"unit index {dmu} out of range")
@@ -83,17 +86,17 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
         max beta  s.t.  X lam + beta <= x_i,  Y lam - g beta >= y_i,
                         sum(lam) = 1,  lam >= 0,  beta >= 0
 
-    (Chambers, Chung & Färe 1996).  ``lam = e_i`` is feasible, so
-    ``beta* >= 0``.  The box transform moves ``dmu`` by ``sigma`` along g
-    and every rival by ``sigma`` against it, so while no ``eps``/0 floor
-    binds, ``beta* / 2`` is the minimum uncertainty making ``dmu``
-    efficient.
+    (Chambers, Chung & Färe 1996), solved as the frontier program of
+    ``_frontier_lp`` with z = beta and z column (g, 1).  ``lam = e_i`` is
+    feasible, so ``beta* >= 0``.  The box transform moves ``dmu`` by
+    ``sigma`` along g and every rival by ``sigma`` against it, so while no
+    ``eps``/0 floor binds, ``beta* / 2`` is the minimum uncertainty making
+    ``dmu`` efficient.
     """
     i = _check_index(ds, dmu)
-    # max beta as min -beta, with z column (-g on outputs, +1 on inputs)
-    z_col = np.concatenate([np.where(ds.env_outputs, 0.0, -1.0),
+    z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
                             np.ones(ds.n_inputs)])
-    sol = solve_lp(_frontier_lp(ds, i, z_col, ds.X[:, i], -1.0))
+    sol = solve_lp(_frontier_lp(ds, i, z_col))
     if not sol.optimal:
         # bounded by the input rows and feasible at lam = e_i
         raise SolverFault(f"directional distance solve ended {sol.status} "

@@ -183,6 +183,18 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
     assert main(["sweep", "--data", str(example1_csv), "--nu", "1e300"]) == 2
 
 
+@pytest.mark.parametrize("mode, option, value", [
+    ("exact", "--nu", "nan"), ("iterative", "--nu", "nan"),
+    ("sweep", "--step", "nan"), ("robust", "--sigma", "nan"),
+    ("iterative", "--eps", "nan"), ("iterative", "--step", "inf"),
+    ("robust", "--eps", "inf")])
+def test_exit_code_nan_option(example1_csv, capsys, mode, option, value):
+    # nan passes a plain "x < 0" check; it must be rejected by name, as
+    # must an infinite step or floor
+    assert main([mode, "--data", str(example1_csv), option, value]) == 2
+    assert f"{option[2:]} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("nu, step, count", [
     (0.3, 0.1, 4), (0.7, 0.1, 8), (3.6, 0.01, 361), (0.0, 0.1, 1)])
 def test_sweep_grid_ends_at_nu(nu, step, count):

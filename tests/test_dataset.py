@@ -11,19 +11,19 @@ TABLE1_SCORES = (1.0, 1.0, 1.0, 1.0, 0.542, 0.278)
 
 def test_envelopment_program_shape(table1):
     lp = build_envelopment_lp(table1, 4)
-    assert lp.c.size == 7              # six weights plus theta
+    assert lp.c.size == 7              # six weights plus z = 1 - theta
     assert lp.A.shape == (3, 7)        # one output, one input, convexity
-    assert lp.senses == [">=", "<=", "="]
+    assert lp.senses == ["<=", "<=", "<="]
+    assert not np.any(lp.A[:, 4])      # lam_4 is eliminated
+    assert np.array_equal(lp.b, [0.0, 0.0, 1.0])
 
 
 def test_self_solution_feasible(table1):
+    # x = 0 is the unit itself: lam = e_0 and theta = 1 (z = 0)
     lp = build_envelopment_lp(table1, 0)
-    x = np.zeros(7)
-    x[0] = 1.0
-    x[-1] = 1.0
-    assert table1.Y[0] @ x[:6] >= table1.Y[0, 0]
-    assert table1.X[0] @ x[:6] <= x[-1] * table1.X[0, 0]
-    assert solve_lp(lp).objective == pytest.approx(1.0, abs=1e-9)
+    assert np.all(lp.A @ np.zeros(7) <= lp.b)
+    # unit A is efficient, so the objective theta - 1 is 0
+    assert solve_lp(lp).objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_unit_dataset():

@@ -1,0 +1,127 @@
+"""The frontier programs against scipy's HiGHS on the programs as the model
+defines them: lam over every unit, theta or beta a variable of its own and
+the convexity row an equality.  The package solves them with lam_i
+eliminated and z = 1 - theta (or beta), so that the simplex starts at the
+unit itself.  Skipped without scipy.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import table1_dataset
+from udea.dataset import SCORE_TOL, DeaDataset, is_extreme, solve_nominal
+from udea.robust import directional_distance, robust_efficiency, transform_box
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+SIGMAS = (0.25, 0.5, 1.0, 2.5)
+
+
+def _highs(ds, i, z_cost, z_col, x_rhs, own_bound=(0, None)):
+    """min z_cost * z s.t. Y lam - z_y z >= y_i, X lam + z_x z <= x_rhs,
+    sum(lam) = 1, lam >= 0 with ``own_bound`` on lam_i, over (lam, z) with
+    ``z_col`` = (z_y, z_x); None when infeasible."""
+    m, n_units = ds.n_outputs, ds.n_units
+    A_ub = np.vstack([np.hstack([-ds.Y, z_col[:m, None]]),
+                      np.hstack([ds.X, z_col[m:, None]])])
+    b_ub = np.concatenate([-ds.Y[:, i], x_rhs])
+    A_eq = np.append(np.ones(n_units), 0.0)[None, :]
+    bounds = [(0, None)] * n_units + [(None, None)]
+    bounds[i] = own_bound
+    c = np.append(np.zeros(n_units), z_cost)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return res.fun
+
+
+def highs_theta(ds, i, restricted=False):
+    """min theta s.t. Y lam >= y_i, X lam <= theta x_i, sum(lam) = 1, with
+    lam_i = 0 when ``restricted``."""
+    z_col = np.concatenate([np.zeros(ds.n_outputs), -ds.X[:, i]])
+    return _highs(ds, i, 1.0, z_col, np.zeros(ds.n_inputs),
+                  (0, 0) if restricted else (0, None))
+
+
+def highs_beta(ds, i):
+    """max beta s.t. Y lam >= y_i + g beta, X lam + beta <= x_i,
+    sum(lam) = 1."""
+    g = np.where(ds.env_outputs, 0.0, 1.0)
+    z_col = np.concatenate([g, np.ones(ds.n_inputs)])
+    return -_highs(ds, i, -1.0, z_col, ds.X[:, i])
+
+
+def awkward_dataset(rng):
+    """Small integers (ties), a duplicated unit, zero inputs and, half the
+    time, an environmental first output."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4))
+    units = int(rng.integers(2, 13))
+    X = rng.integers(0, 6, size=(n, units)).astype(float)
+    Y = rng.integers(0, 6, size=(m, units)).astype(float)
+    X[0, X.sum(axis=0) == 0] = 1.0
+    src, dst = rng.choice(units, size=2, replace=False)
+    X[:, dst], Y[:, dst] = X[:, src], Y[:, src]
+    env = np.zeros(m, dtype=bool)
+    env[0] = rng.random() < 0.5
+    return DeaDataset(names=[f"u{k}" for k in range(units)], X=X, Y=Y,
+                      env_outputs=env)
+
+
+@pytest.fixture
+def datasets(rng):
+    return [awkward_dataset(rng) for _ in range(40)]
+
+
+def test_nominal_theta_matches_highs(datasets):
+    for ds in datasets:
+        for i in range(ds.n_units):
+            assert solve_nominal(ds, i).theta == pytest.approx(
+                highs_theta(ds, i), abs=1e-9)
+
+
+def test_robust_theta_matches_highs(datasets):
+    checked = 0
+    for ds in datasets:
+        for i in range(ds.n_units):
+            for sigma in SIGMAS:
+                corner = transform_box(ds, i, sigma)
+                # an own input floored to sigma or below scores 1 without
+                # an LP (test_robust.py); HiGHS drops the 1e-9 floor value
+                if corner.X[:, i].min() <= sigma:
+                    continue
+                assert robust_efficiency(ds, i, sigma).theta == \
+                    pytest.approx(highs_theta(corner, i), abs=1e-9)
+                checked += 1
+    assert checked > 300
+
+
+def test_directional_distance_matches_highs(datasets):
+    for ds in datasets:
+        for i in range(ds.n_units):
+            assert directional_distance(ds, i) == pytest.approx(
+                highs_beta(ds, i), abs=1e-9)
+
+
+def test_is_extreme_matches_highs(datasets):
+    for ds in datasets:
+        for i in range(ds.n_units):
+            theta = highs_theta(ds, i, restricted=True)
+            assert is_extreme(ds, i) == (theta is None
+                                         or theta > 1.0 + SCORE_TOL)
+
+
+@pytest.mark.parametrize("gap, extreme", [(5e-7, False), (2e-6, True)])
+def test_near_duplicate_within_score_tol(gap, extreme):
+    # H copies B's output with input 3 / (1 + gap): B reproduces H at
+    # restricted theta 1 + gap, inside SCORE_TOL for the first case only
+    base = table1_dataset()
+    ds = DeaDataset(names=base.names + ["H"],
+                    X=np.hstack([base.X, [[3.0 / (1.0 + gap)]]]),
+                    Y=np.hstack([base.Y, [[4.0]]]))
+    assert highs_theta(ds, 6, restricted=True) == pytest.approx(
+        1.0 + gap, abs=1e-12)
+    assert is_extreme(ds, 6) is extreme
+    assert not is_extreme(ds, 1)  # B itself is dominated by H

@@ -8,11 +8,10 @@ import udea.iterative
 from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
                      random_dataset, random_dataset_2d, table1_dataset,
                      table1_plus_g)
-from udea.cli import ingest_csv
-from udea.dataset import DeaDataset, solve_nominal
+from udea.cli import RunConfig, _compute, ingest_csv
+from udea.dataset import SCORE_TOL, DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
-from udea.iterative import (_grid_index, classify_capability,
-                            iterative_udea, udea_sweep)
+from udea.iterative import _grid_index, iterative_udea
 from udea.lp import SolverFault
 from udea.robust import UncertaintyConfig, directional_distance
 
@@ -82,26 +81,35 @@ def test_halving_the_step_tightens(table1):
 
 
 def test_sweep_matches_per_unit(table1):
+    # the batch run over every unit (CLI iterative mode) gives each unit's
+    # own iterative_udea answer, in order
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
-    sweep = udea_sweep(table1, cfg)
-    assert len(sweep) == table1.n_units
-    for i, out in enumerate(sweep):
+    _, rows, _ = _compute(RunConfig(mode="iterative"), table1, cfg)
+    assert len(rows) == table1.n_units
+    for i, row in enumerate(rows):
         single = iterative_udea(table1, i, cfg)
-        assert out.dmu == i
-        assert out.upsilon == single.upsilon
-        assert out.capability == single.capability
+        assert row[0] == table1.names[i]
+        assert row[2] == ("" if single.upsilon is None else single.upsilon)
+        assert row[-1] == single.capable
+
+
+def _assert_capability_from_trace(out, cfg):
+    # capable iff some probed sigma, all at most nu, reached efficiency
+    assert all(sigma <= cfg.nu for sigma, _ in out.trace)
+    assert out.capable == any(score >= 1.0 - SCORE_TOL
+                              for _, score in out.trace)
 
 
 def test_classify_capability(table1):
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
     out = iterative_udea(table1, 4, cfg)
-    assert classify_capability(out, cfg) == out.capability == "capable"
+    assert out.capability == "capable"
+    _assert_capability_from_trace(out, cfg)
     capped = UncertaintyConfig(nu=0.5, step=0.01)
     out2 = iterative_udea(table1, 4, capped)
-    assert classify_capability(out2, capped) == "incapable"
-    import dataclasses
-    with pytest.raises(ValueError):
-        classify_capability(dataclasses.replace(out2, trace=[]), capped)
+    assert out2.capability == "incapable"
+    assert out2.trace[-1][0] == 0.5  # the cap itself was probed
+    _assert_capability_from_trace(out2, capped)
 
 
 def test_iterative_within_one_step_of_exact(rng):
@@ -163,7 +171,7 @@ def _assert_same_as_walk(ds, dmu, cfg, ref=None):
     for sigma, score in out.trace:
         if sigma in walked:
             assert score == walked[sigma]
-    assert classify_capability(out, cfg) == out.capability
+    _assert_capability_from_trace(out, cfg)
     return out
 
 

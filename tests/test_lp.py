@@ -9,16 +9,33 @@ from udea.lp import LinearProgram, MalformedProgramError, solve_lp
 
 
 def test_single_binding_bound():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], senses=[">="], b=[3.0])
+    # max x s.t. x <= 3, written as a >= row that x = 0 satisfies
+    lp = LinearProgram(c=[-1.0], A=[[-1.0]], senses=[">="], b=[-3.0])
     sol = solve_lp(lp)
     assert sol.optimal
-    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-3.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_lower_bound_is_the_start():
+    # min x1 + x2 s.t. x1 + x2 >= 1 from lb = (1, 2): lb itself is optimal
+    lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="],
+                       b=[1.0], lb=[1.0, 2.0])
+    sol = solve_lp(lp)
+    assert sol.optimal
+    assert sol.x == pytest.approx([1.0, 2.0], abs=1e-12)
+
+
 def test_empty_feasible_set():
-    lp = LinearProgram(c=[0.0], A=[[1.0]], senses=["<="], b=[-1.0])
-    assert solve_lp(lp).status == "infeasible"
+    # with no phase one, a row that x = lb violates (here every x) has no
+    # start vertex and is rejected, as is a >= row with b > 0
+    for senses, b in (("<=", -1.0), (">=", 3.0)):
+        lp = LinearProgram(c=[0.0], A=[[1.0]], senses=[senses], b=[b])
+        with pytest.raises(MalformedProgramError, match="x = lb"):
+            solve_lp(lp)
+    lp = LinearProgram(c=[0.0], A=[[1.0]], senses=["<="], b=[4.0], lb=[5.0])
+    with pytest.raises(MalformedProgramError, match="x = lb"):
+        solve_lp(lp)
 
 
 def test_unbounded():
@@ -31,7 +48,9 @@ def test_envelopment_program_for_unit_e():
     ds = table1_dataset()
     sol = solve_lp(build_envelopment_lp(ds, 4))
     assert sol.optimal
-    assert sol.objective == pytest.approx(13.0 / 24.0, abs=1e-9)
+    # the objective is -z = theta - 1
+    assert 1.0 - sol.x[-1] == pytest.approx(13.0 / 24.0, abs=1e-9)
+    assert sol.objective == pytest.approx(13.0 / 24.0 - 1.0, abs=1e-9)
 
 
 def test_maximize():
@@ -45,10 +64,13 @@ def test_maximize():
 
 
 def test_equality_rows():
-    lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], senses=["="], b=[1.0])
-    sol = solve_lp(lp)
-    assert sol.optimal
-    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-9)
+    # an equality row needs a phase one, which solve_lp does not run, even
+    # when x = lb satisfies it
+    for b in (1.0, 0.0):
+        lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], senses=["="],
+                           b=[b])
+        with pytest.raises(MalformedProgramError, match="equality"):
+            solve_lp(lp)
 
 
 def test_dimension_mismatch_rejected():
@@ -88,11 +110,13 @@ def test_objective_matches_primal_recomputation():
 
 
 def _random_lp(rng):
+    # x = 0 satisfies every row: b >= 0 on <= rows, b <= 0 on >= rows
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 7))
     A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    senses = [str(rng.choice(["<=", ">="])) for _ in range(m)]
     b = rng.integers(0, 8, size=m).astype(float)
-    senses = [str(rng.choice(["<=", ">=", "="])) for _ in range(m)]
+    b[np.array(senses) == ">="] *= -1.0
     # bounding row keeps the feasible region (and the oracle) finite
     A = np.vstack([A, np.ones(n)])
     b = np.append(b, 20.0)
@@ -108,11 +132,8 @@ def test_matches_vertex_enumeration(seed):
     lp = _random_lp(rng)
     sol = solve_lp(lp)
     oracle = lp_vertex_oracle(lp)
-    if oracle is None:
-        assert sol.status == "infeasible"
-    else:
-        assert sol.optimal
-        assert sol.objective == pytest.approx(oracle, abs=1e-7)
+    assert sol.optimal
+    assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
 
 def _highs_objective(lp):
@@ -123,16 +144,17 @@ def _highs_objective(lp):
         rows[s][1].append(b)
     A_ub = rows["<="][0] + [-a for a in rows[">="][0]]
     b_ub = rows["<="][1] + [-b for b in rows[">="][1]]
-    res = linprog(lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=rows["="][0],
-                  b_eq=rows["="][1], bounds=(0, None), method="highs")
+    res = linprog(lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=rows["="][0] or None,
+                  b_eq=rows["="][1] or None, bounds=(0, None),
+                  method="highs")
     assert res.status == 0
     return res.fun
 
 
 # case-study plan sets (perfbench/workloads.py, case_study seeds 11 and 3)
 # whose robust programs once cycled to the pivot limit: round-off negatives
-# in basic right-hand sides broke Bland's tie-break in phase 1 (plan14) and
-# phase 2 (plan37)
+# in basic right-hand sides broke Bland's tie-break in the two-phase form
+# of the envelopment program (phase 1 for plan14, phase 2 for plan37)
 @pytest.mark.parametrize("fixture, unit, sigma", [
     ("case_study_s11_p0.csv", "plan14", 0.14),
     ("case_study_s3_p4.csv", "plan37", 1.36),
@@ -148,5 +170,5 @@ def test_degenerate_case_study_programs_terminate(fixture, unit, sigma):
     lp = build_envelopment_lp(transform_box(ds, i, sigma), i)
     sol = solve_lp(lp, max_iter=1000)
     assert sol.optimal
-    assert robust_efficiency(ds, i, sigma).theta == sol.objective
+    assert robust_efficiency(ds, i, sigma).theta == 1.0 - sol.x[-1]
     assert sol.objective == pytest.approx(_highs_objective(lp), abs=1e-9)
