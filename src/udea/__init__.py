@@ -14,8 +14,7 @@ from .lp import (LinearProgram, LpSolution, MalformedProgramError, SolverFault,
                  solve_lp)
 from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
 from .robust import (UncertaintyConfig, directional_distance,
-                     efficiency_gain_upper_bound, robust_efficiency,
-                     transform_box)
+                     robust_efficiency, transform_box)
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,7 @@ __all__ = [
     "MalformedProgramError", "MinUncertainty", "Segment2D", "SizeLimitError",
     "SolverFault", "TargetPoint", "UdeaOutcome", "UncertaintyConfig",
     "build_envelopment_lp", "dea_distance",
-    "directional_distance", "efficiency_gain_upper_bound", "enumerate_efficient_facets", "exact_udea",
+    "directional_distance", "enumerate_efficient_facets", "exact_udea",
     "is_extreme", "iterative_udea", "min_dea_distance", "min_uncertainty_2d",
     "min_uncertainty_to_facet", "robust_efficiency", "scale_dataset",
     "segment_hyperplane_2d", "select_segment_2d", "solve_all", "solve_lp",

@@ -4,6 +4,14 @@ The pivot loop is the hot path of every efficiency solve, so it is compiled
 with numba when available.  A pure-numpy build of the same source is kept as
 a fallback and can be forced with ``UDEA_BACKEND=numpy``; set
 ``UDEA_BACKEND=numba`` to fail loudly when numba is missing.
+
+Each pivot is a fixed handful of array calls, so the numpy build does not
+pay per-element Python work: the entering column is one ``argmax`` over the
+eligible negative reduced costs (Bland: the lowest index), the ratio test
+is a sequential loop over the ``m`` rows (it keeps the exact tie-break
+order), and the row update is one rank-1 update of the whole tableau.  Only
+calls numba's nopython mode supports are used, so both backends run the
+same source and the same floating-point operations.
 """
 
 import os
@@ -30,30 +38,41 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     ``T`` is ``(m+1, n+1)``: ``m`` constraint rows, a reduced-cost row at the
     bottom and the right-hand side in the last column.  ``basis[i]`` is the
     column basic in row ``i``; ``allowed`` masks columns eligible to enter
-    (``solve_lp`` allows every column).
+    (``solve_lp`` allows every column).  Returns ``OPTIMAL``, ``UNBOUNDED``
+    or ``ITERATION_LIMIT`` after ``max_iter`` pivots; a run stepped with
+    ``max_iter=1`` until it stops ends exactly as one call.
+
+    Per pivot: the entering column is the first eligible one with reduced
+    cost below ``-tol``, found by one ``argmax`` over the mask and then
+    checked, since the ``argmax`` of an all-False mask is 0.  The leaving
+    row comes from the sequential ratio test.  The pivot row is divided by
+    the pivot, and ``f * row`` is subtracted from every other row with
+    entry ``f`` in the entering column as one rank-1 update.  Rows with
+    ``f == 0`` are left untouched, as a row-by-row update leaves them, so
+    every cell gets the same one multiply and one subtract, down to the
+    sign of a zero.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
+    cost = T[m, :n]
+    rhs = T[:m, n]
     for _ in range(max_iter):
-        enter = -1
-        for j in range(n):
-            if allowed[j] and T[m, j] < -tol:
-                enter = j
-                break
-        if enter == -1:
+        enter = np.argmax((cost < -tol) & allowed)
+        if not (allowed[enter] and cost[enter] < -tol):
             return OPTIMAL
+        col = T[:m, enter]
         leave = -1
         best = np.inf
         for i in range(m):
-            a = T[i, enter]
+            a = col[i]
             if a > tol:
                 # degenerate pivots leave round-off negatives (~-1e-12) in
                 # basic right-hand sides; as strict minima they would break
                 # Bland's tie-break and let the loop cycle, so read them as 0
-                rhs = T[i, n]
-                if rhs < 0.0:
-                    rhs = 0.0
-                r = rhs / a
+                r = rhs[i]
+                if r < 0.0:
+                    r = 0.0
+                r = r / a
                 if r < best - 1e-12:
                     best = r
                     leave = i
@@ -62,13 +81,18 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
                     leave = i
         if leave == -1:
             return UNBOUNDED
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(m + 1):
-            if i != leave:
-                f = T[i, enter]
-                if f != 0.0:
-                    T[i, :] -= f * T[leave, :]
+        prow = T[leave] / T[leave, enter]
+        f = T[:, enter].copy()
+        f[leave] = 0.0
+        if np.count_nonzero(f) == m:
+            # the usual case: every other row has a nonzero multiplier
+            T -= np.outer(f, prow)
+        else:
+            # subtracting a signed zero would turn a -0.0 cell into +0.0
+            for i in range(m + 1):
+                if f[i] != 0.0:
+                    T[i, :] -= f[i] * prow
+        T[leave, :] = prow
         basis[leave] = enter
     return ITERATION_LIMIT
 

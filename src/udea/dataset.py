@@ -147,7 +147,12 @@ def _frontier_lp(ds: DeaDataset, i: int, z_col) -> LinearProgram:
     c[-1] = -1.0
     b = np.zeros(m + ds.n_inputs + 1)
     b[-1] = 1.0
-    return LinearProgram(c=c, A=A, senses=[LEQ] * b.size, b=b)
+    # float, finite and shaped by construction from a validated dataset,
+    # so the program skips LinearProgram.__post_init__
+    lp = LinearProgram.__new__(LinearProgram)
+    vars(lp).update(c=c, A=A, senses=[LEQ] * b.size, b=b,
+                    lb=np.zeros(n_units + 1))
+    return lp
 
 
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:

@@ -128,24 +128,3 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
                                 peers=[i],
                                 binding_inputs=list(range(ds.n_inputs)))
     return solve_nominal(corner, i)
-
-
-def efficiency_gain_upper_bound(ds: DeaDataset, dmu: int, sigma: float,
-                                binding_inputs) -> float:
-    """Upper bound on the score increase available to ``dmu`` when all data
-    move by at most sigma, taken over its binding input rows."""
-    i = int(dmu)
-    q_set = list(binding_inputs)
-    if not q_set:
-        raise ValueError("binding input set must be non-empty")
-    others = [k for k in range(ds.n_units) if k != i]
-    if not others:
-        raise ValueError("bound needs at least two units")
-    best = -np.inf
-    for q in q_set:
-        xqi = ds.X[q, i]
-        if xqi <= 0:
-            raise ZeroDivisionError(f"unit {i} has nonpositive input {q}")
-        spread = ds.X[q, others].max() - ds.X[q, others].min()
-        best = max(best, (spread + 2.0 * sigma) / xqi)
-    return float(best)

@@ -143,6 +143,27 @@ def segment_min_uncertainty(ds, dmu, seg, xs, ys):
     return min_uncertainty_to_facet(ds, dmu, h).value
 
 
+def efficiency_gain_upper_bound(ds: DeaDataset, dmu: int, sigma: float,
+                                binding_inputs) -> float:
+    """Upper bound on the score increase available to ``dmu`` when all data
+    move by at most sigma, taken over its binding input rows."""
+    i = int(dmu)
+    q_set = list(binding_inputs)
+    if not q_set:
+        raise ValueError("binding input set must be non-empty")
+    others = [k for k in range(ds.n_units) if k != i]
+    if not others:
+        raise ValueError("bound needs at least two units")
+    best = -np.inf
+    for q in q_set:
+        xqi = ds.X[q, i]
+        if xqi <= 0:
+            raise ZeroDivisionError(f"unit {i} has nonpositive input {q}")
+        spread = ds.X[q, others].max() - ds.X[q, others].min()
+        best = max(best, (spread + 2.0 * sigma) / xqi)
+    return float(best)
+
+
 def linear_walk_udea(ds, dmu, cfg):
     """Reference iterative solver: the plain walk up the sigma grid.
 
@@ -192,3 +213,54 @@ def linear_walk_udea(ds, dmu, cfg):
                            bracket=(max(cfg.nu - t, 0.0), cfg.nu))
     return UdeaOutcome(dmu=i, upsilon=None, gamma=score,
                        capability=INCAPABLE, trace=trace)
+
+
+def scalar_simplex_core(T, basis, allowed, tol, max_iter):
+    """Reference simplex kernel: the scalar Bland-rule loop that
+    ``udea._kernels._simplex_core`` replaced, kept verbatim.  It reads the
+    tableau one element at a time and updates it row by row, skipping rows
+    whose entry in the entering column is zero.  The package kernel must
+    leave the same ``T`` (bit for bit, signs of zero included), ``basis``
+    and status.
+    """
+    from udea._kernels import ITERATION_LIMIT, OPTIMAL, UNBOUNDED
+
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    for _ in range(max_iter):
+        enter = -1
+        for j in range(n):
+            if allowed[j] and T[m, j] < -tol:
+                enter = j
+                break
+        if enter == -1:
+            return OPTIMAL
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            a = T[i, enter]
+            if a > tol:
+                # degenerate pivots leave round-off negatives (~-1e-12) in
+                # basic right-hand sides; as strict minima they would break
+                # Bland's tie-break and let the loop cycle, so read them as 0
+                rhs = T[i, n]
+                if rhs < 0.0:
+                    rhs = 0.0
+                r = rhs / a
+                if r < best - 1e-12:
+                    best = r
+                    leave = i
+                elif r <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                    # tie on the ratio: Bland picks the lowest basic index
+                    leave = i
+        if leave == -1:
+            return UNBOUNDED
+        piv = T[leave, enter]
+        T[leave, :] /= piv
+        for i in range(m + 1):
+            if i != leave:
+                f = T[i, enter]
+                if f != 0.0:
+                    T[i, :] -= f * T[leave, :]
+        basis[leave] = enter
+    return ITERATION_LIMIT

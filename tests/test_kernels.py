@@ -1,0 +1,184 @@
+"""The simplex kernel against the scalar loop it replaced.
+
+Each case runs ``helpers.scalar_simplex_core`` and every available backend
+kernel on copies of one tableau and requires the same status, basis and
+tableau bytes, so even the sign of a zero counts.
+"""
+
+import numpy as np
+import pytest
+
+import udea.lp
+from conftest import DATA_DIR
+from helpers import (clamp_dataset, random_dataset, scalar_simplex_core,
+                     table1_dataset, table1_plus_g)
+from udea._kernels import (HAVE_NUMBA, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
+                           simplex_core_numba, simplex_core_numpy)
+from udea.cli import RunConfig, apply_scaling, ingest_csv
+from udea.dataset import is_extreme
+from udea.robust import directional_distance, robust_efficiency
+
+KERNELS = [simplex_core_numpy] + ([simplex_core_numba] if HAVE_NUMBA else [])
+TOL = 1e-9
+
+
+def _run(core, T, basis, allowed, max_iter=100_000):
+    T, basis = T.copy(), basis.copy()
+    status = core(T, basis, allowed, TOL, max_iter)
+    return status, basis.tolist(), T.tobytes()
+
+
+def _assert_same(T, basis, allowed, max_iter=100_000):
+    """Every kernel ends as the scalar loop does; returns the status."""
+    want = _run(scalar_simplex_core, T, basis, allowed, max_iter)
+    for core in KERNELS:
+        assert _run(core, T, basis, allowed, max_iter) == want
+    return want[0]
+
+
+def _stepped(core, T, basis, allowed):
+    """The kernel run one pivot per call until it stops."""
+    T, basis = T.copy(), basis.copy()
+    while True:
+        status = core(T, basis, allowed, TOL, 1)
+        if status != ITERATION_LIMIT:
+            return status, basis.tolist(), T.tobytes()
+
+
+def _slack_tableau(A, b, c):
+    """[A | I | b] over [c | 0 | 0] with the slack basis, as solve_lp
+    builds it."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = c
+    return T, np.arange(n, n + m, dtype=np.int64)
+
+
+def _degenerate_tableau(rng):
+    """Small integer data, so that pivot-column zeros, zero right-hand
+    sides and ratio ties are common; rows negated as solve_lp negates
+    ``>=`` rows carry -0.0 cells."""
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 9))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    b = rng.choice([0.0, 0.0, 1.0, 2.0], size=m)
+    flip = rng.random(m) < 0.4
+    A[flip] = -A[flip]
+    b[flip & (b == 0.0)] = -0.0
+    c = rng.integers(-3, 3, size=n).astype(float)
+    return _slack_tableau(A, b, c)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every (T, basis, allowed) that solve_lp hands to the kernel."""
+    calls = []
+
+    def record(T, basis, allowed, tol, max_iter):
+        calls.append((T.copy(), basis.copy(), allowed.copy()))
+        return scalar_simplex_core(T, basis, allowed, tol, max_iter)
+    monkeypatch.setattr(udea.lp, "simplex_core", record)
+    return calls
+
+
+def _frontier_programs(ds, sigmas):
+    for i in range(ds.n_units):
+        directional_distance(ds, i)
+        is_extreme(ds, i)
+        for sigma in sigmas:
+            robust_efficiency(ds, i, sigma)
+
+
+def _case_study(name):
+    return apply_scaling(ingest_csv(DATA_DIR / name),
+                         RunConfig(mode="iterative", preset="radiotherapy"))
+
+
+def test_random_degenerate_tableaus(rng):
+    statuses = set()
+    zero_signs = 0
+    for _ in range(400):
+        T, basis = _degenerate_tableau(rng)
+        zero_signs += int(np.signbit(T[T == 0.0]).sum())
+        statuses.add(_assert_same(T, basis, np.ones(T.shape[1] - 1, bool)))
+    # the cases reach both endings and carry signed zeros to compare
+    assert statuses == {OPTIMAL, UNBOUNDED}
+    assert zero_signs > 0
+
+
+def test_random_tableaus_with_masked_columns(rng):
+    for _ in range(200):
+        T, basis = _degenerate_tableau(rng)
+        allowed = rng.random(T.shape[1] - 1) < 0.6
+        _assert_same(T, basis, allowed)
+    # a mask with no eligible column stops at once, tableau untouched
+    T, basis = _degenerate_tableau(rng)
+    T[-1, :-1] = -1.0
+    none = np.zeros(T.shape[1] - 1, bool)
+    assert _assert_same(T, basis, none) == OPTIMAL
+
+
+def test_frontier_programs_table1_and_random(recorded, rng):
+    sigmas = (0.0, 0.05, 0.3, 0.8, 2.0)
+    datasets = [table1_dataset(), table1_plus_g(), clamp_dataset()]
+    datasets += [random_dataset(rng, max_units=10) for _ in range(6)]
+    for ds in datasets:
+        _frontier_programs(ds, sigmas)
+    assert len(recorded) > 300
+    for T, basis, allowed in recorded:
+        assert _assert_same(T, basis, allowed) == OPTIMAL
+        # the same programs with some columns barred from entering
+        masked = allowed.copy()
+        masked[::3] = False
+        _assert_same(T, basis, masked)
+
+
+@pytest.mark.parametrize("fixture, sigma", [
+    ("case_study_s11_p0.csv", 0.14),
+    ("case_study_s3_p4.csv", 1.36),
+])
+def test_case_study_cycling_fixtures(recorded, fixture, sigma):
+    # the plan sets whose robust programs once cycled (test_lp); every
+    # unit at the sigma that cycled, and nominally
+    _frontier_programs(_case_study(fixture), (0.0, sigma))
+    for T, basis, allowed in recorded:
+        assert _assert_same(T, basis, allowed, max_iter=1000) == OPTIMAL
+
+
+def test_unbounded_column():
+    # min -x1 s.t. -x1 + x2 <= 1, x2 <= 2: x1 enters with no positive entry
+    A = np.array([[-1.0, 1.0], [0.0, 1.0]])
+    T, basis = _slack_tableau(A, np.array([1.0, 2.0]), np.array([-1.0, 0.0]))
+    allowed = np.ones(4, bool)
+    assert _assert_same(T, basis, allowed) == UNBOUNDED
+    # with x1 barred, x2 alone is bounded
+    allowed[0] = False
+    assert _assert_same(T, basis, allowed) == OPTIMAL
+
+
+def test_iteration_limit(recorded, rng):
+    _frontier_programs(random_dataset(rng, max_units=12), (0.0, 0.3))
+    cut = 0
+    for T, basis, allowed in recorded:
+        for max_iter in (1, 2, 3):
+            if _assert_same(T, basis, allowed, max_iter) == ITERATION_LIMIT:
+                cut += 1
+    assert cut > 0
+
+
+def test_stepping_ends_as_one_call(recorded, rng):
+    # perfbench counts pivots by calling the kernel with max_iter=1
+    # until it stops; that must leave what one call leaves
+    _frontier_programs(table1_dataset(), (0.0, 0.5))
+    _frontier_programs(_case_study("case_study_s3_p4.csv"), (1.36,))
+    cases = list(recorded)
+    for _ in range(100):
+        T, basis = _degenerate_tableau(rng)
+        cases.append((T, basis, rng.random(T.shape[1] - 1) < 0.8))
+    for T, basis, allowed in cases:
+        for core in KERNELS:
+            assert (_stepped(core, T, basis, allowed)
+                    == _run(core, T, basis, allowed))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import lp_vertex_oracle, table1_dataset
-from udea.dataset import build_envelopment_lp
+from udea.dataset import build_envelopment_lp, is_extreme, solve_nominal
 from udea.lp import LinearProgram, MalformedProgramError, solve_lp
+from udea.robust import directional_distance, robust_efficiency
 
 
 def test_single_binding_bound():
@@ -90,6 +91,27 @@ def test_non_finite_rejected():
 def test_unknown_sense_rejected():
     with pytest.raises(MalformedProgramError):
         LinearProgram(c=[1.0], A=[[1.0]], senses=["<"], b=[1.0])
+
+
+def test_frontier_programs_are_not_revalidated(monkeypatch, table1):
+    # frontier programs come from a dataset validated at ingest; only
+    # user-built programs run LinearProgram.__post_init__
+    checked = []
+    post_init = LinearProgram.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+    monkeypatch.setattr(LinearProgram, "__post_init__", counting)
+    for i in range(table1.n_units):
+        solve_nominal(table1, i)
+        robust_efficiency(table1, i, 0.5)
+        directional_distance(table1, i)
+        is_extreme(table1, i)
+    assert checked == []
+    with pytest.raises(MalformedProgramError):
+        LinearProgram(c=[1.0, 2.0], A=[[1.0]], senses=["<="], b=[1.0])
+    assert len(checked) == 1
 
 
 def test_determinism_bit_for_bit():

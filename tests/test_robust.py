@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import best_corner_score, random_dataset
+from helpers import (best_corner_score, efficiency_gain_upper_bound,
+                     random_dataset)
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
-                         directional_distance, efficiency_gain_upper_bound,
-                         robust_efficiency, transform_box)
+                         directional_distance, robust_efficiency,
+                         transform_box)
 
 
 def test_config_validation():
