@@ -5,10 +5,7 @@ from .dataset import (DeaDataset, EfficiencyResult, build_envelopment_lp,
                       is_extreme, scale_dataset, solve_all, solve_nominal)
 from .facets import (FacetSet, SizeLimitError, enumerate_efficient_facets,
                      exact_udea)
-from .geometry import (Hyperplane, MinUncertainty, Segment2D, TargetPoint,
-                       dea_distance, min_dea_distance, min_uncertainty_2d,
-                       min_uncertainty_to_facet, select_segment_2d,
-                       segment_hyperplane_2d, target_point, translate_facet)
+from .geometry import Hyperplane, MinUncertainty, min_uncertainty_to_facet
 from .iterative import iterative_udea
 from .lp import (LinearProgram, LpSolution, MalformedProgramError, SolverFault,
                  solve_lp)
@@ -21,12 +18,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "CAPABLE", "INCAPABLE", "DeaDataset", "EfficiencyResult",
     "FacetSet", "Hyperplane", "LinearProgram", "LpSolution",
-    "MalformedProgramError", "MinUncertainty", "Segment2D", "SizeLimitError",
-    "SolverFault", "TargetPoint", "UdeaOutcome", "UncertaintyConfig",
-    "build_envelopment_lp", "dea_distance",
-    "directional_distance", "enumerate_efficient_facets", "exact_udea",
-    "is_extreme", "iterative_udea", "min_dea_distance", "min_uncertainty_2d",
-    "min_uncertainty_to_facet", "robust_efficiency", "scale_dataset",
-    "segment_hyperplane_2d", "select_segment_2d", "solve_all", "solve_lp",
-    "solve_nominal", "target_point", "transform_box", "translate_facet",
+    "MalformedProgramError", "MinUncertainty", "SizeLimitError",
+    "SolverFault", "UdeaOutcome", "UncertaintyConfig",
+    "build_envelopment_lp", "directional_distance",
+    "enumerate_efficient_facets", "exact_udea", "is_extreme",
+    "iterative_udea", "min_uncertainty_to_facet", "robust_efficiency",
+    "scale_dataset", "solve_all", "solve_lp", "solve_nominal",
+    "transform_box",
 ]

@@ -131,23 +131,6 @@ def ingest_csv(path) -> DeaDataset:
         raise DataError(f"{path}: {exc}")
 
 
-def emit_csv(ds: DeaDataset, path):
-    """Write a dataset back out at full precision (round-trips exactly for
-    decimals of up to 12 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["dmu"]
-        header += [f"in:{v}" for v in ds.input_names]
-        header += [("env:" if e else "out:") + v
-                   for v, e in zip(ds.output_names, ds.env_outputs)]
-        writer.writerow(header)
-        for i, name in enumerate(ds.names):
-            row = [name]
-            row += [repr(float(v)) for v in ds.X[:, i]]
-            row += [repr(float(v)) for v in ds.Y[:, i]]
-            writer.writerow(row)
-
-
 def apply_scaling(ds: DeaDataset, config: RunConfig) -> DeaDataset:
     factors = np.ones(ds.n_inputs + ds.n_outputs)
     if config.preset == "radiotherapy":
@@ -166,24 +149,21 @@ def apply_scaling(ds: DeaDataset, config: RunConfig) -> DeaDataset:
     return scale_dataset(ds, factors)
 
 
-def run(config: RunConfig, ds: DeaDataset) -> dict:
-    """Execute one run mode; returns {path_or_stream_label: rows} after
-    writing the report (and, for minimum-uncertainty modes, plot data)."""
+def run(config: RunConfig, ds: DeaDataset):
+    """Execute one run mode: write the report and, for the
+    minimum-uncertainty modes, the plot data."""
     ds = apply_scaling(ds, config)
     cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
 
     header, rows, plot_rows = _compute(config, ds, cfg)
     fmt = _formatter(config)
 
-    written = {}
     body = _render(header, [[fmt(v) for v in row] for row in rows], config.fmt)
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(body)
-        written[config.out] = rows
     else:
         sys.stdout.write(body)
-        written["<stdout>"] = rows
 
     if plot_rows is not None:
         plot_path = config.plot_out or (
@@ -195,8 +175,6 @@ def run(config: RunConfig, ds: DeaDataset) -> dict:
                                 "csv")
             with open(plot_path, "w") as fh:
                 fh.write(plot_body)
-            written[plot_path] = plot_rows
-    return written
 
 
 def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
@@ -226,8 +204,8 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
                 for i in units for s in sigmas]
         return ["dmu", "sigma", "score"], rows, None
 
-    nominal = solve_all(ds)
     if config.mode == "exact":
+        nominal = solve_all(ds)
         facet_set = enumerate_efficient_facets(ds)
         outcomes = [exact_udea(ds, i, nu=cfg.nu, eps=cfg.eps,
                                facet_set=facet_set) for i in units]
@@ -245,18 +223,19 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
                               out.capable])
         return header, rows, plot_rows
 
-    # iterative
+    # iterative: the search's first probe is sigma = 0, the nominal program
     outcomes = [iterative_udea(ds, i, cfg) for i in units]
     header = ["dmu", "nominal_score", "upsilon_star", "bracket_lo",
               "bracket_hi", "gamma_star", "capable"]
     rows = []
     plot_rows = []
-    for res, out in zip(nominal, outcomes):
+    for out in outcomes:
+        theta = out.trace[0][1]
         lo, hi = out.bracket if out.bracket else ("", "")
-        rows.append([ds.names[out.dmu], res.theta,
+        rows.append([ds.names[out.dmu], theta,
                      "" if out.upsilon is None else out.upsilon,
                      lo, hi, out.gamma, out.capable])
-        plot_rows.append([ds.names[out.dmu], res.theta,
+        plot_rows.append([ds.names[out.dmu], theta,
                           "" if out.upsilon is None else out.upsilon,
                           out.capable])
     return header, rows, plot_rows

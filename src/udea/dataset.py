@@ -26,8 +26,8 @@ class DeaDataset:
 
     ``env_outputs`` flags output rows that are environmental: they enter the
     output constraints unchanged but are exempt from uncertainty transforms.
-    ``scale_factors`` records the cumulative per-variable scaling applied so
-    far (inputs first, then outputs).
+    Variable names are unique across inputs and outputs, so a name picks
+    out one row.
     """
 
     names: list
@@ -36,7 +36,6 @@ class DeaDataset:
     env_outputs: np.ndarray = None  # bool, length M
     input_names: list = None
     output_names: list = None
-    scale_factors: np.ndarray = None
 
     def __post_init__(self):
         self.names = list(self.names)
@@ -69,12 +68,9 @@ class DeaDataset:
             self.output_names = [f"out{k + 1}" for k in range(m)]
         if len(self.input_names) != n or len(self.output_names) != m:
             raise ValueError("variable name length mismatch")
-        if self.scale_factors is None:
-            self.scale_factors = np.ones(n + m)
-        else:
-            self.scale_factors = np.asarray(self.scale_factors, dtype=float)
-            if self.scale_factors.shape != (n + m,):
-                raise ValueError("scale_factors length mismatch")
+        variables = self.variable_names()
+        if len(set(variables)) != len(variables):
+            raise ValueError("duplicate variable names")
 
     @property
     def n_units(self):
@@ -223,7 +219,6 @@ def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:
         env_outputs=ds.env_outputs.copy(),
         input_names=list(ds.input_names),
         output_names=list(ds.output_names),
-        scale_factors=ds.scale_factors * factors,
     )
 
 

@@ -1,9 +1,10 @@
-"""Frontier facet geometry: distances, translations and minimum uncertainty.
+"""Frontier facets as oriented hyperplanes, and the minimum uncertainty
+that brings a unit onto one.
 
 A facet of the efficient frontier is an oriented supporting hyperplane
 ``alpha'x + beta'y = d`` with the production set on the >= side, input
 coefficients >= 0 and output coefficients <= 0.  With that orientation the
-closed forms below reproduce the worked two-dimensional example exactly.
+closed form below reproduces the worked two-dimensional example exactly.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 from .dataset import DeaDataset
 
 AXIS_TOL = 1e-12
-ON_FACET_TOL = 1e-9
 
 INTERIOR = "interior"
 INPUT_AXIS = "input-axis"    # beta == 0, e.g. the vertical line x = x_min
@@ -61,48 +61,9 @@ class Hyperplane:
                      + self.beta @ np.atleast_1d(y) - self.d)
 
 
-@dataclass
-class TargetPoint:
-    """Fixed-output projection of a (virtual) unit onto a facet."""
-
-    facet: Hyperplane
-    x: np.ndarray
-    y: np.ndarray
-
-
 class MinUncertainty(NamedTuple):
     value: float
     attainable_at_equality: bool
-
-
-def dea_distance(ds: DeaDataset, dmu: int, h: Hyperplane) -> float:
-    """Euclidean distance from the unit to its fixed-output projection on
-    ``h``; infinite for output-axis facets (no input-direction projection)."""
-    a = h.alpha_norm
-    if a <= AXIS_TOL:
-        return math.inf
-    return abs(h.value(ds.X[:, dmu], ds.Y[:, dmu])) / a
-
-
-def min_dea_distance(ds: DeaDataset, dmu: int, facets) -> tuple:
-    """(min distance, attaining facet); ties broken by lowest facet index."""
-    facets = list(facets)
-    if not facets:
-        raise ValueError("facet list must be non-empty")
-    values = [dea_distance(ds, dmu, h) for h in facets]
-    k = int(np.argmin(values))
-    return values[k], facets[k]
-
-
-def target_point(ds: DeaDataset, dmu: int, h: Hyperplane) -> TargetPoint:
-    """Project the unit onto ``h`` moving only in input space."""
-    a2 = h.alpha_norm ** 2
-    if a2 <= AXIS_TOL:
-        raise ValueError("output-axis facet has no fixed-output projection")
-    x = ds.X[:, dmu]
-    y = ds.Y[:, dmu]
-    shift = h.value(x, y) / a2
-    return TargetPoint(facet=h, x=x - shift * h.alpha, y=y.copy())
 
 
 def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
@@ -120,69 +81,3 @@ def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
         return MinUncertainty(math.inf, False)
     attainable = h.alpha_norm > AXIS_TOL
     return MinUncertainty(gap / denom, attainable)
-
-
-def min_uncertainty_2d(x_c: float, y_c: float, x_a: float, y_a: float,
-                       g: float) -> float:
-    """One-input/one-output closed form: uncertainty for a unit at
-    (x_c, y_c) to reach the facet of gradient ``g`` through (x_a, y_a)."""
-    if abs(1.0 + g) <= AXIS_TOL:
-        raise ZeroDivisionError("degenerate facet gradient g = -1")
-    return (g * (x_c - x_a) - y_c + y_a) / (2.0 * (1.0 + g))
-
-
-class Segment2D(NamedTuple):
-    """Identifier for a one-input/one-output frontier piece.
-
-    ``kind`` is "vertical" (input-axis facet through the first extreme),
-    "segment" (between extremes ``lo`` and ``hi``) or "horizontal"
-    (output-axis facet through the last extreme).
-    """
-
-    kind: str
-    lo: int
-    hi: int
-
-
-def select_segment_2d(xs, ys, x_i: float, y_i: float) -> Segment2D:
-    """Pick the frontier segment needing the least uncertainty for a unit at
-    (x_i, y_i), from extreme points sorted by increasing input and output.
-
-    Under the box transform every point slides along lines of constant
-    x + y, so the bucket of x_i + y_i among the extreme-point sums decides
-    the attaining segment; boundary sums may resolve to either neighbour.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-        raise ValueError("extreme coordinate arrays must match and be non-empty")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-        raise ValueError("extreme points must be strictly sorted in x and y")
-    sums = xs + ys
-    s = x_i + y_i
-    if s <= sums[0]:
-        return Segment2D("vertical", 0, 0)
-    if s >= sums[-1]:
-        last = xs.size - 1
-        return Segment2D("horizontal", last, last)
-    k = int(np.searchsorted(sums, s, side="right")) - 1
-    return Segment2D("segment", k, k + 1)
-
-
-def translate_facet(h: Hyperplane, sigma: float) -> Hyperplane:
-    """Parallel facet after the rivals' corner shift (+sigma inputs,
-    -sigma outputs): same normal, offset d + sigma (sum alpha - sum beta)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    d = h.d + sigma * (np.sum(h.alpha) - np.sum(h.beta))
-    return Hyperplane(alpha=h.alpha.copy(), beta=h.beta.copy(), d=d,
-                      kind=h.kind)
-
-
-def segment_hyperplane_2d(x_a, y_a, x_b, y_b) -> Hyperplane:
-    """Oriented facet through two frontier points with one input/output."""
-    if abs(x_b - x_a) <= AXIS_TOL:
-        raise ValueError("vertical segment: use an input-axis hyperplane")
-    g = (y_b - y_a) / (x_b - x_a)
-    # g*x - y = g*x_a - y_a, scaled below to unit norm by the constructor
-    return Hyperplane(alpha=[g], beta=[-1.0], d=g * x_a - y_a)

@@ -55,9 +55,7 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     """
     if not sigma >= 0:  # also rejects nan
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    i = int(dmu)
-    if not 0 <= i < ds.n_units:
-        raise IndexError(f"unit index {dmu} out of range")
+    i = _check_index(ds, dmu)
     X = ds.X + sigma
     X[:, i] = ds.X[:, i] - sigma
     Y = ds.Y - sigma
@@ -74,8 +72,7 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     vars(corner).update(names=list(ds.names), X=X, Y=Y,
                         env_outputs=ds.env_outputs.copy(),
                         input_names=list(ds.input_names),
-                        output_names=list(ds.output_names),
-                        scale_factors=ds.scale_factors.copy())
+                        output_names=list(ds.output_names))
     return corner
 
 

@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (best_corner_score, random_dataset, random_dataset_2d,
-                     segment_min_uncertainty, sorted_extremes_2d,
-                     table1_dataset)
+from helpers import (Segment2D, best_corner_score, dea_distance,
+                     random_dataset, random_dataset_2d,
+                     segment_min_uncertainty, select_segment_2d,
+                     sorted_extremes_2d, table1_dataset)
 from udea.cli import RADIOTHERAPY_INPUT_FACTOR, RADIOTHERAPY_OUTPUT_FACTOR
 from udea.dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
-from udea.geometry import (Hyperplane, Segment2D, dea_distance,
-                           min_uncertainty_to_facet, select_segment_2d)
+from udea.geometry import Hyperplane, min_uncertainty_to_facet
 from udea.iterative import iterative_udea
 from udea.robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
                          UncertaintyConfig, robust_efficiency, transform_box)

@@ -3,11 +3,15 @@ import csv
 import numpy as np
 import pytest
 
-from helpers import clamp_dataset
-from udea.cli import (DataError, RunConfig, _sigma_grid, apply_scaling,
-                      emit_csv, ingest_csv, main, run)
+import udea.dataset
+import udea.robust
+from conftest import DATA_DIR
+from helpers import clamp_dataset, emit_csv
+from udea.cli import (DataError, RunConfig, _compute, _sigma_grid,
+                      apply_scaling, ingest_csv, main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
+from udea.lp import solve_lp
 from udea.robust import UncertaintyConfig
 
 
@@ -53,6 +57,7 @@ def test_ingest_env_columns(tmp_path):
     (["dmu,in:x,out:y"], "no data rows"),
     (["dmu,in:x,out:y", "u1,0,2", "u2,0,1"], "'in:x' is all zero"),
     (["dmu,in:x,out:y", "u1,1,0", "u2,2,0"], "all zero"),
+    (["dmu,in:a,out:a", "u1,1,2"], "duplicate variable names"),
 ])
 def test_ingest_rejections(tmp_path, lines, needle):
     path = write_csv(tmp_path / "bad.csv", lines) if lines \
@@ -172,6 +177,12 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert main(["nominal", "--data", path]) == 2
     assert "row 2" in capsys.readouterr().err
     assert main(["nominal", "--data", str(tmp_path / "missing.csv")]) == 2
+    # with both in:a and out:a, --scale a=2 could only ever scale one
+    path = write_csv(tmp_path / "dup.csv",
+                     ["dmu,in:a,out:a", "u1,1,2", "u2,2,1"])
+    capsys.readouterr()
+    assert main(["nominal", "--data", path, "--scale", "a=2"]) == 2
+    assert "duplicate variable names" in capsys.readouterr().err
 
 
 def test_exit_code_grid_too_fine(tmp_path, example1_csv):
@@ -277,3 +288,31 @@ def test_sweep_never_below_nominal(tmp_path):
     assert len(rows) == 8 * 8  # sigma = 0, 0.5, ..., 3.5 for 8 units
     for row in rows:
         assert float(row["score"]) >= nominal[row["dmu"]] - 1e-9
+
+
+@pytest.mark.parametrize("fixture",
+                         ["case_study_s11_p0.csv", "case_study_s3_p4.csv"])
+def test_iterative_solves_each_nominal_program_once(fixture, monkeypatch):
+    # the nominal_score column is the sigma = 0 probe of each unit's
+    # search, bit for bit the score solve_nominal gives, so iterative
+    # mode makes one solve per unit fewer than solve_all plus the searches
+    config = RunConfig(mode="iterative", preset="radiotherapy")
+    ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
+    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
+    calls = []
+
+    def counting(lp, *args, **kwargs):
+        calls.append(1)
+        return solve_lp(lp, *args, **kwargs)
+
+    for module in (udea.dataset, udea.robust):
+        monkeypatch.setattr(module, "solve_lp", counting)
+    nominal = solve_all(ds)
+    for i in range(ds.n_units):
+        iterative_udea(ds, i, cfg)
+    separate = len(calls)
+    calls.clear()
+    _, rows, plot_rows = _compute(config, ds, cfg)
+    assert len(calls) == separate - ds.n_units == 166
+    for row, plot_row, res in zip(rows, plot_rows, nominal):
+        assert row[1].hex() == plot_row[1].hex() == res.theta.hex()

@@ -5,6 +5,7 @@ from helpers import random_dataset
 from udea.dataset import (DeaDataset, build_envelopment_lp, is_extreme,
                           scale_dataset, solve_all, solve_nominal)
 from udea.lp import solve_lp
+from udea.robust import transform_box
 
 TABLE1_SCORES = (1.0, 1.0, 1.0, 1.0, 0.542, 0.278)
 
@@ -32,6 +33,18 @@ def test_single_unit_dataset():
     assert len(res) == 1
     assert res[0].theta == pytest.approx(1.0, abs=1e-9)
     assert res[0].lam[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("inputs,outputs", [
+    (["a"], ["a"]),
+    (["a", "a"], ["b"]),
+    (["a"], ["b", "b"]),
+])
+def test_duplicate_variable_names_rejected(inputs, outputs):
+    n, m = len(inputs), len(outputs)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        DeaDataset(names=["u1", "u2"], X=np.ones((n, 2)), Y=np.ones((m, 2)),
+                   input_names=inputs, output_names=outputs)
 
 
 def test_table1_scores(table1):
@@ -105,6 +118,8 @@ def test_index_out_of_range(table1):
         build_envelopment_lp(table1, -7)
     with pytest.raises(IndexError):
         is_extreme(table1, 99)
+    with pytest.raises(IndexError):
+        transform_box(table1, 6, 0.5)
 
 
 def test_scale_examples():
@@ -112,8 +127,6 @@ def test_scale_examples():
     scaled = scale_dataset(ds, [100.0 / 70.0, 100.0 / (74.0 * 0.95)])
     assert scaled.X[0, 0] == pytest.approx(90.0, abs=1e-9)
     assert scaled.Y[0, 0] == pytest.approx(100.0, abs=1e-9)
-    assert scaled.scale_factors == pytest.approx(
-        [100.0 / 70.0, 100.0 / 70.3])
 
 
 def test_scale_identity(table1):

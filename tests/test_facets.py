@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import (clamp_dataset, random_dataset_2d,
-                     segment_min_uncertainty, sorted_extremes_2d)
+                     segment_min_uncertainty, select_segment_2d,
+                     sorted_extremes_2d)
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
                          enumerate_efficient_facets, exact_udea)
-from udea.geometry import (Hyperplane, min_uncertainty_to_facet,
-                           select_segment_2d)
+from udea.geometry import Hyperplane, min_uncertainty_to_facet
 
 
 def facet_key(h):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (random_dataset_2d, segment_min_uncertainty,
-                     sorted_extremes_2d)
+from helpers import (Segment2D, dea_distance, min_dea_distance,
+                     min_uncertainty_2d, random_dataset_2d,
+                     segment_hyperplane_2d, segment_min_uncertainty,
+                     select_segment_2d, sorted_extremes_2d, target_point,
+                     translate_facet)
 from udea.dataset import DeaDataset, solve_nominal
-from udea.geometry import (Hyperplane, Segment2D, dea_distance,
-                           min_dea_distance, min_uncertainty_2d,
-                           min_uncertainty_to_facet, segment_hyperplane_2d,
-                           select_segment_2d, target_point, translate_facet)
+from udea.geometry import Hyperplane, min_uncertainty_to_facet
 
 SQ13 = math.sqrt(13.0)
 
