@@ -1,10 +1,12 @@
 """Frontier facets as oriented hyperplanes, and the minimum uncertainty
-that brings a unit onto one.
+that brings a unit onto each of them.
 
 A facet of the efficient frontier is an oriented supporting hyperplane
 ``alpha'x + beta'y = d`` with the production set on the >= side, input
 coefficients >= 0 and output coefficients <= 0.  With that orientation the
 closed form below reproduces the worked two-dimensional example exactly.
+It is evaluated for a stack of facets at once (``facet_thresholds``); one
+facet is a stack of one.
 """
 
 import math
@@ -66,18 +68,59 @@ class MinUncertainty(NamedTuple):
     attainable_at_equality: bool
 
 
+class FacetStack(NamedTuple):
+    """Facets as arrays, one column per facet, for one set of
+    environmental outputs."""
+
+    alpha: np.ndarray       # N x F
+    beta: np.ndarray        # M x F
+    d: np.ndarray           # F
+    denom: np.ndarray       # F: 2 |-sum(alpha) + sum(beta over non-env rows)|
+    finite: np.ndarray      # F bool: denom > AXIS_TOL
+    attainable: np.ndarray  # F bool: finite and alpha is not zero
+
+
+def stack_facets(facets, env_outputs) -> FacetStack:
+    """Stack ``facets`` for ``facet_thresholds``; environmental outputs
+    (``env_outputs``) stay fixed under the box transform, so their
+    coefficients do not enter the denominators."""
+    alpha = np.array([h.alpha for h in facets], dtype=float).T
+    beta = np.array([h.beta for h in facets], dtype=float).T
+    # sums over the variables one row at a time, here and below, so that a
+    # facet's value does not depend on the facets stacked with it
+    zero = np.zeros(len(facets))
+    denom = 2.0 * np.abs(-sum(alpha, zero) + sum(beta[~env_outputs], zero))
+    finite = denom > AXIS_TOL
+    alpha_ok = np.array([h.alpha_norm > AXIS_TOL for h in facets], dtype=bool)
+    return FacetStack(alpha=alpha, beta=beta,
+                      d=np.array([h.d for h in facets], dtype=float),
+                      denom=denom, finite=finite,
+                      attainable=finite & alpha_ok)
+
+
+def facet_thresholds(ds: DeaDataset, dmu: int, stack: FacetStack):
+    """Smallest box half-width moving the unit's virtual point onto each
+    translated facet of ``stack``: the arrays (values, attainable).
+
+    The unit moves by sigma along the box direction (inputs down, outputs
+    up) and every rival by sigma against it, so the gap ``|alpha'x + beta'y - d|`` closes at twice
+    the rate ``|-sum(alpha) + sum(beta)|``, environmental outputs left out.
+    A facet that the box cannot move (zero rate) has value inf.  For
+    output-axis facets the value is a strict threshold: the unit needs any
+    amount beyond it, never exactly it (the projection argument only works
+    in the limit of a vanishing facet gradient).
+    """
+    zero = np.zeros(len(stack.d))
+    gap = np.abs(sum(stack.alpha * ds.X[:, dmu, None], zero)
+                 + sum(stack.beta * ds.Y[:, dmu, None], zero) - stack.d)
+    values = np.full(len(stack.d), math.inf)
+    np.divide(gap, stack.denom, out=values, where=stack.finite)
+    return values, stack.attainable
+
+
 def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                              h: Hyperplane) -> MinUncertainty:
-    """Smallest box half-width moving the unit's virtual point onto the
-    translated facet.
-
-    For output-axis facets the value is a strict threshold: the unit needs
-    any amount beyond it, never exactly it (the projection argument only
-    works in the limit of a vanishing facet gradient).
-    """
-    gap = abs(h.value(ds.X[:, dmu], ds.Y[:, dmu]))
-    denom = 2.0 * abs(-np.sum(h.alpha) + np.sum(h.beta))
-    if denom <= AXIS_TOL:
-        return MinUncertainty(math.inf, False)
-    attainable = h.alpha_norm > AXIS_TOL
-    return MinUncertainty(gap / denom, attainable)
+    """``facet_thresholds`` for the one facet ``h``."""
+    values, attainable = facet_thresholds(
+        ds, dmu, stack_facets([h], ds.env_outputs))
+    return MinUncertainty(float(values[0]), bool(attainable[0]))

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own solution paths:
 vertex enumeration for small LPs and exhaustive perturbation-corner search
 for the robust transform.  The worked example's 2-D geometry and the
-dataset CSV writer live here too, since only the tests use them.
+dataset CSV writer live here too, since only the tests use them, and so do
+the scalar loops the package's array code replaced (simplex kernel, facet
+enumeration, facet scoring), kept as references.
 """
 
 import csv
@@ -14,8 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from udea.dataset import DeaDataset, solve_nominal
-from udea.geometry import AXIS_TOL, Hyperplane, min_uncertainty_to_facet
+from udea.dataset import DeaDataset, is_extreme, solve_nominal
+from udea.facets import SUPPORT_TOL, FacetSet
+from udea.geometry import (AXIS_TOL, Hyperplane, MinUncertainty,
+                           min_uncertainty_to_facet)
 
 
 def table1_dataset():
@@ -396,3 +400,111 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
                     T[i, :] -= f * T[leave, :]
         basis[leave] = enter
     return ITERATION_LIMIT
+
+
+def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
+    """Reference facet enumeration: the per-candidate loop that
+    ``udea.facets.enumerate_efficient_facets`` replaced, kept verbatim (the
+    size limits aside).  One SVD, one support test and one orientation per
+    (subset, direction choice) candidate.  The package must return the
+    same facets (alpha, beta and d bit for bit) and generators.
+    """
+    n, m = ds.n_inputs, ds.n_outputs
+    phi = n + m
+    points = np.vstack([ds.X, ds.Y]).T  # I x phi
+    extremes = [i for i in range(ds.n_units) if is_extreme(ds, i)]
+
+    # free-disposal recession directions of the production set
+    dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
+
+    scale = max(1.0, float(np.abs(points).max()))
+    tol = SUPPORT_TOL * scale
+
+    found = {}
+    for s_size in range(1, min(phi, len(extremes)) + 1):
+        for subset in itertools.combinations(extremes, s_size):
+            p0 = points[subset[0]]
+            base_rows = [points[k] - p0 for k in subset[1:]]
+            for dchoice in itertools.combinations(range(phi), phi - s_size):
+                rows = np.array(base_rows + [dirs[k] for k in dchoice])
+                normal = scalar_unique_normal(rows, phi)
+                if normal is None:
+                    continue
+                d = float(normal @ p0)
+                vals = points @ normal - d
+                # both signs can support when every unit lies on the plane,
+                # so try each supporting sign for a correctly oriented normal
+                signs = []
+                if vals.min() >= -tol:
+                    signs.append(1.0)
+                if vals.max() <= tol:
+                    signs.append(-1.0)
+                if not signs:
+                    continue  # cuts through the production set
+                otol = 1e-9
+                h = None
+                for sign in signs:
+                    alpha = sign * normal[:n]
+                    beta = sign * normal[n:]
+                    if np.any(alpha < -otol) or np.any(beta > otol):
+                        continue  # wrong orientation for free disposal
+                    alpha = alpha.copy()
+                    beta = beta.copy()
+                    alpha[np.abs(alpha) <= otol] = 0.0
+                    beta[np.abs(beta) <= otol] = 0.0
+                    if not np.any(alpha) and not np.any(beta):
+                        continue
+                    h = Hyperplane(alpha=alpha, beta=beta, d=sign * d)
+                    break
+                if h is None:
+                    continue
+                key = tuple(np.round(np.concatenate(
+                    [h.alpha, h.beta, [h.d]]), 7))
+                if key not in found:
+                    found[key] = (h, sorted(subset))
+
+    ordered = sorted(found.items(), key=lambda kv: kv[0])
+    return FacetSet(facets=[v[0] for _, v in ordered],
+                    generators=[v[1] for _, v in ordered])
+
+
+def scalar_unique_normal(rows: np.ndarray, phi: int):
+    """Unit normal of the hyperplane spanned by ``rows``; None when the rows
+    are rank deficient (no unique hyperplane)."""
+    if rows.shape != (phi - 1, phi):
+        return None
+    u, s, vt = np.linalg.svd(rows)
+    if phi >= 2 and s[-1] <= 1e-9 * max(1.0, s[0]):
+        return None
+    return vt[-1]
+
+
+def scalar_min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
+                                    h: Hyperplane) -> MinUncertainty:
+    """Reference threshold of one facet: the per-facet formula that
+    ``udea.geometry.facet_thresholds`` replaced, kept verbatim but for
+    leaving environmental outputs out of the denominator."""
+    gap = abs(h.value(ds.X[:, dmu], ds.Y[:, dmu]))
+    denom = 2.0 * abs(-np.sum(h.alpha) + np.sum(h.beta[~ds.env_outputs]))
+    if denom <= AXIS_TOL:
+        return MinUncertainty(math.inf, False)
+    attainable = h.alpha_norm > AXIS_TOL
+    return MinUncertainty(gap / denom, attainable)
+
+
+def scalar_exact_choice(ds: DeaDataset, dmu: int, facets):
+    """Reference facet choice of ``udea.facets.exact_udea``: the per-facet
+    scoring loop it replaced, kept verbatim.  Returns (facet index,
+    upsilon, attainable)."""
+    i = int(dmu)
+    best = None
+    for k, h in enumerate(facets):
+        value, attainable = scalar_min_uncertainty_to_facet(ds, i, h)
+        # prefer attainable facets on value ties: a strict threshold needs
+        # more uncertainty than an equal attainable one (snap the value so
+        # float noise cannot break a genuine tie)
+        cand = (round(value, 12), 0 if attainable else 1, k, value)
+        if best is None or cand < best:
+            best = cand
+    _, strict_flag, k, upsilon = best
+    return k, upsilon, strict_flag == 0

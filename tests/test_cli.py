@@ -316,3 +316,24 @@ def test_iterative_solves_each_nominal_program_once(fixture, monkeypatch):
     assert len(calls) == separate - ds.n_units == 166
     for row, plot_row, res in zip(rows, plot_rows, nominal):
         assert row[1].hex() == plot_row[1].hex() == res.theta.hex()
+
+
+@pytest.mark.parametrize("fixture",
+                         ["case_study_s11_p0.csv", "case_study_s3_p4.csv"])
+def test_exact_agrees_with_iterative_on_case_study(tmp_path, fixture):
+    # volume_class is an env column: the box moves neither it nor its
+    # facet coefficient, so exact is within half a step of iterative
+    reports = {}
+    for mode in ("exact", "iterative"):
+        out = tmp_path / f"{mode}.csv"
+        assert main([mode, "--data", str(DATA_DIR / fixture),
+                     "--preset", "radiotherapy", "--out", str(out),
+                     "--full-precision"]) == 0
+        reports[mode] = read_report(out)
+    half_step = RunConfig(mode="iterative").step / 2
+    for exact, walk in zip(reports["exact"], reports["iterative"]):
+        assert exact["dmu"] == walk["dmu"]
+        assert exact["capable"] == walk["capable"]
+        if exact["capable"] == "true":
+            assert abs(float(exact["upsilon_star"])
+                       - float(walk["upsilon_star"])) <= half_step + 1e-12

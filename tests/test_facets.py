@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (clamp_dataset, random_dataset_2d,
-                     segment_min_uncertainty, select_segment_2d,
-                     sorted_extremes_2d)
+from conftest import DATA_DIR
+from helpers import (clamp_dataset, random_dataset_2d, scalar_exact_choice,
+                     scalar_enumerate_facets, segment_min_uncertainty,
+                     select_segment_2d, sorted_extremes_2d, table1_dataset)
+from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
                          enumerate_efficient_facets, exact_udea)
-from udea.geometry import Hyperplane, min_uncertainty_to_facet
+from udea.geometry import Hyperplane, facet_thresholds, min_uncertainty_to_facet
 
 
 def facet_key(h):
@@ -161,3 +163,84 @@ def test_exact_udea_gamma_past_own_input():
     assert out.upsilon == pytest.approx(2.8785, abs=1e-12)
     assert out.upsilon > ds.X[0, 0]
     assert out.gamma == 1.0
+
+
+# the batched enumeration and scoring against the per-candidate and
+# per-facet loops they replaced (tests/helpers.py)
+
+def _dataset(X, Y, env=None):
+    return DeaDataset(names=[f"u{k}" for k in range(X.shape[1])], X=X, Y=Y,
+                      env_outputs=env)
+
+
+def _reference_datasets():
+    rng = np.random.default_rng(97)
+    out = {"table1": table1_dataset(),
+           "example1": ingest_csv(DATA_DIR / "example1.csv"),
+           "single": DeaDataset(names=["only"], X=[[2.0]], Y=[[3.0]])}
+    # the input/output splits of four variables the benchmark enumerates
+    for n_in, n_out in ((2, 2), (1, 3), (3, 1)):
+        out[f"split{n_in}{n_out}"] = _dataset(
+            rng.uniform(0.5, 10.0, (n_in, 24)).round(3),
+            rng.uniform(0.5, 10.0, (n_out, 24)).round(3))
+    # small integers: ties, coplanar units and rank-deficient subsets
+    for k in range(3):
+        out[f"ties{k}"] = _dataset(rng.integers(1, 4, (2, 12)).astype(float),
+                                   rng.integers(1, 4, (1 + k % 2, 12))
+                                   .astype(float))
+    # four units twice, and units on the input and output axes
+    base = rng.uniform(1.0, 5.0, (3, 10)).round(2)
+    base = np.hstack([base, base[:, :4]])
+    out["duplicated"] = _dataset(base[:2], base[2:])
+    out["axes"] = _dataset(np.array([[1.0, 1.0, 1.0, 2.0, 4.0, 3.0]]),
+                           np.array([[1.0, 2.0, 4.0, 4.0, 4.0, 2.0]]))
+    out["env"] = _dataset(rng.uniform(0.5, 5.0, (1, 12)).round(3),
+                          rng.uniform(0.5, 5.0, (2, 12)).round(3),
+                          env=[False, True])
+    return out
+
+
+REFERENCE_DATASETS = _reference_datasets()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_enumeration_matches_candidate_loop(name):
+    ds = REFERENCE_DATASETS[name]
+    got = enumerate_efficient_facets(ds)
+    ref = scalar_enumerate_facets(ds)
+    assert len(got) == len(ref) > 0
+    assert got.generators == ref.generators
+    for h, r in zip(got.facets, ref.facets):
+        assert h.alpha.tobytes() == r.alpha.tobytes()
+        assert h.beta.tobytes() == r.beta.tobytes()
+        assert h.d.hex() == r.d.hex()
+        assert h.kind == r.kind
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_scoring_matches_facet_loop(name):
+    ds = REFERENCE_DATASETS[name]
+    fs = enumerate_efficient_facets(ds)
+    for nu in (math.inf, 0.5):
+        for i in range(ds.n_units):
+            out = exact_udea(ds, i, nu=nu, facet_set=fs)
+            k, upsilon, attainable = scalar_exact_choice(ds, i, fs.facets)
+            assert out.facet_index == k
+            assert out.attainable == attainable
+            assert out.capable == (upsilon < nu
+                                   or (upsilon <= nu and attainable))
+            assert out.upsilon == pytest.approx(upsilon, rel=1e-12,
+                                                abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_one_facet_threshold_is_the_batch_entry(name):
+    ds = REFERENCE_DATASETS[name]
+    fs = enumerate_efficient_facets(ds)
+    for i in range(ds.n_units):
+        values, attainable = facet_thresholds(ds, i,
+                                              fs.stack(ds.env_outputs))
+        for k, h in enumerate(fs.facets):
+            one = min_uncertainty_to_facet(ds, i, h)
+            assert one.value.hex() == float(values[k]).hex()
+            assert one.attainable_at_equality == attainable[k]

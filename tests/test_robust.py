@@ -301,3 +301,22 @@ def test_half_directional_distance_is_exact_upsilon(rng):
             assert directional_distance(ds, i) / 2.0 == pytest.approx(
                 exact, abs=1e-9)
         checked += 1
+
+
+def test_half_directional_distance_is_exact_upsilon_with_env_output(rng):
+    # an environmental output stays put under the box transform, so its
+    # facet coefficient must not enter the threshold's rate
+    for case in range(16):
+        n_in = 1 + case % 2
+        n_out = int(rng.integers(1, 4 - n_in))
+        n_units = int(rng.integers(4, 11))
+        ds = DeaDataset(
+            names=[f"u{k}" for k in range(n_units)],
+            X=rng.uniform(0.5, 5.0, (n_in, n_units)).round(3),
+            Y=rng.uniform(0.5, 5.0, (n_out + 1, n_units)).round(3),
+            env_outputs=[False] * n_out + [True])
+        facet_set = enumerate_efficient_facets(ds)
+        for i in range(ds.n_units):
+            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
+            assert directional_distance(ds, i) / 2.0 == pytest.approx(
+                exact, abs=1e-9)
