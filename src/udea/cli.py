@@ -285,10 +285,10 @@ def build_parser():
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--sigma", type=float, default=0.0,
                        help="box half-width (robust mode)")
-        p.add_argument("--nu", type=float, default=None,
-                       help="uncertainty cap (default 3.6)")
-        p.add_argument("--step", type=float, default=None,
-                       help="sigma grid step (default 0.01)")
+        p.add_argument("--nu", type=float, default=DEFAULT_CAP,
+                       help="uncertainty cap (default %(default)s)")
+        p.add_argument("--step", type=float, default=DEFAULT_STEP,
+                       help="sigma grid step (default %(default)s)")
         p.add_argument("--eps", type=float, default=DEFAULT_EPS,
                        help="input clamp floor")
         p.add_argument("--scale", action="append", default=[],
@@ -326,8 +326,8 @@ def main(argv=None) -> int:
         config = RunConfig(
             mode=args.mode,
             sigma=args.sigma,
-            nu=args.nu if args.nu is not None else DEFAULT_CAP,
-            step=args.step if args.step is not None else DEFAULT_STEP,
+            nu=args.nu,
+            step=args.step,
             eps=args.eps,
             scale=_parse_scales(args.scale),
             preset=args.preset,

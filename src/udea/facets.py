@@ -5,24 +5,23 @@ padded to phi - 1 independent rows with free-disposal recession directions
 (+unit input, -unit output) so axis facets are found too; it counts when
 every unit lies on one side of it, oriented for free disposal.  For each
 subset size every candidate (subset x choice of directions) is stacked into
-one array: one SVD gives the normals and their rank test, and one matrix
-product tests support.  Only the survivors are oriented, snapped and
-deduplicated one by one, in the order of the candidates.  The work is
-exponential in the unit count and dimension; hard size limits steer larger
-instances to the iterative solver.
+one array: one SVD gives the normals and their rank test, one matrix
+product tests support, and the survivors are oriented, snapped and keyed
+as arrays; a ``Hyperplane`` is built only for the first candidate of each
+new facet.  The work is exponential in the unit count and dimension; hard
+size limits steer larger instances to the iterative solver.
 
 ``exact_udea`` scores a unit against every facet in one array expression
-(``geometry.facet_thresholds``) over the stack its ``FacetSet`` keeps.
+(``geometry.facet_thresholds``) over the stack its ``FacetSet`` holds.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import DeaDataset, solve_nominal, is_extreme
-from .geometry import FacetStack, Hyperplane, facet_thresholds, stack_facets
+from .geometry import FacetSet, Hyperplane, facet_thresholds
 from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
 from .robust import DEFAULT_EPS, robust_efficiency
 
@@ -36,28 +35,6 @@ SUBSET_CHUNK = 1024
 
 class SizeLimitError(ValueError):
     """Problem too large for explicit facet enumeration."""
-
-
-@dataclass
-class FacetSet:
-    facets: list
-    generators: list = field(default_factory=list)   # extreme-unit indices per facet
-    _stacks: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def __len__(self):
-        return len(self.facets)
-
-    def __iter__(self):
-        return iter(self.facets)
-
-    def stack(self, env_outputs) -> FacetStack:
-        """The facets stacked for ``facet_thresholds``, built once per
-        environmental-output mask."""
-        key = np.asarray(env_outputs, dtype=bool).tobytes()
-        if key not in self._stacks:
-            self._stacks[key] = stack_facets(self.facets, env_outputs)
-        return self._stacks[key]
 
 
 def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
@@ -75,7 +52,13 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
             f"{DEFAULT_UNIT_LIMIT}; use the iterative solver")
 
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
-    extremes = [i for i in range(ds.n_units) if is_extreme(ds, i)]
+    # identical units reproduce each other, so neither would test extreme:
+    # only the lowest index of each distinct point is tested
+    first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
+    distinct = DeaDataset(names=[ds.names[i] for i in first],
+                          X=ds.X[:, first], Y=ds.Y[:, first],
+                          env_outputs=ds.env_outputs)
+    extremes = [i for k, i in enumerate(first) if is_extreme(distinct, k)]
 
     # free-disposal recession directions of the production set
     dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
@@ -83,24 +66,32 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
     scale = max(1.0, float(np.abs(points).max()))
     tol = SUPPORT_TOL * scale
 
-    found = {}
+    found, tried = {}, set()
     for s_size in range(1, min(phi, len(extremes)) + 1):
         dchoices = np.array(
             list(itertools.combinations(range(phi), phi - s_size)), dtype=int)
         subsets = itertools.combinations(extremes, s_size)
         while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
-            _add_facets(found, np.array(chunk), dchoices, points, dirs, n,
-                        tol)
+            _add_facets(found, tried, np.array(chunk), dchoices, points,
+                        dirs, n, tol)
 
     ordered = sorted(found.items(), key=lambda kv: kv[0])
     return FacetSet(facets=[v[0] for _, v in ordered],
                     generators=[v[1] for _, v in ordered])
 
 
-def _add_facets(found, subsets, dchoices, points, dirs, n, tol):
+def _add_facets(found, tried, subsets, dchoices, points, dirs, n, tol):
     """Add to ``found`` the new facets spanned by the (subset, direction
     choice) pairs, taken subset-major; the first pair to find a facet
-    names its generators."""
+    names its generators and gives its hyperplane.
+
+    Survivors are grouped by the rounded key of their oriented normal and
+    ``d``; the first survivor of each key not in ``tried`` builds a
+    ``Hyperplane``.  ``found`` is keyed by that hyperplane's own rounded
+    values, after ``Hyperplane`` normalises them, so the facets' order and
+    deduplication follow the returned hyperplanes even where a value lies
+    within round-off of a 7-decimal boundary.
+    """
     phi = points.shape[1]
     p0 = points[subsets[:, 0]]                                   # S x phi
     diffs = points[subsets[:, 1:]] - p0[:, None, :]              # S x s-1 x phi
@@ -112,36 +103,33 @@ def _add_facets(found, subsets, dchoices, points, dirs, n, tol):
     normals, full_rank = _unique_normal(rows.reshape(n_s * n_d, phi - 1, phi))
     d = np.einsum("kj,kj->k", normals, np.repeat(p0, n_d, axis=0))
     vals = normals @ points.T - d[:, None]
-    # both signs can support when every unit lies on the plane, so each
-    # supporting sign is tried for a correctly oriented normal
     pos = vals.min(axis=1) >= -tol
     neg = vals.max(axis=1) <= tol
+    # orient for free disposal (inputs >= 0, outputs <= 0), sign +1 before
+    # -1: both signs can support when every unit lies on the plane
     otol = 1e-9
-    for k in np.flatnonzero(full_rank & (pos | neg)):
+    a, b = normals[:, :n], normals[:, n:]
+    up = pos & ~np.any(a < -otol, axis=1) & ~np.any(b > otol, axis=1)
+    down = neg & ~np.any(a > otol, axis=1) & ~np.any(b < -otol, axis=1)
+    keep = np.flatnonzero(full_rank & (up | down)
+                          & np.any(np.abs(normals) > otol, axis=1))
+    sign = np.where(up[keep], 1.0, -1.0)
+    oriented = sign[:, None] * normals[keep]
+    oriented[np.abs(oriented) <= otol] = 0.0
+    keys = np.round(np.column_stack([oriented, sign * d[keep]]), 7)
+    for j in np.sort(np.unique(keys, axis=0, return_index=True)[1]):
+        key = tuple(keys[j].tolist())
+        if key in tried:
+            continue
+        tried.add(key)
+        k = keep[j]
         subset = subsets[k // n_d]
-        normal = normals[k]
         # d again from a row of points: the dot product's rounding depends
         # on the operands' strides, and the hyperplane keeps this d
-        d_k = float(normal @ points[subset[0]])
-        h = None
-        for sign, supports in ((1.0, pos[k]), (-1.0, neg[k])):
-            if not supports:
-                continue
-            alpha = sign * normal[:n]
-            beta = sign * normal[n:]
-            if np.any(alpha < -otol) or np.any(beta > otol):
-                continue  # wrong orientation for free disposal
-            alpha[np.abs(alpha) <= otol] = 0.0
-            beta[np.abs(beta) <= otol] = 0.0
-            if not np.any(alpha) and not np.any(beta):
-                continue
-            h = Hyperplane(alpha=alpha, beta=beta, d=sign * d_k)
-            break
-        if h is None:
-            continue
-        key = tuple(np.round(np.concatenate([h.alpha, h.beta, [h.d]]), 7))
-        if key not in found:
-            found[key] = (h, sorted(subset.tolist()))
+        h = Hyperplane(alpha=oriented[j, :n], beta=oriented[j, n:],
+                       d=sign[j] * float(normals[k] @ points[subset[0]]))
+        own = np.round(np.concatenate([h.alpha, h.beta, [h.d]]), 7)
+        found.setdefault(tuple(own.tolist()), (h, sorted(subset.tolist())))
 
 
 def _unique_normal(rows: np.ndarray):
@@ -167,8 +155,7 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
         facet_set = enumerate_efficient_facets(ds)
     if not facet_set.facets:
         raise ValueError("no efficient facets found")
-    values, attainable = facet_thresholds(ds, i,
-                                          facet_set.stack(ds.env_outputs))
+    values, attainable = facet_thresholds(ds, i, facet_set)
     # smallest value first, snapped so float noise cannot break a genuine
     # tie; on ties an attainable facet before a strict one (a strict
     # threshold needs more uncertainty than an equal attainable one), then

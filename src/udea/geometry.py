@@ -5,12 +5,13 @@ A facet of the efficient frontier is an oriented supporting hyperplane
 ``alpha'x + beta'y = d`` with the production set on the >= side, input
 coefficients >= 0 and output coefficients <= 0.  With that orientation the
 closed form below reproduces the worked two-dimensional example exactly.
-It is evaluated for a stack of facets at once (``facet_thresholds``); one
-facet is a stack of one.
+A ``FacetSet`` stacks its facets once, when it is built, and the formula
+is evaluated for the whole stack at once (``facet_thresholds``); one facet
+is a set of one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -63,44 +64,37 @@ class Hyperplane:
                      + self.beta @ np.atleast_1d(y) - self.d)
 
 
+@dataclass
+class FacetSet:
+    """Facets and their generators, stacked once, when the set is built, for
+    ``facet_thresholds``: one column per facet."""
+
+    facets: list
+    generators: list = field(default_factory=list)   # extreme-unit indices per facet
+
+    def __post_init__(self):
+        self.alpha = np.array([h.alpha for h in self.facets], dtype=float).T
+        self.beta = np.array([h.beta for h in self.facets], dtype=float).T
+        self.d = np.array([h.d for h in self.facets], dtype=float)
+        # alpha is not zero; facet_thresholds adds that the box moves it
+        self.attainable = np.array([h.alpha_norm > AXIS_TOL
+                                    for h in self.facets], dtype=bool)
+
+    def __len__(self):
+        return len(self.facets)
+
+    def __iter__(self):
+        return iter(self.facets)
+
+
 class MinUncertainty(NamedTuple):
     value: float
     attainable_at_equality: bool
 
 
-class FacetStack(NamedTuple):
-    """Facets as arrays, one column per facet, for one set of
-    environmental outputs."""
-
-    alpha: np.ndarray       # N x F
-    beta: np.ndarray        # M x F
-    d: np.ndarray           # F
-    denom: np.ndarray       # F: 2 |-sum(alpha) + sum(beta over non-env rows)|
-    finite: np.ndarray      # F bool: denom > AXIS_TOL
-    attainable: np.ndarray  # F bool: finite and alpha is not zero
-
-
-def stack_facets(facets, env_outputs) -> FacetStack:
-    """Stack ``facets`` for ``facet_thresholds``; environmental outputs
-    (``env_outputs``) stay fixed under the box transform, so their
-    coefficients do not enter the denominators."""
-    alpha = np.array([h.alpha for h in facets], dtype=float).T
-    beta = np.array([h.beta for h in facets], dtype=float).T
-    # sums over the variables one row at a time, here and below, so that a
-    # facet's value does not depend on the facets stacked with it
-    zero = np.zeros(len(facets))
-    denom = 2.0 * np.abs(-sum(alpha, zero) + sum(beta[~env_outputs], zero))
-    finite = denom > AXIS_TOL
-    alpha_ok = np.array([h.alpha_norm > AXIS_TOL for h in facets], dtype=bool)
-    return FacetStack(alpha=alpha, beta=beta,
-                      d=np.array([h.d for h in facets], dtype=float),
-                      denom=denom, finite=finite,
-                      attainable=finite & alpha_ok)
-
-
-def facet_thresholds(ds: DeaDataset, dmu: int, stack: FacetStack):
+def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
     """Smallest box half-width moving the unit's virtual point onto each
-    translated facet of ``stack``: the arrays (values, attainable).
+    translated facet of ``facet_set``: the arrays (values, attainable).
 
     The unit moves by sigma along the box direction (inputs down, outputs
     up) and every rival by sigma against it, so the gap ``|alpha'x + beta'y - d|`` closes at twice
@@ -110,17 +104,22 @@ def facet_thresholds(ds: DeaDataset, dmu: int, stack: FacetStack):
     amount beyond it, never exactly it (the projection argument only works
     in the limit of a vanishing facet gradient).
     """
-    zero = np.zeros(len(stack.d))
-    gap = np.abs(sum(stack.alpha * ds.X[:, dmu, None], zero)
-                 + sum(stack.beta * ds.Y[:, dmu, None], zero) - stack.d)
-    values = np.full(len(stack.d), math.inf)
-    np.divide(gap, stack.denom, out=values, where=stack.finite)
-    return values, stack.attainable
+    fs = facet_set
+    # sums over the variables one row at a time, so that a facet's value
+    # does not depend on the facets stacked with it
+    zero = np.zeros(len(fs))
+    rate = 2.0 * np.abs(-sum(fs.alpha, zero)
+                        + sum(fs.beta[~ds.env_outputs], zero))
+    finite = rate > AXIS_TOL
+    gap = np.abs(sum(fs.alpha * ds.X[:, dmu, None], zero)
+                 + sum(fs.beta * ds.Y[:, dmu, None], zero) - fs.d)
+    values = np.full(len(fs), math.inf)
+    np.divide(gap, rate, out=values, where=finite)
+    return values, finite & fs.attainable
 
 
 def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                              h: Hyperplane) -> MinUncertainty:
     """``facet_thresholds`` for the one facet ``h``."""
-    values, attainable = facet_thresholds(
-        ds, dmu, stack_facets([h], ds.env_outputs))
+    values, attainable = facet_thresholds(ds, dmu, FacetSet([h]))
     return MinUncertainty(float(values[0]), bool(attainable[0]))

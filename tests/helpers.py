@@ -405,14 +405,20 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
 def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
     """Reference facet enumeration: the per-candidate loop that
     ``udea.facets.enumerate_efficient_facets`` replaced, kept verbatim (the
-    size limits aside).  One SVD, one support test and one orientation per
-    (subset, direction choice) candidate.  The package must return the
-    same facets (alpha, beta and d bit for bit) and generators.
+    size limits aside) but for one change: identical units are collapsed
+    to their lowest index before the extreme-point tests, as in the
+    package.  One SVD, one support test and one orientation per (subset,
+    direction choice) candidate.  The package must return the same facets
+    (alpha, beta and d bit for bit) and generators.
     """
     n, m = ds.n_inputs, ds.n_outputs
     phi = n + m
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
-    extremes = [i for i in range(ds.n_units) if is_extreme(ds, i)]
+    first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
+    distinct = DeaDataset(names=[ds.names[i] for i in first],
+                          X=ds.X[:, first], Y=ds.Y[:, first],
+                          env_outputs=ds.env_outputs)
+    extremes = [i for k, i in enumerate(first) if is_extreme(distinct, k)]
 
     # free-disposal recession directions of the production set
     dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))

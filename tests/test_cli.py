@@ -337,3 +337,22 @@ def test_exact_agrees_with_iterative_on_case_study(tmp_path, fixture):
         if exact["capable"] == "true":
             assert abs(float(exact["upsilon_star"])
                        - float(walk["upsilon_star"])) <= half_step + 1e-12
+
+
+def test_exact_sees_facets_through_a_copied_unit(tmp_path):
+    # Table 1 with B twice: the copy must not hide the facets through B
+    reports = {}
+    for mode in ("exact", "iterative"):
+        out = tmp_path / f"{mode}.csv"
+        assert main([mode, "--data", str(DATA_DIR / "table1_dup.csv"),
+                     "--out", str(out), "--full-precision"]) == 0
+        reports[mode] = read_report(out)
+    by_name = {r["dmu"]: r for r in reports["exact"]}
+    assert float(by_name["E"]["upsilon_star"]) == pytest.approx(
+        11.0 / 14.0, abs=1e-12)
+    step = RunConfig(mode="iterative").step
+    for exact, walk in zip(reports["exact"], reports["iterative"]):
+        assert exact["dmu"] == walk["dmu"]
+        assert exact["capable"] == walk["capable"] == "true"
+        assert abs(float(exact["upsilon_star"])
+                   - float(walk["upsilon_star"])) <= step

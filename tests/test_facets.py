@@ -7,6 +7,7 @@ from conftest import DATA_DIR
 from helpers import (clamp_dataset, random_dataset_2d, scalar_exact_choice,
                      scalar_enumerate_facets, segment_min_uncertainty,
                      select_segment_2d, sorted_extremes_2d, table1_dataset)
+import udea.facets
 from udea.cli import ingest_csv
 from udea.dataset import DeaDataset, solve_nominal
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
@@ -173,6 +174,14 @@ def _dataset(X, Y, env=None):
                       env_outputs=env)
 
 
+def sphere_dataset(n_units):
+    """Units with one input, all equal, and three outputs on the unit
+    sphere: every unit is extreme and the frontier is degenerate."""
+    rng = np.random.default_rng(0)
+    y = np.abs(rng.normal(size=(3, n_units)))
+    return _dataset(np.ones((1, n_units)), y / np.linalg.norm(y, axis=0))
+
+
 def _reference_datasets():
     rng = np.random.default_rng(97)
     out = {"table1": table1_dataset(),
@@ -197,6 +206,15 @@ def _reference_datasets():
     out["env"] = _dataset(rng.uniform(0.5, 5.0, (1, 12)).round(3),
                           rng.uniform(0.5, 5.0, (2, 12)).round(3),
                           env=[False, True])
+    # every facet spanned by many candidates; Table 1 with B twice
+    out["sphere"] = sphere_dataset(12)
+    out["table1_dup"] = ingest_csv(DATA_DIR / "table1_dup.csv")
+    # the facet through the first two units has alpha = 0.60000035, on a
+    # 7-decimal rounding boundary of the facet key
+    a = 0.60000035
+    out["key_boundary"] = _dataset(np.array([[1.0, 1.0 + math.sqrt(1 - a * a),
+                                              3.0]]),
+                                   np.array([[1.0, 1.0 + a, 1.0]]))
     return out
 
 
@@ -238,9 +256,32 @@ def test_one_facet_threshold_is_the_batch_entry(name):
     ds = REFERENCE_DATASETS[name]
     fs = enumerate_efficient_facets(ds)
     for i in range(ds.n_units):
-        values, attainable = facet_thresholds(ds, i,
-                                              fs.stack(ds.env_outputs))
+        values, attainable = facet_thresholds(ds, i, fs)
         for k, h in enumerate(fs.facets):
             one = min_uncertainty_to_facet(ds, i, h)
             assert one.value.hex() == float(values[k]).hex()
             assert one.attainable_at_equality == attainable[k]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_facets_ordered_by_their_own_rounded_values(name):
+    # the canonical order and deduplication follow the returned
+    # hyperplanes, not the un-normalised candidates they were built from
+    fs = enumerate_efficient_facets(REFERENCE_DATASETS[name])
+    keys = [tuple(np.round(np.concatenate([h.alpha, h.beta, [h.d]]), 7))
+            for h in fs]
+    assert keys == sorted(set(keys))
+
+
+def test_one_hyperplane_per_facet(monkeypatch):
+    # 1,390 supporting candidates find the 26 facets; only the first
+    # candidate of each facet builds a Hyperplane
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(Hyperplane(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(udea.facets, "Hyperplane", counting)
+    fs = enumerate_efficient_facets(sphere_dataset(12))
+    assert len(fs) == 26
+    assert sorted(map(id, built)) == sorted(map(id, fs))

@@ -303,6 +303,24 @@ def test_half_directional_distance_is_exact_upsilon(rng):
         checked += 1
 
 
+def test_half_directional_distance_is_exact_upsilon_with_copied_units(rng):
+    # a copied efficient unit must not hide the facets through it
+    for _ in range(12):
+        ds = random_dataset(rng, max_units=10, max_dim=4)
+        efficient = [i for i in range(ds.n_units)
+                     if solve_nominal(ds, i).theta == 1.0]
+        copies = rng.choice(efficient, size=min(3, len(efficient)),
+                            replace=False)
+        ds = DeaDataset(names=ds.names + [f"copy{k}" for k in copies],
+                        X=np.hstack([ds.X, ds.X[:, copies]]),
+                        Y=np.hstack([ds.Y, ds.Y[:, copies]]))
+        facet_set = enumerate_efficient_facets(ds)
+        for i in range(ds.n_units):
+            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
+            assert directional_distance(ds, i) / 2.0 == pytest.approx(
+                exact, abs=1e-9)
+
+
 def test_half_directional_distance_is_exact_upsilon_with_env_output(rng):
     # an environmental output stays put under the box transform, so its
     # facet coefficient must not enter the threshold's rate
