@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
 from .iterative import _grid_index, iterative_udea
+from .lp import SolverFault
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
                      UncertaintyConfig, robust_efficiency)
 
@@ -24,6 +25,7 @@ MODES = ("nominal", "robust", "sweep", "exact", "iterative")
 EXIT_OK = 0
 EXIT_DATA_ERROR = 2
 EXIT_SIZE_ERROR = 3
+EXIT_SOLVER_FAULT = 4
 
 # case-study scaling: output = proportion of the prescribed target dose
 # (74 Gy at the 95% level), input = fraction of the 70 Gy risk threshold,
@@ -227,17 +229,13 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
     outcomes = [iterative_udea(ds, i, cfg) for i in units]
     header = ["dmu", "nominal_score", "upsilon_star", "bracket_lo",
               "bracket_hi", "gamma_star", "capable"]
-    rows = []
-    plot_rows = []
+    rows, plot_rows = [], []
     for out in outcomes:
-        theta = out.trace[0][1]
+        name, theta = ds.names[out.dmu], out.trace[0][1]
+        upsilon = "" if out.upsilon is None else out.upsilon
         lo, hi = out.bracket if out.bracket else ("", "")
-        rows.append([ds.names[out.dmu], theta,
-                     "" if out.upsilon is None else out.upsilon,
-                     lo, hi, out.gamma, out.capable])
-        plot_rows.append([ds.names[out.dmu], theta,
-                          "" if out.upsilon is None else out.upsilon,
-                          out.capable])
+        rows.append([name, theta, upsilon, lo, hi, out.gamma, out.capable])
+        plot_rows.append([name, theta, upsilon, out.capable])
     return header, rows, plot_rows
 
 
@@ -254,9 +252,12 @@ def _formatter(config: RunConfig):
     def fmt(value):
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, float) or isinstance(value, np.floating):
-            return repr(float(value)) if config.full_precision \
-                else f"{value:.6f}"
+        if isinstance(value, (float, np.floating)):
+            if config.full_precision:
+                return repr(float(value))
+            # round-off below zero, such as a slack of -4e-16, prints as 0
+            text = f"{value:.6f}"
+            return "0.000000" if text == "-0.000000" else text
         return str(value)
     return fmt
 
@@ -280,27 +281,33 @@ def build_parser():
         description="Relative efficiency of decision making units under "
                     "exact and box-uncertain data")
     sub = parser.add_subparsers(dest="mode", required=True)
+    # the options each mode reads beyond the six every mode takes; any
+    # other is a usage error, and one left out takes RunConfig's default
+    reads = {"nominal": "", "robust": "--sigma --eps",
+             "sweep": "--nu --step --eps", "exact": "--nu --eps --plot-out",
+             "iterative": "--nu --step --eps --plot-out"}
+    options = {
+        "--sigma": dict(type=float, default=0.0, help="box half-width"),
+        "--nu": dict(type=float, default=DEFAULT_CAP,
+                     help="uncertainty cap (default %(default)s)"),
+        "--step": dict(type=float, default=DEFAULT_STEP,
+                       help="sigma grid step (default %(default)s)"),
+        "--eps": dict(type=float, default=DEFAULT_EPS,
+                      help="input clamp floor"),
+        "--plot-out": dict(help="plot-data CSV path (default <out>.plot.csv)")}
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--data", required=True, help="dataset CSV path")
-        p.add_argument("--sigma", type=float, default=0.0,
-                       help="box half-width (robust mode)")
-        p.add_argument("--nu", type=float, default=DEFAULT_CAP,
-                       help="uncertainty cap (default %(default)s)")
-        p.add_argument("--step", type=float, default=DEFAULT_STEP,
-                       help="sigma grid step (default %(default)s)")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="input clamp floor")
         p.add_argument("--scale", action="append", default=[],
                        metavar="VAR=FACTOR",
                        help="per-variable scale factor, repeatable")
         p.add_argument("--preset", choices=["radiotherapy"], default=None)
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--plot-out", default=None,
-                       help="plot-data CSV path (default <out>.plot.csv)")
         p.add_argument("--format", dest="fmt", choices=["csv", "text"],
                        default="csv")
         p.add_argument("--full-precision", action="store_true")
+        for option in reads[mode].split():
+            p.add_argument(option, **options[option])
     return parser
 
 
@@ -314,30 +321,22 @@ def _parse_scales(pairs):
             factor = float(raw)
         except ValueError:
             raise DataError(f"--scale factor {raw!r} is not a number")
-        if factor <= 0:
-            raise DataError(f"--scale factor for {var!r} must be positive")
+        if not 0 < factor < math.inf:  # also rejects nan
+            raise DataError(f"--scale factor for {var!r} must be positive "
+                            f"and finite, got {raw}")
         scales[var] = factor
     return scales
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    data = args.pop("data")
     try:
-        config = RunConfig(
-            mode=args.mode,
-            sigma=args.sigma,
-            nu=args.nu,
-            step=args.step,
-            eps=args.eps,
-            scale=_parse_scales(args.scale),
-            preset=args.preset,
-            out=args.out,
-            plot_out=args.plot_out,
-            fmt=args.fmt,
-            full_precision=args.full_precision,
-        )
-        ds = ingest_csv(args.data)
-        run(config, ds)
+        config = RunConfig(**args | {"scale": _parse_scales(args["scale"])})
+        run(config, ingest_csv(data))
+    except SolverFault as exc:
+        print(f"error: solver fault: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAULT
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_ERROR if isinstance(exc, SizeLimitError) \

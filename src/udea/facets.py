@@ -21,13 +21,12 @@ import math
 import numpy as np
 
 from .dataset import DeaDataset, solve_nominal, is_extreme
-from .geometry import FacetSet, Hyperplane, facet_thresholds
+from .geometry import SUPPORT_TOL, FacetSet, Hyperplane, facet_thresholds
 from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
 from .robust import DEFAULT_EPS, robust_efficiency
 
 DEFAULT_DIM_LIMIT = 4
 DEFAULT_UNIT_LIMIT = 64
-SUPPORT_TOL = 1e-7
 # subsets per stacked SVD, which bounds the candidate arrays: 64 extreme
 # units in 4 variables make 635,376 candidates of one subset size
 SUBSET_CHUNK = 1024

@@ -19,6 +19,9 @@ import numpy as np
 from .dataset import DeaDataset
 
 AXIS_TOL = 1e-12
+# a unit within SUPPORT_TOL * max(1, largest datum) of a hyperplane lies on
+# it: enumeration tests support with it, and a gap that small scores 0
+SUPPORT_TOL = 1e-7
 
 INTERIOR = "interior"
 INPUT_AXIS = "input-axis"    # beta == 0, e.g. the vertical line x = x_min
@@ -99,10 +102,12 @@ def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
     The unit moves by sigma along the box direction (inputs down, outputs
     up) and every rival by sigma against it, so the gap ``|alpha'x + beta'y - d|`` closes at twice
     the rate ``|-sum(alpha) + sum(beta)|``, environmental outputs left out.
-    A facet that the box cannot move (zero rate) has value inf.  For
-    output-axis facets the value is a strict threshold: the unit needs any
-    amount beyond it, never exactly it (the projection argument only works
-    in the limit of a vanishing facet gradient).
+    A gap no larger than the enumeration's support tolerance is the unit
+    lying on the facet, and scores 0, not its round-off.  A facet that the
+    box cannot move (zero rate) has value inf.  For output-axis facets the
+    value is a strict threshold: the unit needs any amount beyond it, never
+    exactly it (the projection argument only works in the limit of a
+    vanishing facet gradient).
     """
     fs = facet_set
     # sums over the variables one row at a time, so that a facet's value
@@ -113,6 +118,7 @@ def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
     finite = rate > AXIS_TOL
     gap = np.abs(sum(fs.alpha * ds.X[:, dmu, None], zero)
                  + sum(fs.beta * ds.Y[:, dmu, None], zero) - fs.d)
+    gap[gap <= SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max())] = 0.0
     values = np.full(len(fs), math.inf)
     np.divide(gap, rate, out=values, where=finite)
     return values, finite & fs.attainable

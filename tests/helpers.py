@@ -489,8 +489,11 @@ def scalar_min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                                     h: Hyperplane) -> MinUncertainty:
     """Reference threshold of one facet: the per-facet formula that
     ``udea.geometry.facet_thresholds`` replaced, kept verbatim but for
-    leaving environmental outputs out of the denominator."""
+    leaving environmental outputs out of the denominator and scoring a gap
+    within the enumeration's support tolerance as 0."""
     gap = abs(h.value(ds.X[:, dmu], ds.Y[:, dmu]))
+    if gap <= SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max()):
+        gap = 0.0
     denom = 2.0 * abs(-np.sum(h.alpha) + np.sum(h.beta[~ds.env_outputs]))
     if denom <= AXIS_TOL:
         return MinUncertainty(math.inf, False)

@@ -7,12 +7,22 @@ import udea.dataset
 import udea.robust
 from conftest import DATA_DIR
 from helpers import clamp_dataset, emit_csv
-from udea.cli import (DataError, RunConfig, _compute, _sigma_grid,
-                      apply_scaling, ingest_csv, main)
+from udea.cli import (MODES, DataError, RunConfig, _compute, _sigma_grid,
+                      apply_scaling, build_parser, ingest_csv, main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
-from udea.lp import solve_lp
+from udea.lp import LpSolution, solve_lp
 from udea.robust import UncertaintyConfig
+
+# the options every mode takes besides --data, and those each mode reads
+# beyond them, by the RunConfig field they set
+COMMON_OPTIONS = {"scale", "preset", "out", "fmt", "full_precision"}
+MODE_OPTIONS = {"nominal": set(), "robust": {"sigma", "eps"},
+                "sweep": {"nu", "step", "eps"},
+                "exact": {"nu", "eps", "plot_out"},
+                "iterative": {"nu", "step", "eps", "plot_out"}}
+OPTION_VALUES = {"sigma": "0.5", "nu": "1.0", "step": "0.05",
+                 "eps": "1e-9", "plot_out": "p.csv"}
 
 
 def read_report(path):
@@ -144,6 +154,9 @@ def test_main_exact_with_plot(tmp_path, example1_csv):
     assert float(by_name["F"]["upsilon_star"]) == pytest.approx(
         17.0 / 14.0, abs=1e-12)
     assert by_name["E"]["facet"] == by_name["F"]["facet"] == "B+C"
+    # efficient units on their own facet: 0, not the round-off of the gap
+    assert by_name["C"]["upsilon_star"] == by_name["D"]["upsilon_star"] \
+        == "0.0"
     assert by_name["E"]["capable"] == "true"
     plot = read_report(str(out) + ".plot.csv")
     assert [r["dmu"] for r in plot] == list("ABCDEF")
@@ -204,6 +217,54 @@ def test_exit_code_nan_option(example1_csv, capsys, mode, option, value):
     # must an infinite step or floor
     assert main([mode, "--data", str(example1_csv), option, value]) == 2
     assert f"{option[2:]} must be" in capsys.readouterr().err
+
+
+def test_each_mode_takes_only_the_options_it_reads():
+    pairs = 0
+    for mode in MODES:
+        args = vars(build_parser().parse_args([mode, "--data", "d.csv"]))
+        assert set(args) == ({"mode", "data"} | COMMON_OPTIONS
+                             | MODE_OPTIONS[mode])
+        pairs += len(args) - 1
+    assert pairs == 42
+
+
+@pytest.mark.parametrize("mode, option", [
+    (mode, option) for mode in MODES for option in OPTION_VALUES
+    if option not in MODE_OPTIONS[mode]])
+def test_unread_option_is_a_usage_error(example1_csv, capsys, mode, option):
+    flag = "--" + option.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--data", str(example1_csv), flag, OPTION_VALUES[option]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["x=nan", "x=inf", "x=0", "x=-1"])
+def test_exit_code_bad_scale(example1_csv, capsys, pair):
+    assert main(["nominal", "--data", str(example1_csv),
+                 "--scale", pair]) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+def test_exit_code_solver_fault(example1_csv, capsys, monkeypatch):
+    monkeypatch.setattr(udea.dataset, "solve_lp",
+                        lambda *args, **kwargs: LpSolution(status="unbounded"))
+    assert main(["nominal", "--data", str(example1_csv)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver fault: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, preset", [
+    ("example1.csv", None), ("case_study_s11_p0.csv", "radiotherapy"),
+    ("case_study_s3_p4.csv", "radiotherapy")])
+def test_nominal_report_has_no_negative_zero(capsys, data, preset):
+    # slacks at round-off below zero (F's input slack in example1.csv is
+    # -4.4e-16) print as 0 at six decimals
+    argv = ["nominal", "--data", str(DATA_DIR / data)]
+    assert main(argv + (["--preset", preset] if preset else [])) == 0
+    assert "-0.000000" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("nu, step, count", [

@@ -264,6 +264,21 @@ def test_one_facet_threshold_is_the_batch_entry(name):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_generators_score_zero_on_their_facets(name):
+    # a generator lies on its facet within the support tolerance, so its
+    # threshold is 0, not the round-off of its gap; only a facet the box
+    # cannot move (every coefficient on an env output) stays at inf
+    ds = REFERENCE_DATASETS[name]
+    fs = enumerate_efficient_facets(ds)
+    moved = (np.abs(fs.alpha).sum(axis=0)
+             + np.abs(fs.beta[~ds.env_outputs]).sum(axis=0)) > 0
+    for k, generators in enumerate(fs.generators):
+        for g in generators:
+            values, _ = facet_thresholds(ds, g, fs)
+            assert values[k] == (0.0 if moved[k] else math.inf)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
 def test_facets_ordered_by_their_own_rounded_values(name):
     # the canonical order and deduplication follow the returned
     # hyperplanes, not the un-normalised candidates they were built from
