@@ -21,6 +21,9 @@ from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
                      UncertaintyConfig, robust_efficiency)
 
 MODES = ("nominal", "robust", "sweep", "exact", "iterative")
+# the report columns that the modes reporting upsilon_star (exact and
+# iterative) also write as plot data
+_PLOT_COLUMNS = ("dmu", "nominal_score", "upsilon_star", "capable")
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 2
@@ -157,7 +160,7 @@ def run(config: RunConfig, ds: DeaDataset):
     ds = apply_scaling(ds, config)
     cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
 
-    header, rows, plot_rows = _compute(config, ds, cfg)
+    header, rows = _compute(config, ds, cfg)
     fmt = _formatter(config)
 
     body = _render(header, [[fmt(v) for v in row] for row in rows], config.fmt)
@@ -167,20 +170,27 @@ def run(config: RunConfig, ds: DeaDataset):
     else:
         sys.stdout.write(body)
 
-    if plot_rows is not None:
-        plot_path = config.plot_out or (
-            f"{config.out}.plot.csv" if config.out else None)
-        if plot_path:
-            plot_body = _render(["dmu", "nominal_score", "upsilon_star",
-                                 "capable"],
-                                [[fmt(v) for v in row] for row in plot_rows],
-                                "csv")
-            with open(plot_path, "w") as fh:
-                fh.write(plot_body)
+    plot_path = config.plot_out or (
+        f"{config.out}.plot.csv" if config.out else None)
+    if plot_path and "upsilon_star" in header:
+        plot_body = _render(list(_PLOT_COLUMNS),
+                            [[fmt(v) for v in row]
+                             for row in _plot_rows(header, rows)], "csv")
+        with open(plot_path, "w") as fh:
+            fh.write(plot_body)
+
+
+def _plot_rows(header, rows):
+    """The ``_PLOT_COLUMNS`` of each report row, with ``upsilon_star`` blank
+    where the unit is not capable."""
+    cols = [header.index(c) for c in _PLOT_COLUMNS]
+    picked = ([row[c] for c in cols] for row in rows)
+    return [[name, theta, upsilon if capable else "", capable]
+            for name, theta, upsilon, capable in picked]
 
 
 def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
-    """Dispatch on mode; returns (header, rows, plot_rows_or_None)."""
+    """Dispatch on mode; returns (header, rows)."""
     units = range(ds.n_units)
     if config.mode == "nominal":
         results = [solve_nominal(ds, i) for i in units]
@@ -192,19 +202,19 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
             rows.append([ds.names[res.dmu], res.theta,
                          ";".join(ds.names[p] for p in res.peers)]
                         + list(res.input_slacks) + list(res.output_slacks))
-        return header, rows, None
+        return header, rows
 
     if config.mode == "robust":
         results = [robust_efficiency(ds, i, config.sigma, cfg.eps)
                    for i in units]
         rows = [[ds.names[r.dmu], config.sigma, r.theta] for r in results]
-        return ["dmu", "sigma", "score"], rows, None
+        return ["dmu", "sigma", "score"], rows
 
     if config.mode == "sweep":
         sigmas = _sigma_grid(cfg)
         rows = [[ds.names[i], s, robust_efficiency(ds, i, s, cfg.eps).theta]
                 for i in units for s in sigmas]
-        return ["dmu", "sigma", "score"], rows, None
+        return ["dmu", "sigma", "score"], rows
 
     if config.mode == "exact":
         nominal = solve_all(ds)
@@ -214,29 +224,24 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
         header = ["dmu", "nominal_score", "upsilon_star", "gamma_star",
                   "capable", "facet", "strict"]
         rows = []
-        plot_rows = []
         for res, out in zip(nominal, outcomes):
             facet_id = "+".join(ds.names[g]
                                 for g in facet_set.generators[out.facet_index])
             rows.append([ds.names[out.dmu], res.theta, out.upsilon, out.gamma,
                          out.capable, facet_id, not out.attainable])
-            plot_rows.append([ds.names[out.dmu], res.theta,
-                              out.upsilon if out.capable else "",
-                              out.capable])
-        return header, rows, plot_rows
+        return header, rows
 
     # iterative: the search's first probe is sigma = 0, the nominal program
     outcomes = [iterative_udea(ds, i, cfg) for i in units]
     header = ["dmu", "nominal_score", "upsilon_star", "bracket_lo",
               "bracket_hi", "gamma_star", "capable"]
-    rows, plot_rows = [], []
+    rows = []
     for out in outcomes:
-        name, theta = ds.names[out.dmu], out.trace[0][1]
         upsilon = "" if out.upsilon is None else out.upsilon
         lo, hi = out.bracket if out.bracket else ("", "")
-        rows.append([name, theta, upsilon, lo, hi, out.gamma, out.capable])
-        plot_rows.append([name, theta, upsilon, out.capable])
-    return header, rows, plot_rows
+        rows.append([ds.names[out.dmu], out.trace[0][1], upsilon, lo, hi,
+                     out.gamma, out.capable])
+    return header, rows
 
 
 def _sigma_grid(cfg: UncertaintyConfig):
@@ -283,17 +288,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
     # the options each mode reads beyond the six every mode takes; any
     # other is a usage error, and one left out takes RunConfig's default
-    reads = {"nominal": "", "robust": "--sigma --eps",
-             "sweep": "--nu --step --eps", "exact": "--nu --eps --plot-out",
-             "iterative": "--nu --step --eps --plot-out"}
+    reads = {"nominal": "", "robust": "--sigma", "sweep": "--nu --step",
+             "exact": "--nu --plot-out", "iterative": "--nu --step --plot-out"}
     options = {
         "--sigma": dict(type=float, default=0.0, help="box half-width"),
         "--nu": dict(type=float, default=DEFAULT_CAP,
                      help="uncertainty cap (default %(default)s)"),
         "--step": dict(type=float, default=DEFAULT_STEP,
                        help="sigma grid step (default %(default)s)"),
-        "--eps": dict(type=float, default=DEFAULT_EPS,
-                      help="input clamp floor"),
         "--plot-out": dict(help="plot-data CSV path (default <out>.plot.csv)")}
     for mode in MODES:
         p = sub.add_parser(mode)
@@ -324,6 +326,8 @@ def _parse_scales(pairs):
         if not 0 < factor < math.inf:  # also rejects nan
             raise DataError(f"--scale factor for {var!r} must be positive "
                             f"and finite, got {raw}")
+        if var in scales:
+            raise DataError(f"--scale gives variable {var!r} twice")
         scales[var] = factor
     return scales
 

@@ -161,7 +161,12 @@ def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
         raise SolverFault(f"envelopment solve ended {sol.status} for unit {i}")
     lam = sol.x[: ds.n_units]
     lam[i] = 1.0 - lam.sum()
-    theta = 1.0 - sol.x[-1]
+    return _result(ds, i, lam, 1.0 - sol.x[-1])
+
+
+def _result(ds: DeaDataset, i: int, lam, theta) -> EfficiencyResult:
+    """Score ``theta`` of unit ``i`` at weights ``lam``, with the slacks,
+    peers and binding inputs read from them."""
     # slacks recomputed from lam so they are basis-independent
     output_slacks = ds.Y @ lam - ds.Y[:, i]
     input_slacks = theta * ds.X[:, i] - ds.X @ lam

@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .dataset import DeaDataset, solve_nominal, is_extreme
+from .dataset import DeaDataset, is_extreme
 from .geometry import SUPPORT_TOL, FacetSet, Hyperplane, facet_thresholds
-from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
+from .outcome import UdeaOutcome
 from .robust import DEFAULT_EPS, robust_efficiency
 
 DEFAULT_DIM_LIMIT = 4
@@ -162,12 +162,12 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
     k = int(np.lexsort((~attainable, np.round(values, 12)))[0])
     upsilon = float(values[k])
     attainable = bool(attainable[k])
-    capable = upsilon < nu or (upsilon <= nu and attainable)
+    # gamma at the smaller of upsilon and nu; with neither finite, at
+    # sigma = 0, where the corner is the data itself
     sigma = min(upsilon, nu)
-    gamma = robust_efficiency(ds, i, sigma, eps).theta if math.isfinite(sigma) \
-        else solve_nominal(ds, i).theta
-    return UdeaOutcome(dmu=i, upsilon=upsilon,
-                       gamma=float(gamma),
-                       capability=CAPABLE if capable else INCAPABLE,
+    gamma = robust_efficiency(ds, i, sigma if math.isfinite(sigma) else 0.0,
+                              eps).theta
+    return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=float(gamma),
+                       capable=upsilon < nu or (upsilon <= nu and attainable),
                        facet=facet_set.facets[k], facet_index=k,
                        attainable=attainable)

@@ -21,9 +21,9 @@ reported value to the nearest grid multiple.
 
 import math
 
-from .dataset import DeaDataset, SCORE_TOL
+from .dataset import DeaDataset
 from .lp import SolverFault
-from .outcome import CAPABLE, INCAPABLE, UdeaOutcome
+from .outcome import UdeaOutcome
 from .robust import UncertaintyConfig, directional_distance, robust_efficiency
 
 
@@ -34,20 +34,19 @@ def iterative_udea(ds: DeaDataset, dmu: int,
         cfg = UncertaintyConfig()
     i = int(dmu)
     t = cfg.step
-    scores = {}  # grid index k -> robust score at sigma = k * t
+    probes = {}  # grid index k -> robust result at sigma = k * t
 
     def reached(k):
-        if k not in scores:
-            scores[k] = robust_efficiency(ds, i, k * t, cfg.eps).theta
-        return scores[k] >= 1.0 - SCORE_TOL
+        if k not in probes:
+            probes[k] = robust_efficiency(ds, i, k * t, cfg.eps)
+        return probes[k].efficient
 
     def trace():
-        return [(k * t, scores[k]) for k in sorted(scores)]
+        return [(k * t, probes[k].theta) for k in sorted(probes)]
 
     if reached(0):
-        return UdeaOutcome(dmu=i, upsilon=0.0, gamma=scores[0],
-                           capability=CAPABLE, trace=trace(),
-                           bracket=(0.0, 0.0))
+        return UdeaOutcome(dmu=i, upsilon=0.0, gamma=probes[0].theta,
+                           capable=True, trace=trace(), bracket=(0.0, 0.0))
 
     top = _search_top(ds, i, t, cfg)
     # beta* / 2 is exact where no floor binds: when g succeeds and g - 1
@@ -57,8 +56,8 @@ def iterative_udea(ds: DeaDataset, dmu: int,
         reached(g - 1)
     # the score is monotone and fails at lo; if it succeeds at k, its first
     # success on the grid lies in (lo, k]
-    lo = max(j for j in scores if not reached(j))
-    k = min((j for j in scores if reached(j)), default=top)
+    lo = max(j for j in probes if not reached(j))
+    k = min((j for j in probes if reached(j)), default=top)
     if reached(k):  # k * t is below nu
         while k - lo > 1:
             mid = (lo + k) // 2
@@ -68,19 +67,18 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                 lo = mid
         sigma = k * t
         upsilon = _round_to_grid(ds, i, sigma, t, cfg.eps)
-        return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=scores[k],
-                           capability=CAPABLE, trace=trace(),
+        return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=probes[k].theta,
+                           capable=True, trace=trace(),
                            bracket=(sigma - t, sigma))
 
     # grid exhausted below a finite cap; the supremum is attained at nu
-    score = robust_efficiency(ds, i, cfg.nu, cfg.eps).theta
-    probed = trace() + [(cfg.nu, score)]
-    if score >= 1.0 - SCORE_TOL:
-        return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=score,
-                           capability=CAPABLE, trace=probed,
+    at_nu = robust_efficiency(ds, i, cfg.nu, cfg.eps)
+    probed = trace() + [(cfg.nu, at_nu.theta)]
+    if at_nu.efficient:
+        return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu.theta,
+                           capable=True, trace=probed,
                            bracket=(max(cfg.nu - t, 0.0), cfg.nu))
-    return UdeaOutcome(dmu=i, upsilon=None, gamma=score,
-                       capability=INCAPABLE, trace=probed)
+    return UdeaOutcome(dmu=i, gamma=at_nu.theta, trace=probed)
 
 
 def _search_top(ds, dmu, t, cfg):
@@ -132,7 +130,6 @@ def _grid_index(value, t):
 def _round_to_grid(ds, dmu, sigma, t, eps):
     """Round the first successful grid point to the grid multiple nearest
     the true minimum, deciding with one solve at the bracket midpoint."""
-    mid_score = robust_efficiency(ds, dmu, sigma - 0.5 * t, eps).theta
-    if mid_score >= 1.0 - SCORE_TOL:
+    if robust_efficiency(ds, dmu, sigma - 0.5 * t, eps).efficient:
         return sigma - t
     return sigma

@@ -2,9 +2,6 @@
 
 from dataclasses import dataclass, field
 
-CAPABLE = "capable"
-INCAPABLE = "incapable"
-
 
 @dataclass
 class UdeaOutcome:
@@ -21,13 +18,9 @@ class UdeaOutcome:
     dmu: int
     upsilon: float = None
     gamma: float = None
-    capability: str = INCAPABLE
+    capable: bool = False
     facet: object = None
     facet_index: int = None
     attainable: bool = True
     trace: list = field(default_factory=list)
     bracket: tuple = None
-
-    @property
-    def capable(self):
-        return self.capability == CAPABLE

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (DeaDataset, EfficiencyResult, _check_index, _frontier_lp,
-                      solve_nominal)
+                      _result, solve_nominal)
 from .lp import SolverFault, solve_lp
 
 DEFAULT_EPS = 1e-9
@@ -119,9 +119,5 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
     if sigma > 0 and corner.X[:, i].min() <= sigma:
         lam = np.zeros(ds.n_units)
         lam[i] = 1.0
-        return EfficiencyResult(dmu=i, theta=1.0, lam=lam,
-                                input_slacks=np.zeros(ds.n_inputs),
-                                output_slacks=np.zeros(ds.n_outputs),
-                                peers=[i],
-                                binding_inputs=list(range(ds.n_inputs)))
+        return _result(corner, i, lam, 1.0)
     return solve_nominal(corner, i)

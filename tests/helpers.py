@@ -309,7 +309,7 @@ def linear_walk_udea(ds, dmu, cfg):
     return the same upsilon, bracket, gamma and capability.
     """
     from udea.dataset import SCORE_TOL
-    from udea.outcome import CAPABLE, INCAPABLE, UdeaOutcome
+    from udea.outcome import UdeaOutcome
     from udea.robust import robust_efficiency
 
     i = int(dmu)
@@ -334,21 +334,21 @@ def linear_walk_udea(ds, dmu, cfg):
     if score >= 1.0 - SCORE_TOL:
         if k == 0:
             return UdeaOutcome(dmu=i, upsilon=0.0, gamma=score,
-                               capability=CAPABLE, trace=trace,
+                               capable=True, trace=trace,
                                bracket=(0.0, 0.0))
         upsilon = sigma - t if score_at(sigma - 0.5 * t) >= 1.0 - SCORE_TOL \
             else sigma
         return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=score,
-                           capability=CAPABLE, trace=trace,
+                           capable=True, trace=trace,
                            bracket=(sigma - t, sigma))
     score = score_at(cfg.nu)
     trace.append((cfg.nu, score))
     if score >= 1.0 - SCORE_TOL:
         return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=score,
-                           capability=CAPABLE, trace=trace,
+                           capable=True, trace=trace,
                            bracket=(max(cfg.nu - t, 0.0), cfg.nu))
     return UdeaOutcome(dmu=i, upsilon=None, gamma=score,
-                       capability=INCAPABLE, trace=trace)
+                       capable=False, trace=trace)
 
 
 def scalar_simplex_core(T, basis, allowed, tol, max_iter):

@@ -52,7 +52,7 @@ def test_exact_udea_backend_agreement(backend):
     for a, b in zip(np_out, nb_out):
         assert a.upsilon == b.upsilon
         assert a.facet_index == b.facet_index
-        assert a.capability == b.capability
+        assert a.capable == b.capable
 
 
 def test_select_backend_env(monkeypatch):

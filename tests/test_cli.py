@@ -7,8 +7,9 @@ import udea.dataset
 import udea.robust
 from conftest import DATA_DIR
 from helpers import clamp_dataset, emit_csv
-from udea.cli import (MODES, DataError, RunConfig, _compute, _sigma_grid,
-                      apply_scaling, build_parser, ingest_csv, main)
+from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
+                      _sigma_grid, apply_scaling, build_parser, ingest_csv,
+                      main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
 from udea.lp import LpSolution, solve_lp
@@ -17,10 +18,9 @@ from udea.robust import UncertaintyConfig
 # the options every mode takes besides --data, and those each mode reads
 # beyond them, by the RunConfig field they set
 COMMON_OPTIONS = {"scale", "preset", "out", "fmt", "full_precision"}
-MODE_OPTIONS = {"nominal": set(), "robust": {"sigma", "eps"},
-                "sweep": {"nu", "step", "eps"},
-                "exact": {"nu", "eps", "plot_out"},
-                "iterative": {"nu", "step", "eps", "plot_out"}}
+MODE_OPTIONS = {"nominal": set(), "robust": {"sigma"},
+                "sweep": {"nu", "step"}, "exact": {"nu", "plot_out"},
+                "iterative": {"nu", "step", "plot_out"}}
 OPTION_VALUES = {"sigma": "0.5", "nu": "1.0", "step": "0.05",
                  "eps": "1e-9", "plot_out": "p.csv"}
 
@@ -210,11 +210,10 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
 @pytest.mark.parametrize("mode, option, value", [
     ("exact", "--nu", "nan"), ("iterative", "--nu", "nan"),
     ("sweep", "--step", "nan"), ("robust", "--sigma", "nan"),
-    ("iterative", "--eps", "nan"), ("iterative", "--step", "inf"),
-    ("robust", "--eps", "inf")])
+    ("iterative", "--step", "inf")])
 def test_exit_code_nan_option(example1_csv, capsys, mode, option, value):
     # nan passes a plain "x < 0" check; it must be rejected by name, as
-    # must an infinite step or floor
+    # must an infinite step
     assert main([mode, "--data", str(example1_csv), option, value]) == 2
     assert f"{option[2:]} must be" in capsys.readouterr().err
 
@@ -226,7 +225,7 @@ def test_each_mode_takes_only_the_options_it_reads():
         assert set(args) == ({"mode", "data"} | COMMON_OPTIONS
                              | MODE_OPTIONS[mode])
         pairs += len(args) - 1
-    assert pairs == 42
+    assert pairs == 38
 
 
 @pytest.mark.parametrize("mode, option", [
@@ -240,10 +239,12 @@ def test_unread_option_is_a_usage_error(example1_csv, capsys, mode, option):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", ["x=nan", "x=inf", "x=0", "x=-1"])
-def test_exit_code_bad_scale(example1_csv, capsys, pair):
-    assert main(["nominal", "--data", str(example1_csv),
-                 "--scale", pair]) == 2
+@pytest.mark.parametrize("pairs",
+                         ["x=nan", "x=inf", "x=0", "x=-1", "x=2 x=1"])
+def test_exit_code_bad_scale(example1_csv, capsys, pairs):
+    # a factor that is not positive and finite, or a variable scaled twice
+    scales = [arg for pair in pairs.split() for arg in ("--scale", pair)]
+    assert main(["nominal", "--data", str(example1_csv)] + scales) == 2
     assert "'x'" in capsys.readouterr().err
 
 
@@ -373,9 +374,9 @@ def test_iterative_solves_each_nominal_program_once(fixture, monkeypatch):
         iterative_udea(ds, i, cfg)
     separate = len(calls)
     calls.clear()
-    _, rows, plot_rows = _compute(config, ds, cfg)
+    header, rows = _compute(config, ds, cfg)
     assert len(calls) == separate - ds.n_units == 166
-    for row, plot_row, res in zip(rows, plot_rows, nominal):
+    for row, plot_row, res in zip(rows, _plot_rows(header, rows), nominal):
         assert row[1].hex() == plot_row[1].hex() == res.theta.hex()
 
 

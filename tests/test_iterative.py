@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -13,6 +14,7 @@ from udea.dataset import SCORE_TOL, DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.iterative import _grid_index, iterative_udea
 from udea.lp import SolverFault
+from udea.outcome import UdeaOutcome
 from udea.robust import UncertaintyConfig, directional_distance
 
 
@@ -84,7 +86,7 @@ def test_sweep_matches_per_unit(table1):
     # the batch run over every unit (CLI iterative mode) gives each unit's
     # own iterative_udea answer, in order
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
-    _, rows, _ = _compute(RunConfig(mode="iterative"), table1, cfg)
+    _, rows = _compute(RunConfig(mode="iterative"), table1, cfg)
     assert len(rows) == table1.n_units
     for i, row in enumerate(rows):
         single = iterative_udea(table1, i, cfg)
@@ -103,13 +105,20 @@ def _assert_capability_from_trace(out, cfg):
 def test_classify_capability(table1):
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
     out = iterative_udea(table1, 4, cfg)
-    assert out.capability == "capable"
+    assert out.capable
     _assert_capability_from_trace(out, cfg)
     capped = UncertaintyConfig(nu=0.5, step=0.01)
     out2 = iterative_udea(table1, 4, capped)
-    assert out2.capability == "incapable"
+    assert not out2.capable
     assert out2.trace[-1][0] == 0.5  # the cap itself was probed
     _assert_capability_from_trace(out2, capped)
+
+
+def test_capable_is_the_one_capability_field():
+    fields = {f.name: f.type for f in dataclasses.fields(UdeaOutcome)}
+    assert fields["capable"] is bool
+    assert "capability" not in fields
+    assert UdeaOutcome(dmu=0).capable is False
 
 
 def test_iterative_within_one_step_of_exact(rng):
@@ -164,7 +173,7 @@ def _assert_same_as_walk(ds, dmu, cfg, ref=None):
     assert out.upsilon == ref.upsilon
     assert out.bracket == ref.bracket
     assert out.gamma == ref.gamma
-    assert out.capability == ref.capability
+    assert out.capable == ref.capable
     sigmas = [s for s, _ in out.trace]
     assert sigmas == sorted(sigmas)
     walked = dict(ref.trace)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
 from helpers import (best_corner_score, efficiency_gain_upper_bound,
                      random_dataset)
+from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
@@ -19,6 +21,14 @@ def test_config_validation():
         UncertaintyConfig(step=0.0)
     with pytest.raises(ValueError):
         UncertaintyConfig(eps=-1e-3)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+def test_config_rejects_nonfinite_eps(eps):
+    # nan passes a plain "eps < 0" check; it must be rejected by name, as
+    # must an infinite eps
+    with pytest.raises(ValueError, match="eps must be"):
+        UncertaintyConfig(eps=eps)
 
 
 def test_transform_identity_at_zero(table1):
@@ -144,6 +154,52 @@ def test_large_sigma_reaches_efficiency(rng):
 
 def test_large_sigma_reaches_efficiency_default_eps(rng):
     _assert_large_sigma_efficient(rng, DEFAULT_EPS)
+
+
+def _assert_eps_invariant(ds, sigmas):
+    # at sigma >= eps no rival input x + sigma reaches the floor, and an own
+    # input the floor lifts is at or below sigma, where the floor rule
+    # scores 1: the theta bits do not depend on eps
+    for i in range(ds.n_units):
+        for sigma in sigmas:
+            if sigma < DEFAULT_EPS:
+                continue
+            ref = robust_efficiency(ds, i, sigma).theta.hex()
+            for eps in (0.0, 1e-12, 1e-6, 1e-3):
+                if sigma < eps:
+                    continue
+                try:
+                    theta = robust_efficiency(ds, i, sigma, eps).theta
+                except ValueError:
+                    # eps = 0 left the unit no positive input
+                    assert eps == 0.0 and sigma >= ds.X[:, i].max()
+                    continue
+                assert theta.hex() == ref, (i, sigma, eps)
+
+
+def test_score_does_not_depend_on_eps(rng):
+    for k in range(12):
+        ds = random_dataset(rng, max_units=8)
+        if k % 2 and ds.n_inputs > 1:
+            # an input of 0: as an own input, only eps = 0 leaves it at 0
+            ds.X[0, rng.integers(ds.n_units)] = 0.0
+        grid = _sigma_grid(UncertaintyConfig(nu=0.6 * ds.X.max(), step=0.1))
+        # and one ulp short of each input, which leaves a residue of
+        # round-off that only a floor of at least eps lifts
+        _assert_eps_invariant(ds, grid + np.nextafter(ds.X, 0).ravel().tolist())
+
+
+@pytest.mark.parametrize("fixture, preset", [
+    ("example1.csv", None), ("table1_dup.csv", None),
+    ("case_study_s11_p0.csv", "radiotherapy"),
+    ("case_study_s3_p4.csv", "radiotherapy")])
+def test_score_does_not_depend_on_eps_on_fixtures(fixture, preset):
+    config = RunConfig(mode="sweep", preset=preset)
+    ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
+    # past every own input of the small fixtures; up to the default cap
+    # on the case study
+    nu = config.nu if preset else 0.6 * ds.X.max()
+    _assert_eps_invariant(ds, _sigma_grid(UncertaintyConfig(nu=nu, step=0.1)))
 
 
 def test_floored_own_input_matches_sound_floor(rng):
