@@ -352,33 +352,32 @@ def linear_walk_udea(ds, dmu, cfg):
 
 
 def scalar_simplex_core(T, basis, allowed, tol, max_iter):
-    """Reference simplex kernel: the scalar Bland-rule loop that
-    ``udea._kernels._simplex_core`` replaced, kept verbatim.  It reads the
-    tableau one element at a time and updates it row by row, skipping rows
-    whose entry in the entering column is zero.  The package kernel must
-    leave the same ``T`` (bit for bit, signs of zero included), ``basis``
-    and status.
+    """Reference simplex kernel: the rule of ``udea._kernels._simplex_core``
+    (Dantzig pricing, then the ratio test with its lexicographic
+    tie-break on the slack block) written as an element-by-element loop.
+    It reads the tableau one element at a time and updates it row by row,
+    skipping rows whose entry in the entering column is zero.  The package
+    kernel must leave the same ``T`` (bit for bit, signs of zero included),
+    ``basis`` and status.
     """
     from udea._kernels import ITERATION_LIMIT, OPTIMAL, UNBOUNDED
 
     m = T.shape[0] - 1
     n = T.shape[1] - 1
     for _ in range(max_iter):
+        # the most negative allowed reduced cost, the first on ties
         enter = -1
         for j in range(n):
-            if allowed[j] and T[m, j] < -tol:
+            if allowed[j] and (enter == -1 or T[m, j] < T[m, enter]):
                 enter = j
-                break
-        if enter == -1:
+        if enter == -1 or not T[m, enter] < -tol:
             return OPTIMAL
         leave = -1
         best = np.inf
         for i in range(m):
             a = T[i, enter]
             if a > tol:
-                # degenerate pivots leave round-off negatives (~-1e-12) in
-                # basic right-hand sides; as strict minima they would break
-                # Bland's tie-break and let the loop cycle, so read them as 0
+                # round-off negatives in basic right-hand sides read as 0
                 rhs = T[i, n]
                 if rhs < 0.0:
                     rhs = 0.0
@@ -386,9 +385,20 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
                 if r < best - 1e-12:
                     best = r
                     leave = i
-                elif r <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
-                    # tie on the ratio: Bland picks the lowest basic index
-                    leave = i
+                elif r <= best + 1e-12 and leave >= 0:
+                    # tie: the lexicographically smaller row of the slack
+                    # block over its pivot-column entry, then the lowest
+                    # basic index
+                    for k in range(n - m, n):
+                        u = T[i, k] / a
+                        v = T[leave, k] / T[leave, enter]
+                        if u != v:
+                            if u < v:
+                                leave = i
+                            break
+                    else:
+                        if basis[i] < basis[leave]:
+                            leave = i
         if leave == -1:
             return UNBOUNDED
         piv = T[leave, enter]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import table1_dataset
-from udea.dataset import SCORE_TOL, DeaDataset, is_extreme, solve_nominal
+from udea.dataset import (PEER_TOL, SCORE_TOL, DeaDataset, is_extreme,
+                          solve_nominal)
 from udea.robust import directional_distance, robust_efficiency, transform_box
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -125,3 +126,28 @@ def test_near_duplicate_within_score_tol(gap, extreme):
         1.0 + gap, abs=1e-12)
     assert is_extreme(ds, 6) is extreme
     assert not is_extreme(ds, 1)  # B itself is dominated by H
+
+
+@pytest.mark.parametrize("seed", [11, 97])
+def test_wide_random_data_answers(seed):
+    # the nominal_wide benchmark's shape: 3 inputs and 3 outputs, uniform
+    # on [0.5, 10] to 3 decimals, where wide degenerate programs and tied
+    # optima are common
+    rng = np.random.default_rng(seed)
+    units = 120
+    ds = DeaDataset(names=[f"u{k}" for k in range(units)],
+                    X=rng.uniform(0.5, 10.0, size=(3, units)).round(3),
+                    Y=rng.uniform(0.5, 10.0, size=(3, units)).round(3))
+    for i in range(units):
+        res = solve_nominal(ds, i)
+        assert res.theta == pytest.approx(highs_theta(ds, i), abs=1e-9)
+        assert directional_distance(ds, i) == pytest.approx(
+            highs_beta(ds, i), abs=1e-9)
+        # the reported weights reach theta: a feasible optimum
+        lam = res.lam
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        # round-off: basic weights and lam_i = 1 - sum of the rest
+        assert np.all(lam >= -1e-12)
+        assert np.all(ds.Y @ lam >= ds.Y[:, i] - 1e-9)
+        assert np.all(ds.X @ lam <= res.theta * ds.X[:, i] + 1e-9)
+        assert res.peers == np.flatnonzero(lam > PEER_TOL).tolist()

@@ -1,8 +1,12 @@
-"""The simplex kernel against the scalar loop it replaced.
+"""The simplex kernel against its scalar reference, and against HiGHS.
 
-Each case runs ``helpers.scalar_simplex_core`` and every available backend
-kernel on copies of one tableau and requires the same status, basis and
-tableau bytes, so even the sign of a zero counts.
+Each bit-for-bit case runs ``helpers.scalar_simplex_core``, an
+element-by-element loop of the same rule (Dantzig pricing, lexicographic
+ratio-test tie-break), and every available backend kernel on copies of one
+tableau, and requires the same status, basis and tableau bytes, so even
+the sign of a zero counts.  The optimality cases do not depend on the
+pivoting rule: every ending must be optimal or unbounded as scipy's HiGHS
+sees the same program.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from udea._kernels import (HAVE_NUMBA, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
                            simplex_core_numba, simplex_core_numpy)
 from udea.cli import RunConfig, apply_scaling, ingest_csv
 from udea.dataset import is_extreme
+from udea.lp import LEQ, LinearProgram, solve_lp
 from udea.robust import directional_distance, robust_efficiency
 
 KERNELS = [simplex_core_numpy] + ([simplex_core_numba] if HAVE_NUMBA else [])
@@ -182,3 +187,76 @@ def test_stepping_ends_as_one_call(recorded, rng):
         for core in KERNELS:
             assert (_stepped(core, T, basis, allowed)
                     == _run(core, T, basis, allowed))
+
+
+def _highs(T):
+    """scipy's HiGHS on the program a start tableau [A | I | b] over
+    [c | 0 | 0] stands for: min c'x s.t. [A | I] x = b, x >= 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m = T.shape[0] - 1
+    return linprog(T[m, :-1], A_eq=T[:m, :-1], b_eq=T[:m, -1],
+                   bounds=(0, None), method="highs")
+
+
+def _assert_optimal_or_unbounded(T0, basis0):
+    """Every kernel, with every column allowed, ends at a primal and dual
+    feasible basis whose objective is HiGHS's, or unbounded as HiGHS
+    finds it; whatever the pivoting rule.  Returns the status."""
+    res = _highs(T0)
+    m, n = T0.shape[0] - 1, T0.shape[1] - 1
+    allowed = np.ones(n, bool)
+    for core in KERNELS:
+        T, basis = T0.copy(), basis0.copy()
+        status = core(T, basis, allowed, TOL, 100_000)
+        if status == UNBOUNDED:
+            assert res.status == 3
+            continue
+        assert status == OPTIMAL and res.status == 0
+        assert np.all(T[:m, n] >= -1e-9)
+        assert np.all(T[m, :n] >= -TOL)
+        x = np.zeros(n)
+        x[basis] = T[:m, n]
+        assert T0[m, :n] @ x == pytest.approx(res.fun, abs=1e-9)
+    return status
+
+
+def test_random_degenerate_tableaus_are_solved(rng):
+    statuses = set()
+    for _ in range(400):
+        statuses.add(_assert_optimal_or_unbounded(*_degenerate_tableau(rng)))
+    assert statuses == {OPTIMAL, UNBOUNDED}
+
+
+def test_frontier_programs_are_solved(recorded, rng):
+    datasets = [table1_dataset(), table1_plus_g(), clamp_dataset(),
+                _case_study("case_study_s3_p4.csv")]
+    datasets += [random_dataset(rng, max_units=10) for _ in range(6)]
+    for ds in datasets:
+        _frontier_programs(ds, (0.0, 0.3, 1.36))
+    assert len(recorded) > 300
+    for T, basis, _ in recorded:
+        assert _assert_optimal_or_unbounded(T, basis) == OPTIMAL
+
+
+# Beale (1955): the classic program on which Dantzig pricing cycles when
+# ratio ties go to the lowest basic index
+BEALE_A = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0],
+                    [0.5, -90.0, -1.0 / 50.0, 3.0],
+                    [0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0])
+
+
+def test_beale_example_does_not_cycle():
+    T0, basis0 = _slack_tableau(BEALE_A, BEALE_B, BEALE_C)
+    allowed = np.ones(T0.shape[1] - 1, bool)
+    assert _assert_same(T0, basis0, allowed) == OPTIMAL
+    for core in KERNELS:
+        T, basis = T0.copy(), basis0.copy()
+        assert core(T, basis, allowed, TOL, 100_000) == OPTIMAL
+        # the bottom-right cell holds minus the objective
+        assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-12)
+        assert (_stepped(core, T0, basis0, allowed)
+                == _run(core, T0, basis0, allowed))
+    sol = solve_lp(LinearProgram(BEALE_C, BEALE_A, [LEQ] * 3, BEALE_B))
+    assert sol.objective == pytest.approx(-0.05, abs=1e-12)
