@@ -16,9 +16,10 @@ program where Bland's lowest-index rule took 37.3.
 
 Each pivot is a fixed handful of array calls, so the numpy build does not
 pay per-element Python work: the entering column is one ``argmin`` over
-the masked reduced costs, the ratio test is a sequential loop over the
-``m`` rows (it keeps the exact tie-break order), and the row update is one
-rank-1 update of the whole tableau.  Only calls numba's nopython mode
+the reduced costs plus a 0/inf mask of the disallowed columns, which is
+built once per call rather than once per pivot, the ratio test is a
+sequential loop over the ``m`` rows (it keeps the exact tie-break order),
+and the row update is one rank-1 update of the whole tableau.  Only calls numba's nopython mode
 supports are used, so both backends run the same source and the same
 floating-point operations.
 """
@@ -58,7 +59,8 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
 
     Per pivot: the entering column is the allowed one with the most
     negative reduced cost (the first on ties), and the run stops when that
-    cost is not below ``-tol``.  The leaving row comes from the sequential
+    cost is not below ``-tol``.  ``allowed`` enters as a row of 0 (allowed)
+    and inf (masked), built once per call and added to the reduced costs.  The leaving row comes from the sequential
     ratio test.  Rows whose ratios tie within 1e-12 are ordered
     lexicographically by their slack block divided by their entry in the
     entering column, ``T[i, n-m:n] / T[i, enter]``, and then by the lowest
@@ -77,8 +79,11 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     n = T.shape[1] - 1
     cost = T[m, :n]
     rhs = T[:m, n]
+    # 0 on allowed columns, inf on masked ones: added to the reduced costs,
+    # it leaves allowed costs as they are
+    mask = np.where(allowed, 0.0, np.inf)
     for _ in range(max_iter):
-        enter = np.argmin(np.where(allowed, cost, np.inf))
+        enter = np.argmin(cost + mask)
         if not (allowed[enter] and cost[enter] < -tol):
             return OPTIMAL
         col = T[:m, enter]
@@ -116,7 +121,7 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
         f[leave] = 0.0
         if np.count_nonzero(f) == m:
             # the usual case: every other row has a nonzero multiplier
-            T -= np.outer(f, prow)
+            T -= f[:, None] * prow
         else:
             # subtracting a signed zero would turn a -0.0 cell into +0.0
             for i in range(m + 1):

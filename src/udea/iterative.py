@@ -17,6 +17,16 @@ the answer.  If no grid point succeeds, one solve at ``nu`` itself decides
 capability.  On success the true minimum lies in a width-``t`` bracket
 below the first successful grid point; one extra midpoint solve rounds the
 reported value to the nearest grid multiple.
+
+The directional distance solve also gives weights ``lam*``.  Below
+``beta* / 2`` they are a feasible point of the corner's nominal program
+whose score is short of 1 by more than the efficiency tolerance, which
+proves without a solve that the score fails there
+(``robust._proves_failure``).  The point below the seed and the
+midpoint are decided that way whenever the proof holds, so a clamp-free
+inefficient unit costs three LPs: sigma = 0, the directional distance and
+the seed point.  A proof holds for any weights, so weights that prove
+nothing cost only the solves they would have saved.
 """
 
 import math
@@ -24,7 +34,8 @@ import math
 from .dataset import DeaDataset
 from .lp import SolverFault
 from .outcome import UdeaOutcome
-from .robust import UncertaintyConfig, directional_distance, robust_efficiency
+from .robust import (UncertaintyConfig, _directional_optimum, _proves_failure,
+                     robust_efficiency)
 
 
 def iterative_udea(ds: DeaDataset, dmu: int,
@@ -34,15 +45,26 @@ def iterative_udea(ds: DeaDataset, dmu: int,
         cfg = UncertaintyConfig()
     i = int(dmu)
     t = cfg.step
-    probes = {}  # grid index k -> robust result at sigma = k * t
+    # grid index k -> robust result at sigma = k * t, or None where the
+    # seed weights prove the score fails there
+    probes = {}
+    beta, lam = math.nan, None
+
+    def fails(sigma):
+        # floors aside, the weights prove failures only below beta* / 2,
+        # so they are not tried elsewhere
+        return sigma < 0.5 * beta and _proves_failure(ds, i, sigma, lam,
+                                                      cfg.eps)
 
     def reached(k):
         if k not in probes:
-            probes[k] = robust_efficiency(ds, i, k * t, cfg.eps)
-        return probes[k].efficient
+            probes[k] = (None if fails(k * t)
+                         else robust_efficiency(ds, i, k * t, cfg.eps))
+        return probes[k] is not None and probes[k].efficient
 
     def trace():
-        return [(k * t, probes[k].theta) for k in sorted(probes)]
+        return [(k * t, probes[k].theta) for k in sorted(probes)
+                if probes[k] is not None]
 
     if reached(0):
         return UdeaOutcome(dmu=i, upsilon=0.0, gamma=probes[0].theta,
@@ -51,7 +73,7 @@ def iterative_udea(ds: DeaDataset, dmu: int,
     top = _search_top(ds, i, t, cfg)
     # beta* / 2 is exact where no floor binds: when g succeeds and g - 1
     # fails, the bisection below has nothing left to do
-    g = _seed_index(ds, i, t, top)
+    g, beta, lam = _seed(ds, i, t, top)
     if g and reached(g):
         reached(g - 1)
     # the score is monotone and fails at lo; if it succeeds at k, its first
@@ -65,11 +87,15 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                 k = mid
             else:
                 lo = mid
+        # the true minimum lies in (sigma - t, sigma]; the midpoint, proved
+        # to fail or solved, rounds it to the nearest grid multiple
         sigma = k * t
-        upsilon = _round_to_grid(ds, i, sigma, t, cfg.eps)
-        return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=probes[k].theta,
-                           capable=True, trace=trace(),
-                           bracket=(sigma - t, sigma))
+        half = sigma - 0.5 * t
+        below = (not fails(half)
+                 and robust_efficiency(ds, i, half, cfg.eps).efficient)
+        return UdeaOutcome(dmu=i, upsilon=sigma - t if below else sigma,
+                           gamma=probes[k].theta, capable=True,
+                           trace=trace(), bracket=(sigma - t, sigma))
 
     # grid exhausted below a finite cap; the supremum is attained at nu
     at_nu = robust_efficiency(ds, i, cfg.nu, cfg.eps)
@@ -96,17 +122,19 @@ def _search_top(ds, dmu, t, cfg):
     return max(_grid_index(cfg.nu, t) - 1, 0)
 
 
-def _seed_index(ds, dmu, t, top):
-    """Smallest grid index ``g`` with ``g * t >= beta* / 2``, or 0 when
-    ``g`` falls outside ``1 .. top`` or the directional distance solve
-    fails to give a finite optimum."""
+def _seed(ds, dmu, t, top):
+    """``(g, beta*, lam*)`` from the directional distance solve: ``g`` is
+    the smallest grid index with ``g * t >= beta* / 2``, or 0 when ``g``
+    falls outside ``1 .. top``.  A solve that fails to give a finite
+    optimum gives ``(0, nan, None)``."""
     try:
-        target = 0.5 * directional_distance(ds, dmu)
+        beta, lam = _directional_optimum(ds, dmu)
     except SolverFault:
-        return 0
+        return 0, math.nan, None
+    target = 0.5 * beta
     if not 0 < target <= top * t:  # also rejects nan and inf
-        return 0
-    return _grid_index(target, t)
+        return 0, beta, lam
+    return _grid_index(target, t), beta, lam
 
 
 def _grid_index(value, t):
@@ -126,10 +154,3 @@ def _grid_index(value, t):
         g -= 1
     return g
 
-
-def _round_to_grid(ds, dmu, sigma, t, eps):
-    """Round the first successful grid point to the grid multiple nearest
-    the true minimum, deciding with one solve at the bracket midpoint."""
-    if robust_efficiency(ds, dmu, sigma - 0.5 * t, eps).efficient:
-        return sigma - t
-    return sigma

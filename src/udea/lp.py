@@ -105,18 +105,22 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL,
     if EQ in lp.senses:
         raise MalformedProgramError("solve_lp takes no equality rows")
     # shift out lower bounds (x = lb + x', x' >= 0), rows to <= form
-    sign = np.where(np.array(lp.senses) == GEQ, -1.0, 1.0)
-    b = sign * (lp.b - lp.A @ lp.lb)
+    A = lp.A
+    b = lp.b - A @ lp.lb
+    if GEQ in lp.senses:
+        sign = np.where(np.array(lp.senses) == GEQ, -1.0, 1.0)
+        A = sign[:, None] * A
+        b = sign * b
     if np.any(b < 0):
         raise MalformedProgramError("x = lb violates a row: no start vertex")
 
     # tableau [A | I | b] over [c | 0 | 0]; the slack basis is x' = 0
     T = np.zeros((m + 1, n0 + m + 1))
-    T[:m, :n0] = sign[:, None] * lp.A
-    T[:m, n0:n0 + m] = np.eye(m)
+    T[:m, :n0] = A
+    basis = np.arange(n0, n0 + m, dtype=np.int64)
+    T[np.arange(m), basis] = 1.0
     T[:m, -1] = b
     T[m, :n0] = lp.c
-    basis = np.arange(n0, n0 + m, dtype=np.int64)
     allowed = np.ones(n0 + m, dtype=np.bool_)
     status = simplex_core(T, basis, allowed, tol, max_iter)
     if status == ITERATION_LIMIT:

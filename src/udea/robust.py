@@ -7,13 +7,12 @@ drop.  The robust solve is therefore one nominal solve on that transformed
 ("virtual") dataset.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (DeaDataset, EfficiencyResult, _check_index, _frontier_lp,
-                      _result, solve_nominal)
+from .dataset import (SCORE_TOL, DeaDataset, EfficiencyResult, _check_index,
+                      _frontier_lp, _result, solve_nominal)
 from .lp import SolverFault, solve_lp
 
 DEFAULT_EPS = 1e-9
@@ -67,8 +66,8 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
         if not X[:, i].sum() > 0:
             raise ValueError("every unit needs at least one positive input")
     # ds is already validated, and the floors keep the corner valid except
-    # for the check above, so the copy skips DeaDataset.__post_init__
-    corner = copy.copy(ds)
+    # for the check above, so the corner skips DeaDataset.__post_init__
+    corner = DeaDataset.__new__(DeaDataset)
     vars(corner).update(names=list(ds.names), X=X, Y=Y,
                         env_outputs=ds.env_outputs.copy(),
                         input_names=list(ds.input_names),
@@ -90,6 +89,13 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
     ``eps``/0 floor binds, ``beta* / 2`` is the minimum uncertainty making
     ``dmu`` efficient.
     """
+    return _directional_optimum(ds, dmu)[0]
+
+
+def _directional_optimum(ds: DeaDataset, dmu: int):
+    """``(beta*, lam*)`` of ``directional_distance`` from its one solve.
+    ``lam*`` is a point of the simplex: ``lam_i`` is one minus the other
+    weights, round-off negatives are set to 0 and the sum rescaled to 1."""
     i = _check_index(ds, dmu)
     z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
                             np.ones(ds.n_inputs)])
@@ -98,7 +104,11 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
         # bounded by the input rows and feasible at lam = e_i
         raise SolverFault(f"directional distance solve ended {sol.status} "
                           f"for unit {i}")
-    return float(sol.x[-1])
+    lam = sol.x[:ds.n_units]
+    lam[i] = 1.0 - lam.sum()
+    np.maximum(lam, 0.0, out=lam)
+    lam /= lam.sum()
+    return float(sol.x[-1]), lam
 
 
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
@@ -121,3 +131,35 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
         lam[i] = 1.0
         return _result(corner, i, lam, 1.0)
     return solve_nominal(corner, i)
+
+
+def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
+                    eps: float = DEFAULT_EPS) -> bool:
+    """True when the weights ``lam`` prove, without a solve, that
+    ``robust_efficiency(ds, dmu, sigma, eps)`` is not efficient.
+
+    ``lam`` (nonnegative, rescaled to sum 1) is a feasible point of the
+    corner's nominal program when it meets every output row, environmental
+    rows included, and then bounds its minimum by theta(lam) =
+    max_n (X' lam)_n / x'_{i,n}.  With every own input of the corner above
+    ``sigma`` the floor rule of ``robust_efficiency`` does not apply, and
+    theta(lam) below ``1 - 2 * SCORE_TOL`` leaves the solve's score short
+    of ``1 - SCORE_TOL`` by more than its round-off.  This holds for any
+    ``lam``, optimal or not: weights that prove nothing return False, and
+    so do negative or non-finite ones.
+    """
+    lam = np.asarray(lam, dtype=float)
+    total = lam.sum()
+    if not (0 < total < np.inf and lam.min() >= 0):  # also rejects nan
+        return False
+    corner = transform_box(ds, dmu, sigma, eps)
+    i = int(dmu)
+    own_x = corner.X[:, i]
+    if not own_x.min() > sigma:
+        # the floor rule's ground: theta(lam) >= 1 there, as every rival
+        # input on the row is at least sigma; an own input floored to 0
+        # is never divided by
+        return False
+    lam = lam / total
+    return bool(np.all(corner.Y @ lam >= corner.Y[:, i])
+                and np.max(corner.X @ lam / own_x) < 1.0 - 2.0 * SCORE_TOL)

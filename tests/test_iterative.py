@@ -9,13 +9,14 @@ import udea.iterative
 from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
                      random_dataset, random_dataset_2d, table1_dataset,
                      table1_plus_g)
-from udea.cli import RunConfig, _compute, ingest_csv
+from conftest import DATA_DIR
+from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
 from udea.dataset import SCORE_TOL, DeaDataset, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.iterative import _grid_index, iterative_udea
 from udea.lp import SolverFault
 from udea.outcome import UdeaOutcome
-from udea.robust import UncertaintyConfig, directional_distance
+from udea.robust import UncertaintyConfig, _directional_optimum
 
 
 def test_example_units(table1):
@@ -172,7 +173,7 @@ def _assert_same_as_walk(ds, dmu, cfg, ref=None):
     out = iterative_udea(ds, dmu, cfg)
     assert out.upsilon == ref.upsilon
     assert out.bracket == ref.bracket
-    assert out.gamma == ref.gamma
+    assert out.gamma.hex() == ref.gamma.hex()
     assert out.capable == ref.capable
     sigmas = [s for s, _ in out.trace]
     assert sigmas == sorted(sigmas)
@@ -241,6 +242,18 @@ def test_search_matches_walk_when_grid_grazes_own_input(dmu, k):
     assert 0.0 < CLAMP_X[dmu] - k * step < 1e-9
     _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=CLAMP_X[dmu] + 1.0,
                                                     step=step))
+
+
+@pytest.mark.parametrize("fixture",
+                         ["case_study_s11_p0.csv", "case_study_s3_p4.csv"])
+def test_search_matches_walk_on_case_study(fixture):
+    # the paper's case study (nu = 3.6, t = 0.01, an env column), where
+    # the seed's weights settle the point below it and the midpoint
+    config = RunConfig(mode="iterative", preset="radiotherapy")
+    ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
+    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
+    for dmu in range(ds.n_units):
+        _assert_same_as_walk(ds, dmu, cfg)
 
 
 def test_search_matches_walk_random(rng):
@@ -317,8 +330,9 @@ def test_search_solve_count_where_floors_bind(monkeypatch):
 
 def test_seeded_search_solve_count(monkeypatch):
     # as above, with every grid point clamp-free: the seed from one
-    # directional-distance LP is exact, so an inefficient unit needs
-    # sigma = 0, the seed point, the point below and the midpoint
+    # directional-distance LP is exact, and its weights prove that the
+    # point below it and the rounding midpoint fail, so an inefficient
+    # unit needs sigma = 0, the seed point and at most one more solve
     base = table1_dataset()
     ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
@@ -333,8 +347,8 @@ def test_seeded_search_solve_count(monkeypatch):
     monkeypatch.setattr(udea.iterative, "robust_efficiency",
                         counting(robust_calls,
                                  udea.iterative.robust_efficiency))
-    monkeypatch.setattr(udea.iterative, "directional_distance",
-                        counting(seed_calls, directional_distance))
+    monkeypatch.setattr(udea.iterative, "_directional_optimum",
+                        counting(seed_calls, _directional_optimum))
     inefficient = 0
     for dmu in range(ds.n_units):
         robust_calls.clear()
@@ -343,26 +357,52 @@ def test_seeded_search_solve_count(monkeypatch):
         if out.upsilon == 0.0:
             assert (len(robust_calls), len(seed_calls)) == (1, 0)
         else:
-            assert len(robust_calls) <= 4
+            assert len(robust_calls) <= 3
             assert len(seed_calls) == 1
             inefficient += 1
     assert inefficient == 2  # E and F
 
 
-def _wrong_seeds(step):
-    """Seeds for beta* that are off by grid steps or more, or unusable."""
+def _wrong_seeds(step, rng):
+    """Seeds for (beta*, lam*) that are off by grid steps or more, or
+    unusable, in beta* (with the true lam*) or in lam* (with the true
+    beta*)."""
     def shifted(delta):
-        return lambda ds, dmu: directional_distance(ds, dmu) + delta
+        def seed(ds, dmu):
+            beta, lam = _directional_optimum(ds, dmu)
+            return beta + delta, lam
+        return seed
 
     def constant(value):
-        return lambda ds, dmu: value
+        return lambda ds, dmu: (value, _directional_optimum(ds, dmu)[1])
 
     def failing(ds, dmu):
         raise SolverFault("simplex iteration limit reached in phase 1")
 
+    def weights(make):
+        def seed(ds, dmu):
+            beta, lam = _directional_optimum(ds, dmu)
+            return beta, make(ds, dmu, lam)
+        return seed
+
+    def rival_vertex(ds, dmu, lam):
+        lam = np.zeros(ds.n_units)
+        lam[(dmu + 1) % ds.n_units] = 1.0
+        return lam
+
+    def round_off_negatives(ds, dmu, lam):
+        lam = lam.copy()
+        lam[lam == 0.0] = -1e-13
+        lam[np.argmax(lam)] += 1.0 - lam.sum()
+        return lam
+
     return [shifted(2 * step), shifted(-2 * step), shifted(0.3),
             shifted(-0.3), constant(0.0), constant(1e300),
-            constant(math.inf), constant(math.nan), failing]
+            constant(math.inf), constant(math.nan), failing,
+            weights(lambda ds, dmu, lam: rng.dirichlet(np.ones(ds.n_units))),
+            weights(rival_vertex),
+            weights(lambda ds, dmu, lam: np.full(ds.n_units, math.nan)),
+            weights(round_off_negatives)]
 
 
 def _wrong_seed_cases(rng, example1_csv):
@@ -383,7 +423,7 @@ def test_wrong_seed_gives_walk_result(rng, example1_csv, monkeypatch):
     for ds, cfg in _wrong_seed_cases(rng, example1_csv):
         for dmu in range(ds.n_units):
             ref = linear_walk_udea(ds, dmu, cfg)
-            for seed in _wrong_seeds(cfg.step):
-                monkeypatch.setattr(udea.iterative, "directional_distance",
+            for seed in _wrong_seeds(cfg.step, rng):
+                monkeypatch.setattr(udea.iterative, "_directional_optimum",
                                     seed)
                 _assert_same_as_walk(ds, dmu, cfg, ref)

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (best_corner_score, efficiency_gain_upper_bound,
-                     random_dataset)
+from helpers import (best_corner_score, clamp_dataset,
+                     efficiency_gain_upper_bound, random_dataset,
+                     table1_plus_g)
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
+                         _directional_optimum, _proves_failure,
                          directional_distance, robust_efficiency,
                          transform_box)
 
@@ -394,3 +398,115 @@ def test_half_directional_distance_is_exact_upsilon_with_env_output(rng):
             exact = exact_udea(ds, i, facet_set=facet_set).upsilon
             assert directional_distance(ds, i) / 2.0 == pytest.approx(
                 exact, abs=1e-9)
+
+
+def test_directional_weights_are_a_point_of_the_simplex(rng):
+    for _ in range(10):
+        ds = random_dataset(rng, max_units=10, max_dim=4)
+        for i in range(ds.n_units):
+            beta, lam = _directional_optimum(ds, i)
+            assert beta == directional_distance(ds, i)
+            assert lam.min() >= 0.0
+            assert lam.sum() == pytest.approx(1.0, abs=1e-15)
+            # lam meets the rows of the directional distance program
+            assert np.all(ds.X @ lam + beta <= ds.X[:, i] + 1e-9)
+            assert np.all(ds.Y @ lam - beta >= ds.Y[:, i] - 1e-9)
+
+
+def _certificate_cases(rng):
+    for _ in range(6):
+        yield random_dataset(rng, max_units=8)
+    # G's output is on the zero floor in the other corners from 0.05 on
+    yield table1_plus_g()
+    # own inputs reach sigma and the zero floor binds on outputs
+    yield clamp_dataset()
+    for _ in range(4):
+        # outputs near 0, so the zero floor binds from small sigma on
+        ds = random_dataset(rng, max_units=8)
+        yield DeaDataset(names=ds.names, X=ds.X, Y=0.02 * ds.Y)
+
+
+@pytest.mark.parametrize("eps", [0.0, DEFAULT_EPS])
+def test_weights_prove_only_failures(rng, eps):
+    # whatever the weights, a proof of failure at a grid point up to nu
+    # is never contradicted by the solve there
+    sigmas = [k * 0.05 for k in range(72)] + [3.6]
+    proofs = 0
+    for ds in _certificate_cases(rng):
+        for i in range(ds.n_units):
+            weights = [_directional_optimum(ds, i)[1]]
+            weights += list(rng.dirichlet(np.ones(ds.n_units), size=3))
+            for sigma in sigmas:
+                try:
+                    transform_box(ds, i, sigma, eps)
+                except ValueError:  # eps = 0 left the unit no input
+                    for lam in weights:
+                        with pytest.raises(ValueError):
+                            _proves_failure(ds, i, sigma, lam, eps)
+                    continue
+                for lam in weights:
+                    if _proves_failure(ds, i, sigma, lam, eps):
+                        proofs += 1
+                        assert not robust_efficiency(ds, i, sigma,
+                                                     eps).efficient
+    assert proofs > 100
+
+
+def test_directional_weights_prove_failure_below_half_beta(rng):
+    # clear of the floors, beta* / 2 is the minimum uncertainty, and
+    # lam* proves every grid point below it fails, up to a margin; at
+    # beta* / 2 itself the unit may still fail (the output-axis case)
+    proofs = 0
+    for _ in range(8):
+        ds = random_dataset(rng, max_units=8)
+        ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
+        for i in range(ds.n_units):
+            beta, lam = _directional_optimum(ds, i)
+            for sigma in np.arange(0.0, 0.5 * beta - 1e-3, 0.05):
+                assert _proves_failure(ds, i, sigma, lam)
+                proofs += 1
+            assert not _proves_failure(ds, i, 0.5 * beta + 1e-3, lam)
+    assert proofs > 20
+
+
+def test_unusable_weights_prove_nothing(table1):
+    # E fails at sigma = 0.5 (upsilon* = 11/14), which no weights outside
+    # the simplex may be taken to show
+    lam = _directional_optimum(table1, 4)[1]
+    assert _proves_failure(table1, 4, 0.5, lam)
+    # the proof reads lam / sum(lam), so rescaled weights prove the same
+    for sigma in (0.0, 0.3, 0.5, 0.78, 0.79, 1.0):
+        assert (_proves_failure(table1, 4, sigma, 0.5 * lam)
+                == _proves_failure(table1, 4, sigma, 3.0 * lam)
+                == _proves_failure(table1, 4, sigma, lam)
+                == (sigma < 11.0 / 14.0))
+    for bad in (np.full(6, np.nan), np.zeros(6), -lam,
+                np.where(lam > 0, lam, -1e-13), np.full(6, np.inf)):
+        assert not _proves_failure(table1, 4, 0.5, bad)
+
+
+def test_floored_own_input_proves_nothing():
+    # where an own input is at or below sigma, the floor rule scores 1 and
+    # no weights may prove a failure; an own input floored to 0 (eps = 0)
+    # must not be divided by
+    ds = DeaDataset(names=list("abc"), X=[[0.3, 2.0, 3.0], [5.0, 1.0, 2.0]],
+                    Y=[[1.0, 4.0, 5.0]])
+    for sigma in (0.2, 0.3, 0.4):
+        assert robust_efficiency(ds, 0, sigma, eps=0.0).efficient
+        for lam in ([0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.8, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not _proves_failure(ds, 0, sigma, np.array(lam),
+                                           eps=0.0)
+
+
+def test_weights_within_the_score_tolerance_prove_nothing():
+    # a score within SCORE_TOL of 1 counts as efficient, so weights whose
+    # bound falls short of 1 by less than the tolerance prove nothing
+    ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 5e-7]], Y=[[1.0, 1.0]])
+    assert robust_efficiency(ds, 0, 0.0).efficient
+    assert not _proves_failure(ds, 0, 0.0, np.array([0.0, 1.0]))
+    # by more than twice the tolerance, they do
+    ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 3e-6]], Y=[[1.0, 1.0]])
+    assert not robust_efficiency(ds, 0, 0.0).efficient
+    assert _proves_failure(ds, 0, 0.0, np.array([0.0, 1.0]))
