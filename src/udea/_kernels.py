@@ -5,23 +5,16 @@ with numba when available.  A pure-numpy build of the same source is kept as
 a fallback and can be forced with ``UDEA_BACKEND=numpy``; set
 ``UDEA_BACKEND=numba`` to fail loudly when numba is missing.
 
-The pivoting rule is Dantzig's: the entering column is the allowed one
-with the most negative reduced cost.  Ratio ties in the leaving row are
-broken lexicographically on the rows of B^-1, which the slack block of
-``[A | I | b]`` holds, so the loop cannot cycle (Dantzig, Orden & Wolfe
-1955); Beale's example, on which Dantzig pricing with a lowest-index
-tie-break cycles, is a test.  The rule keeps no state between calls.  On
-300 random units with 3 inputs and 3 outputs it takes 12.5 pivots per
-program where Bland's lowest-index rule took 37.3.
+The pivot rule is written out at ``_simplex_core``.
 
 Each pivot is a fixed handful of array calls, so the numpy build does not
 pay per-element Python work: the entering column is one ``argmin`` over
 the reduced costs plus a 0/inf mask of the disallowed columns, which is
 built once per call rather than once per pivot, the ratio test is a
 sequential loop over the ``m`` rows (it keeps the exact tie-break order),
-and the row update is one rank-1 update of the whole tableau.  Only calls numba's nopython mode
-supports are used, so both backends run the same source and the same
-floating-point operations.
+and the row update is one rank-1 update of the whole tableau.  Only calls
+numba's nopython mode supports are used, so both backends run the same
+source and the same floating-point operations.
 """
 
 import os
@@ -60,12 +53,13 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     Per pivot: the entering column is the allowed one with the most
     negative reduced cost (the first on ties), and the run stops when that
     cost is not below ``-tol``.  ``allowed`` enters as a row of 0 (allowed)
-    and inf (masked), built once per call and added to the reduced costs.  The leaving row comes from the sequential
-    ratio test.  Rows whose ratios tie within 1e-12 are ordered
-    lexicographically by their slack block divided by their entry in the
-    entering column, ``T[i, n-m:n] / T[i, enter]``, and then by the lowest
-    basic index.  As the rows of B^-1 are independent, the lexicographic
-    order has no ties in exact arithmetic, and the reduced-cost row rises
+    and inf (masked), built once per call and added to the reduced costs.
+    The leaving row comes from the sequential ratio test.  Rows whose
+    ratios tie within 1e-12 are ordered lexicographically by their slack
+    block divided by their entry in the entering column,
+    ``T[i, n-m:n] / T[i, enter]``, and then by the lowest basic index.
+    As the rows of B^-1 are independent, the lexicographic order has no
+    ties in exact arithmetic, and the reduced-cost row rises
     lexicographically at every pivot, so no basis repeats and the loop
     ends (Dantzig, Orden & Wolfe 1955).
 

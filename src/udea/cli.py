@@ -7,6 +7,7 @@ exempt from uncertainty).  Values are nonnegative decimal reals.
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -269,9 +270,12 @@ def _formatter(config: RunConfig):
 
 def _render(header, rows, fmt):
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
+        # quoted where a cell holds a comma, quote or line break
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
     widths = [max(len(h), *(len(r[k]) for r in rows)) if rows else len(h)
               for k, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

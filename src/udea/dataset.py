@@ -7,7 +7,8 @@ The nominal score of unit ``i`` is the optimal value of
 
 which is always feasible (the unit is its own peer) and bounded in (0, 1].
 It is solved with lam_i eliminated and z = 1 - theta, so that the simplex
-starts at the unit itself (``_frontier_lp``).
+starts at the unit itself (``_frontier_lp``), and its weights are read back
+onto the simplex (``_frontier_optimum``).
 """
 
 from dataclasses import dataclass, field
@@ -151,17 +152,27 @@ def _frontier_lp(ds: DeaDataset, i: int, z_col) -> LinearProgram:
     return lp
 
 
+def _frontier_optimum(ds: DeaDataset, i: int, lp: LinearProgram):
+    """``(z*, lam*)`` of a program of unit ``i`` in ``_frontier_lp``'s
+    layout.  ``lam*`` is a point of the simplex: ``lam_i`` is one minus the
+    other weights, round-off negatives are set to 0 and the sum rescaled
+    to 1."""
+    sol = solve_lp(lp)
+    if not sol.optimal:
+        # feasible at x = 0, and bounded by the convexity and input rows
+        raise SolverFault(f"frontier program of unit {i} ended {sol.status}")
+    lam = sol.x[:ds.n_units]
+    lam[i] = 1.0 - lam.sum()
+    np.maximum(lam, 0.0, out=lam)
+    lam /= lam.sum()
+    return float(sol.x[-1]), lam
+
+
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
     """Nominal efficiency score of unit ``dmu`` with slack and peer analysis."""
     i = _check_index(ds, dmu)
-    lp = build_envelopment_lp(ds, i)
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        # the envelopment program is always feasible and bounded
-        raise SolverFault(f"envelopment solve ended {sol.status} for unit {i}")
-    lam = sol.x[: ds.n_units]
-    lam[i] = 1.0 - lam.sum()
-    return _result(ds, i, lam, 1.0 - sol.x[-1])
+    z, lam = _frontier_optimum(ds, i, build_envelopment_lp(ds, i))
+    return _result(ds, i, lam, 1.0 - z)
 
 
 def _result(ds: DeaDataset, i: int, lam, theta) -> EfficiencyResult:
@@ -190,18 +201,14 @@ def is_extreme(ds: DeaDataset, dmu: int) -> bool:
     1 + SCORE_TOL)?  On the envelopment rows without z and with input
     right-hand side ``SCORE_TOL * x_i``, maximise the other units' weight
     sum(lam) = 1 - lam_i.  It reaches 1 exactly when they can, so the unit
-    is extreme iff the optimum stays below 1.
+    is extreme iff its own weight lam_i stays above ``DEFAULT_TOL``.
     """
     i = _check_index(ds, dmu)
     lp = build_envelopment_lp(ds, i)
     lp.A[:, -1] = 0.0
     lp.b[ds.n_outputs:-1] = SCORE_TOL * ds.X[:, i]
     lp.c = -lp.A[-1]
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        # the weights are bounded by the convexity row
-        raise SolverFault(f"extreme-point solve ended {sol.status} for unit {i}")
-    return 1.0 + sol.objective > DEFAULT_TOL
+    return bool(_frontier_optimum(ds, i, lp)[1][i] > DEFAULT_TOL)
 
 
 def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:

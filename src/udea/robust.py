@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (SCORE_TOL, DeaDataset, EfficiencyResult, _check_index,
-                      _frontier_lp, _result, solve_nominal)
-from .lp import SolverFault, solve_lp
+                      _frontier_lp, _frontier_optimum, _result, solve_nominal)
 
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
@@ -93,22 +92,12 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
 
 
 def _directional_optimum(ds: DeaDataset, dmu: int):
-    """``(beta*, lam*)`` of ``directional_distance`` from its one solve.
-    ``lam*`` is a point of the simplex: ``lam_i`` is one minus the other
-    weights, round-off negatives are set to 0 and the sum rescaled to 1."""
+    """``(beta*, lam*)`` of ``directional_distance`` from its one solve,
+    ``lam*`` on the simplex (``dataset._frontier_optimum``)."""
     i = _check_index(ds, dmu)
     z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
                             np.ones(ds.n_inputs)])
-    sol = solve_lp(_frontier_lp(ds, i, z_col))
-    if not sol.optimal:
-        # bounded by the input rows and feasible at lam = e_i
-        raise SolverFault(f"directional distance solve ended {sol.status} "
-                          f"for unit {i}")
-    lam = sol.x[:ds.n_units]
-    lam[i] = 1.0 - lam.sum()
-    np.maximum(lam, 0.0, out=lam)
-    lam /= lam.sum()
-    return float(sol.x[-1]), lam
+    return _frontier_optimum(ds, i, _frontier_lp(ds, i, z_col))
 
 
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,

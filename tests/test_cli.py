@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import udea.dataset
-import udea.robust
 from conftest import DATA_DIR
 from helpers import clamp_dataset, emit_csv
 from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
@@ -119,6 +118,30 @@ def test_main_nominal(tmp_path, example1_csv):
     assert [r["dmu"] for r in rows] == list("ABCDEF")
     assert float(rows[4]["score"]) == pytest.approx(0.542, abs=1e-3)
     assert rows[4]["peers"] == "B;C"
+
+
+@pytest.mark.parametrize("mode", ["nominal", "iterative"])
+def test_reports_are_quoted_csv(tmp_path, mode):
+    # unit and variable names holding a comma, a quote and a line break
+    # come back intact, one field per header column
+    data = DATA_DIR / "quoted_names.csv"
+    names = ingest_csv(data).names
+    out = tmp_path / "report.csv"
+    assert main([mode, "--data", str(data), "--out", str(out)]) == 0
+    files = {}
+    for path in tmp_path.iterdir():
+        with open(path, newline="") as fh:
+            files[path.name] = list(csv.reader(fh))
+    assert sorted(files) == (["report.csv"] if mode == "nominal"
+                             else ["report.csv", "report.csv.plot.csv"])
+    for header, *rows in files.values():
+        assert [row[0] for row in rows] == names
+        assert all(len(row) == len(header) for row in rows)
+    if mode == "nominal":
+        header, *rows = files["report.csv"]
+        assert header[3:] == ["slack_in:dose, rectum",
+                              'slack_out:cover "ptv"', "slack_out:class"]
+        assert rows[-1][2] == 'A,1;B "best"'
 
 
 def test_main_robust(tmp_path, example1_csv):
@@ -369,8 +392,8 @@ def test_iterative_solves_each_nominal_program_once(fixture, lps,
         calls.append(1)
         return solve_lp(lp, *args, **kwargs)
 
-    for module in (udea.dataset, udea.robust):
-        monkeypatch.setattr(module, "solve_lp", counting)
+    # every frontier program is solved in udea.dataset
+    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
     nominal = solve_all(ds)
     for i in range(ds.n_units):
         iterative_udea(ds, i, cfg)

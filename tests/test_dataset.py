@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
 from helpers import random_dataset
+from udea.cli import RunConfig, apply_scaling, ingest_csv
 from udea.dataset import (DeaDataset, build_envelopment_lp, is_extreme,
                           scale_dataset, solve_all, solve_nominal)
 from udea.lp import solve_lp
@@ -25,6 +27,22 @@ def test_self_solution_feasible(table1):
     assert np.all(lp.A @ np.zeros(7) <= lp.b)
     # unit A is efficient, so the objective theta - 1 is 0
     assert solve_lp(lp).objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_nominal_weights_lie_on_the_simplex(table1, rng):
+    # lam_i is read back as one minus the other weights, with round-off
+    # negatives set to 0 and the sum rescaled to 1
+    preset = RunConfig(mode="nominal", preset="radiotherapy")
+    datasets = [table1] + [
+        apply_scaling(ingest_csv(DATA_DIR / name), preset)
+        for name in ("case_study_s11_p0.csv", "case_study_s3_p4.csv")]
+    datasets += [random_dataset(rng, max_units=30, max_dim=6)
+                 for _ in range(20)]
+    for ds in datasets:
+        for i in range(ds.n_units):
+            lam = solve_nominal(ds, i).lam
+            assert lam.min() >= 0.0
+            assert abs(lam.sum() - 1.0) <= 1e-15
 
 
 def test_single_unit_dataset():
