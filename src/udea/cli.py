@@ -19,12 +19,14 @@ from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
 from .iterative import _grid_index, iterative_udea
 from .lp import SolverFault
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
-                     UncertaintyConfig, robust_efficiency)
+                     UncertaintyConfig, _robust_score, _robust_scores)
 
 MODES = ("nominal", "robust", "sweep", "exact", "iterative")
 # the report columns that the modes reporting upsilon_star (exact and
 # iterative) also write as plot data
 _PLOT_COLUMNS = ("dmu", "nominal_score", "upsilon_star", "capable")
+
+_TEXT_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 2
@@ -109,6 +111,10 @@ def ingest_csv(path) -> DeaDataset:
         name = row[0].strip()
         if name in names:
             raise DataError(f"{path}: row {r + 2}: duplicate unit name {name!r}")
+        if ";" in name:
+            # the peers column joins unit names with ';'
+            raise DataError(f"{path}: row {r + 2}: unit name {name!r} "
+                            "holds ';', which separates peers")
         names.append(name)
         for c, raw in enumerate(row[1:]):
             try:
@@ -206,15 +212,15 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
         return header, rows
 
     if config.mode == "robust":
-        results = [robust_efficiency(ds, i, config.sigma, cfg.eps)
-                   for i in units]
-        rows = [[ds.names[r.dmu], config.sigma, r.theta] for r in results]
+        rows = [[ds.names[i], config.sigma,
+                 _robust_score(ds, i, config.sigma, cfg.eps)] for i in units]
         return ["dmu", "sigma", "score"], rows
 
     if config.mode == "sweep":
         sigmas = _sigma_grid(cfg)
-        rows = [[ds.names[i], s, robust_efficiency(ds, i, s, cfg.eps).theta]
-                for i in units for s in sigmas]
+        rows = [[ds.names[i], s, score] for i in units
+                for s, score in zip(sigmas,
+                                    _robust_scores(ds, i, sigmas, cfg.eps))]
         return ["dmu", "sigma", "score"], rows
 
     if config.mode == "exact":
@@ -276,6 +282,10 @@ def _render(header, rows, fmt):
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
+    # one line per row: line breaks print as \n and \r, and a backslash
+    # as \\, so that the escapes read back unambiguously
+    header = [h.translate(_TEXT_ESCAPES) for h in header]
+    rows = [[v.translate(_TEXT_ESCAPES) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[k]) for r in rows)) if rows else len(h)
               for k, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

@@ -103,7 +103,12 @@ class EfficiencyResult:
 
     @property
     def efficient(self):
-        return self.theta >= 1.0 - SCORE_TOL
+        return _efficient(self.theta)
+
+
+def _efficient(theta) -> bool:
+    """The one efficiency test: a score within ``SCORE_TOL`` of 1."""
+    return theta >= 1.0 - SCORE_TOL
 
 
 def build_envelopment_lp(ds: DeaDataset, dmu: int) -> LinearProgram:
@@ -153,10 +158,11 @@ def _frontier_lp(ds: DeaDataset, i: int, z_col) -> LinearProgram:
 
 
 def _frontier_optimum(ds: DeaDataset, i: int, lp: LinearProgram):
-    """``(z*, lam*)`` of a program of unit ``i`` in ``_frontier_lp``'s
+    """``(z*, lam*, duals)`` of a program of unit ``i`` in ``_frontier_lp``'s
     layout.  ``lam*`` is a point of the simplex: ``lam_i`` is one minus the
     other weights, round-off negatives are set to 0 and the sum rescaled
-    to 1."""
+    to 1.  ``duals`` are the rows' multipliers (``LpSolution.duals``):
+    output rows, input rows, then the convexity row."""
     sol = solve_lp(lp)
     if not sol.optimal:
         # feasible at x = 0, and bounded by the convexity and input rows
@@ -165,13 +171,13 @@ def _frontier_optimum(ds: DeaDataset, i: int, lp: LinearProgram):
     lam[i] = 1.0 - lam.sum()
     np.maximum(lam, 0.0, out=lam)
     lam /= lam.sum()
-    return float(sol.x[-1]), lam
+    return float(sol.x[-1]), lam, sol.duals
 
 
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
     """Nominal efficiency score of unit ``dmu`` with slack and peer analysis."""
     i = _check_index(ds, dmu)
-    z, lam = _frontier_optimum(ds, i, build_envelopment_lp(ds, i))
+    z, lam, _ = _frontier_optimum(ds, i, build_envelopment_lp(ds, i))
     return _result(ds, i, lam, 1.0 - z)
 
 

@@ -15,27 +15,31 @@ seed that is unavailable or off the span, narrows the interval that
 bisection then finishes, so the seed only saves solves and never changes
 the answer.  If no grid point succeeds, one solve at ``nu`` itself decides
 capability.  On success the true minimum lies in a width-``t`` bracket
-below the first successful grid point; one extra midpoint solve rounds the
+below the first successful grid point; one extra midpoint probe rounds the
 reported value to the nearest grid multiple.
 
-The directional distance solve also gives weights ``lam*``.  Below
-``beta* / 2`` they are a feasible point of the corner's nominal program
-whose score is short of 1 by more than the efficiency tolerance, which
-proves without a solve that the score fails there
-(``robust._proves_failure``).  The point below the seed and the
-midpoint are decided that way whenever the proof holds, so a clamp-free
-inefficient unit costs three LPs: sigma = 0, the directional distance and
-the seed point.  A proof holds for any weights, so weights that prove
+The directional distance solve also gives weights ``lam*`` and duals.
+Below ``beta* / 2`` the weights are a feasible point of the corner's
+nominal program whose score is short of 1 by more than the efficiency
+tolerance, which proves without a solve that the score fails there
+(``robust._proves_failure``).  At or above ``beta* / 2`` the duals are a
+supporting hyperplane that still holds the unit on the corner, which
+proves without a solve that the score is 1 (``robust._proves_success``);
+such a point is scored 1.0, as the solve scores it.  Every probe but
+sigma = 0 and the cap is tried against the proof for its side first: the
+seed point, the point below it, bisection probes and the midpoint.  So a
+clamp-free inefficient unit costs two LPs, sigma = 0 and the directional
+distance.  Both proofs hold for any weights and duals, so ones that prove
 nothing cost only the solves they would have saved.
 """
 
 import math
 
-from .dataset import DeaDataset
+from .dataset import DeaDataset, _efficient
 from .lp import SolverFault
 from .outcome import UdeaOutcome
 from .robust import (UncertaintyConfig, _directional_optimum, _proves_failure,
-                     robust_efficiency)
+                     _proves_success, _robust_score)
 
 
 def iterative_udea(ds: DeaDataset, dmu: int,
@@ -45,35 +49,39 @@ def iterative_udea(ds: DeaDataset, dmu: int,
         cfg = UncertaintyConfig()
     i = int(dmu)
     t = cfg.step
-    # grid index k -> robust result at sigma = k * t, or None where the
+    # grid index k -> robust score at sigma = k * t, or None where the
     # seed weights prove the score fails there
     probes = {}
-    beta, lam = math.nan, None
+    beta, lam, duals = math.nan, None, None
 
-    def fails(sigma):
-        # floors aside, the weights prove failures only below beta* / 2,
-        # so they are not tried elsewhere
-        return sigma < 0.5 * beta and _proves_failure(ds, i, sigma, lam,
-                                                      cfg.eps)
+    def score(sigma):
+        # floors aside, the weights prove failures only below beta* / 2
+        # and the duals successes only at or above it, so neither is
+        # tried on the other side
+        if sigma < 0.5 * beta:
+            if _proves_failure(ds, i, sigma, lam, cfg.eps):
+                return None
+        elif _proves_success(ds, i, sigma, duals, cfg.eps):
+            return 1.0
+        return _robust_score(ds, i, sigma, cfg.eps)
 
     def reached(k):
         if k not in probes:
-            probes[k] = (None if fails(k * t)
-                         else robust_efficiency(ds, i, k * t, cfg.eps))
-        return probes[k] is not None and probes[k].efficient
+            probes[k] = score(k * t)
+        return probes[k] is not None and _efficient(probes[k])
 
     def trace():
-        return [(k * t, probes[k].theta) for k in sorted(probes)
+        return [(k * t, probes[k]) for k in sorted(probes)
                 if probes[k] is not None]
 
     if reached(0):
-        return UdeaOutcome(dmu=i, upsilon=0.0, gamma=probes[0].theta,
+        return UdeaOutcome(dmu=i, upsilon=0.0, gamma=probes[0],
                            capable=True, trace=trace(), bracket=(0.0, 0.0))
 
     top = _search_top(ds, i, t, cfg)
     # beta* / 2 is exact where no floor binds: when g succeeds and g - 1
     # fails, the bisection below has nothing left to do
-    g, beta, lam = _seed(ds, i, t, top)
+    g, beta, lam, duals = _seed(ds, i, t, top)
     if g and reached(g):
         reached(g - 1)
     # the score is monotone and fails at lo; if it succeeds at k, its first
@@ -88,23 +96,22 @@ def iterative_udea(ds: DeaDataset, dmu: int,
             else:
                 lo = mid
         # the true minimum lies in (sigma - t, sigma]; the midpoint, proved
-        # to fail or solved, rounds it to the nearest grid multiple
+        # or solved, rounds it to the nearest grid multiple
         sigma = k * t
-        half = sigma - 0.5 * t
-        below = (not fails(half)
-                 and robust_efficiency(ds, i, half, cfg.eps).efficient)
+        half = score(sigma - 0.5 * t)
+        below = half is not None and _efficient(half)
         return UdeaOutcome(dmu=i, upsilon=sigma - t if below else sigma,
-                           gamma=probes[k].theta, capable=True,
+                           gamma=probes[k], capable=True,
                            trace=trace(), bracket=(sigma - t, sigma))
 
     # grid exhausted below a finite cap; the supremum is attained at nu
-    at_nu = robust_efficiency(ds, i, cfg.nu, cfg.eps)
-    probed = trace() + [(cfg.nu, at_nu.theta)]
-    if at_nu.efficient:
-        return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu.theta,
+    at_nu = _robust_score(ds, i, cfg.nu, cfg.eps)
+    probed = trace() + [(cfg.nu, at_nu)]
+    if _efficient(at_nu):
+        return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu,
                            capable=True, trace=probed,
                            bracket=(max(cfg.nu - t, 0.0), cfg.nu))
-    return UdeaOutcome(dmu=i, gamma=at_nu.theta, trace=probed)
+    return UdeaOutcome(dmu=i, gamma=at_nu, trace=probed)
 
 
 def _search_top(ds, dmu, t, cfg):
@@ -123,18 +130,18 @@ def _search_top(ds, dmu, t, cfg):
 
 
 def _seed(ds, dmu, t, top):
-    """``(g, beta*, lam*)`` from the directional distance solve: ``g`` is
-    the smallest grid index with ``g * t >= beta* / 2``, or 0 when ``g``
-    falls outside ``1 .. top``.  A solve that fails to give a finite
-    optimum gives ``(0, nan, None)``."""
+    """``(g, beta*, lam*, duals)`` from the directional distance solve:
+    ``g`` is the smallest grid index with ``g * t >= beta* / 2``, or 0 when
+    ``g`` falls outside ``1 .. top``.  A solve that fails to give a finite
+    optimum gives ``(0, nan, None, None)``."""
     try:
-        beta, lam = _directional_optimum(ds, dmu)
+        beta, lam, duals = _directional_optimum(ds, dmu)
     except SolverFault:
-        return 0, math.nan, None
+        return 0, math.nan, None, None
     target = 0.5 * beta
     if not 0 < target <= top * t:  # also rejects nan and inf
-        return 0, beta, lam
-    return _grid_index(target, t), beta, lam
+        return 0, beta, lam, duals
+    return _grid_index(target, t), beta, lam, duals
 
 
 def _grid_index(value, t):

@@ -72,9 +72,15 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """An optimal status carries ``x`` and ``duals``, the reduced costs of
+    the row slacks: one multiplier per row in ``<=`` form (``>=`` rows
+    negated), y >= 0 with c + A'y >= 0 up to the pivot tolerance, and
+    c'x = c'lb - y'(b - A lb)."""
+
     status: str  # "optimal" | "unbounded"
     objective: float = np.nan
     x: np.ndarray = None
+    duals: np.ndarray = None
 
     @property
     def optimal(self):
@@ -122,4 +128,5 @@ def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LpSolution:
     x_std = np.zeros(n0 + m)
     x_std[basis] = T[:m, -1]
     x = lp.lb + x_std[:n0]
-    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x)
+    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x,
+                      duals=T[m, n0:n0 + m].copy())

@@ -10,8 +10,9 @@ class UdeaOutcome:
     ``upsilon`` is None for incapable units.  The exact path fills
     ``facet``/``facet_index`` and ``attainable`` (False when the attaining
     facet is an output-axis facet, whose threshold is strict); the iterative
-    path fills ``trace`` (the (sigma, score) pairs it solved, sorted by
-    sigma: grid points probed by the search, then the cap if it was tried)
+    path fills ``trace`` (the (sigma, score) pairs it solved or proved
+    efficient, sorted by sigma: grid points probed by the search, then the
+    cap if it was tried)
     and ``bracket``, a width-``t`` interval containing the true minimum.
     """
 

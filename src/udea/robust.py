@@ -5,6 +5,14 @@ under evaluation is maximised at a single corner of the box: its own inputs
 drop and outputs rise by sigma while every rival's inputs rise and outputs
 drop.  The robust solve is therefore one nominal solve on that transformed
 ("virtual") dataset.
+
+The directional distance solve along the box direction settles most
+corners without that solve.  Its weights ``lam*`` prove a failure below
+``beta* / 2`` (``_proves_failure``), and its duals prove a success at or
+above it (``_proves_success``); each proof reads only the corner's data
+(``_box_corner``) and holds for any weights or duals.  The searches and
+sweeps read only scores, so they skip the slacks and peers of
+``robust_efficiency`` (``_robust_score``).
 """
 
 from dataclasses import dataclass
@@ -12,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (SCORE_TOL, DeaDataset, EfficiencyResult, _check_index,
-                      _frontier_lp, _frontier_optimum, _result, solve_nominal)
+                      _frontier_lp, _frontier_optimum, _result,
+                      build_envelopment_lp)
+from .lp import SolverFault
 
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
@@ -51,6 +61,21 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
     Environmental output rows are left untouched.
     """
+    X, Y = _box_corner(ds, dmu, sigma, eps)
+    # ds is already validated, and the floors keep the corner valid except
+    # for the check in _box_corner, so the corner skips
+    # DeaDataset.__post_init__
+    corner = DeaDataset.__new__(DeaDataset)
+    vars(corner).update(names=list(ds.names), X=X, Y=Y,
+                        env_outputs=ds.env_outputs.copy(),
+                        input_names=list(ds.input_names),
+                        output_names=list(ds.output_names))
+    return corner
+
+
+def _box_corner(ds: DeaDataset, dmu: int, sigma: float, eps: float):
+    """``(X', Y')``, the data of ``transform_box``'s corner, without the
+    dataset around them."""
     if not sigma >= 0:  # also rejects nan
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     i = _check_index(ds, dmu)
@@ -64,14 +89,7 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
         np.maximum(Y, 0.0, out=Y)
         if not X[:, i].sum() > 0:
             raise ValueError("every unit needs at least one positive input")
-    # ds is already validated, and the floors keep the corner valid except
-    # for the check above, so the corner skips DeaDataset.__post_init__
-    corner = DeaDataset.__new__(DeaDataset)
-    vars(corner).update(names=list(ds.names), X=X, Y=Y,
-                        env_outputs=ds.env_outputs.copy(),
-                        input_names=list(ds.input_names),
-                        output_names=list(ds.output_names))
-    return corner
+    return X, Y
 
 
 def directional_distance(ds: DeaDataset, dmu: int) -> float:
@@ -92,8 +110,10 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
 
 
 def _directional_optimum(ds: DeaDataset, dmu: int):
-    """``(beta*, lam*)`` of ``directional_distance`` from its one solve,
-    ``lam*`` on the simplex (``dataset._frontier_optimum``)."""
+    """``(beta*, lam*, duals)`` of ``directional_distance`` from its one
+    solve: ``lam*`` on the simplex and the rows' multipliers
+    (``dataset._frontier_optimum``), whose output and input entries are
+    the weights (u, v) that ``_proves_success`` reads."""
     i = _check_index(ds, dmu)
     z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
                             np.ones(ds.n_inputs)])
@@ -113,13 +133,51 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
     the transform keeps does the same).  The LP cannot be trusted there, as
     an own input near the pivot tolerance makes the theta column look zero.
     """
+    theta, lam, corner = _robust_optimum(ds, dmu, sigma, eps)
+    return _result(corner, int(dmu), lam, theta)
+
+
+def _robust_score(ds: DeaDataset, dmu: int, sigma: float,
+                  eps: float = DEFAULT_EPS) -> float:
+    """The score of ``robust_efficiency`` alone, without the slacks and
+    peers it reads from the weights."""
+    return _robust_optimum(ds, dmu, sigma, eps)[0]
+
+
+def _robust_optimum(ds, dmu, sigma, eps):
+    """``(theta, lam, corner)`` of ``robust_efficiency``."""
     corner = transform_box(ds, dmu, sigma, eps)
     i = int(dmu)
     if sigma > 0 and corner.X[:, i].min() <= sigma:
         lam = np.zeros(ds.n_units)
         lam[i] = 1.0
-        return _result(corner, i, lam, 1.0)
-    return solve_nominal(corner, i)
+        return 1.0, lam, corner
+    z, lam, _ = _frontier_optimum(corner, i, build_envelopment_lp(corner, i))
+    return 1.0 - z, lam, corner
+
+
+def _robust_scores(ds: DeaDataset, dmu: int, sigmas,
+                   eps: float = DEFAULT_EPS) -> list:
+    """``_robust_score`` of ``dmu`` at each of the ascending ``sigmas``.
+
+    One directional-distance solve gives the duals, and from the first
+    sigma at or above ``beta* / 2`` where they prove the score is 1
+    (``_proves_success``) every later score is 1 without a solve: the
+    score never falls as sigma grows and never exceeds 1.  A solve that
+    gives no duals leaves every sigma to be solved.
+    """
+    i = int(dmu)
+    try:
+        beta, _, duals = _directional_optimum(ds, i)
+    except SolverFault:
+        beta, duals = np.nan, None
+    scores = []
+    for sigma in sigmas:
+        if sigma >= 0.5 * beta and _proves_success(ds, i, sigma, duals,
+                                                   eps):
+            return scores + [1.0] * (len(sigmas) - len(scores))
+        scores.append(_robust_score(ds, i, sigma, eps))
+    return scores
 
 
 def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
@@ -141,14 +199,67 @@ def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
     total = lam.sum()
     if not (0 < total < np.inf and lam.min() >= 0):  # also rejects nan
         return False
-    corner = transform_box(ds, dmu, sigma, eps)
+    X, Y = _box_corner(ds, dmu, sigma, eps)
     i = int(dmu)
-    own_x = corner.X[:, i]
+    own_x = X[:, i]
     if not own_x.min() > sigma:
         # the floor rule's ground: theta(lam) >= 1 there, as every rival
         # input on the row is at least sigma; an own input floored to 0
         # is never divided by
         return False
     lam = lam / total
-    return bool(np.all(corner.Y @ lam >= corner.Y[:, i])
-                and np.max(corner.X @ lam / own_x) < 1.0 - 2.0 * SCORE_TOL)
+    return bool(np.all(Y @ lam >= Y[:, i])
+                and np.max(X @ lam / own_x) < 1.0 - 2.0 * SCORE_TOL)
+
+
+def _proves_success(ds: DeaDataset, dmu: int, sigma: float, duals,
+                    eps: float = DEFAULT_EPS) -> bool:
+    """True when ``duals`` prove, without a solve, that
+    ``robust_efficiency(ds, dmu, sigma, eps)`` scores 1.
+
+    Take the output and input entries of ``duals``, clipped at 0, as
+    weights u and v, and h'_k = v.x'_k - u.y'_k on the corner's data.
+    Every feasible lam of the corner's nominal program meets
+    theta * v.x'_i >= v.X' lam = sum_k lam_k h'_k + u.Y' lam
+    >= sum_k lam_k h'_k + u.y'_i, so:
+
+    - when no unit has h'_k below h'_i by more than ``1e-12 * v.x'_i``,
+      theta >= 1 - 1e-12;
+    - when every other unit has h'_k above h'_i by more than the round-off
+      of h, lam = e_i is the only feasible point if v.x'_i = 0, and
+      theta >= 1 otherwise.
+
+    The first test serves where v.x'_i stands clear of the round-off of h,
+    the second elsewhere.  The duals of ``_directional_optimum`` are the
+    supporting hyperplane of the variable-returns multiplier form (Banker,
+    Charnes & Cooper 1984), with u.g + sum(v) = 1 for the box direction g
+    wherever beta* > 0.  While no floor binds, h'_k - h'_i = h_k - h_i +
+    2 sigma >= 2 sigma - beta*, so they prove every sigma above
+    ``beta* / 2``, and ``beta* / 2`` itself unless v.x'_i = 0 there (an
+    output-axis facet, whose threshold is strict).  The bound holds for
+    any duals: duals that prove nothing return False, and so do missing
+    or non-finite ones.  So does an own input at or below ``sigma``, where
+    the floor rule of ``robust_efficiency`` decides without a solve.
+    """
+    if duals is None:
+        return False
+    duals = np.asarray(duals, dtype=float)
+    if not np.all(np.isfinite(duals)):
+        return False
+    m, n = ds.n_outputs, ds.n_inputs
+    u = np.maximum(duals[:m], 0.0)
+    v = np.maximum(duals[m:m + n], 0.0)
+    X, Y = _box_corner(ds, dmu, sigma, eps)
+    i = int(dmu)
+    if not X[:, i].min() > sigma:
+        return False
+    h = v @ X - u @ Y
+    gap = h - h[i]
+    gap[i] = np.inf
+    # each h'_k sums terms no larger than `size`, so its round-off is far
+    # below 1e-12 * size, and v.x'_i at 1e-3 * size stands clear of it
+    size = (v @ X + u @ Y).max()
+    vx = v @ X[:, i]
+    if vx > 1e-3 * size:
+        return bool(gap.min() >= -1e-12 * vx)
+    return bool(gap.min() > 1e-12 * size)

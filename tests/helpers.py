@@ -351,6 +351,17 @@ def linear_walk_udea(ds, dmu, cfg):
                        capable=False, trace=trace)
 
 
+def sweep_reference(ds, cfg):
+    """Reference ``udea sweep`` rows: ``robust_efficiency`` solved at every
+    sigma of the grid, unit by unit.  The CLI must give the same bits."""
+    from udea.cli import _sigma_grid
+    from udea.robust import robust_efficiency
+
+    return [[ds.names[i], sigma,
+             robust_efficiency(ds, i, sigma, cfg.eps).theta]
+            for i in range(ds.n_units) for sigma in _sigma_grid(cfg)]
+
+
 def scalar_simplex_core(T, basis, allowed, tol, max_iter):
     """Reference simplex kernel: the rule of ``udea._kernels._simplex_core``
     (Dantzig pricing, then the ratio test with its lexicographic

@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+import udea.cli
 import udea.dataset
 from conftest import DATA_DIR
-from helpers import clamp_dataset, emit_csv
+from helpers import CLAMP_X, clamp_dataset, emit_csv, sweep_reference
 from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
                       _sigma_grid, apply_scaling, build_parser, ingest_csv,
                       main)
@@ -67,6 +68,7 @@ def test_ingest_env_columns(tmp_path):
     (["dmu,in:x,out:y", "u1,0,2", "u2,0,1"], "'in:x' is all zero"),
     (["dmu,in:x,out:y", "u1,1,0", "u2,2,0"], "all zero"),
     (["dmu,in:a,out:a", "u1,1,2"], "duplicate variable names"),
+    (["dmu,in:x,out:y", "A,1,2", "A;B,2,3"], "row 3: unit name 'A;B'"),
 ])
 def test_ingest_rejections(tmp_path, lines, needle):
     path = write_csv(tmp_path / "bad.csv", lines) if lines \
@@ -323,6 +325,20 @@ def test_text_format_stdout(example1_csv, capsys):
     assert len(lines) == 7
 
 
+def test_text_format_escapes_line_breaks(capsys):
+    # unit C's name holds a line break, which prints as \n on C's line
+    assert main(["nominal", "--data", str(DATA_DIR / "quoted_names.csv"),
+                 "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert [line.split("  ")[0].strip() for line in lines[1:]] == [
+        "A,1", 'B "best"', "C\\ntwo lines", "D", "E"]
+    # escapes read back: a backslash doubles, a carriage return is \r
+    escaped = r"a\\b\r\nc"
+    assert udea.cli._render(["dmu"], [["a\\b\r\nc"]], "text") == \
+        "dmu".ljust(len(escaped)) + "\n" + escaped + "\n"
+
+
 def test_preset_end_to_end(tmp_path):
     data = write_csv(tmp_path / "cohort.csv", [
         "dmu,in:risk,out:dose",
@@ -376,8 +392,8 @@ def test_sweep_never_below_nominal(tmp_path):
 
 
 @pytest.mark.parametrize("fixture, lps", [
-    pytest.param("case_study_s11_p0.csv", 121, id="case_study_s11_p0.csv"),
-    pytest.param("case_study_s3_p4.csv", 119, id="case_study_s3_p4.csv")])
+    pytest.param("case_study_s11_p0.csv", 76, id="case_study_s11_p0.csv"),
+    pytest.param("case_study_s3_p4.csv", 75, id="case_study_s3_p4.csv")])
 def test_iterative_solves_each_nominal_program_once(fixture, lps,
                                                     monkeypatch):
     # the nominal_score column is the sigma = 0 probe of each unit's
@@ -403,6 +419,40 @@ def test_iterative_solves_each_nominal_program_once(fixture, lps,
     assert len(calls) == separate - ds.n_units == lps
     for row, plot_row, res in zip(rows, _plot_rows(header, rows), nominal):
         assert row[1].hex() == plot_row[1].hex() == res.theta.hex()
+
+
+@pytest.mark.parametrize("data, nu, step, lps", [
+    ("case_study_s11_p0.csv", 3.6, 0.01, 4273),
+    ("case_study_s3_p4.csv", 3.6, 0.01, 4294),
+    ("example1.csv", 3.6, 0.01, 207),
+    # own inputs reach sigma and outputs the zero floor
+    ("clamp", 1.5 * max(CLAMP_X), 0.05, 108)])
+def test_sweep_matches_a_solve_at_every_sigma(data, nu, step, lps,
+                                              monkeypatch):
+    # each unit's row is solved only below the first sigma its
+    # directional-distance duals prove efficient, and 1 from there on,
+    # bit for bit what a solve at every sigma gives
+    if data == "clamp":
+        ds = clamp_dataset()
+    else:
+        config = RunConfig(mode="sweep", preset="radiotherapy"
+                           if data.startswith("case_study") else None)
+        ds = apply_scaling(ingest_csv(DATA_DIR / data), config)
+    cfg = UncertaintyConfig(nu=nu, step=step)
+    calls = []
+
+    def counting(lp, *args, **kwargs):
+        calls.append(1)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
+    header, rows = _compute(RunConfig(mode="sweep"), ds, cfg)
+    assert len(calls) == lps
+    monkeypatch.undo()
+    assert header == ["dmu", "sigma", "score"]
+    hexed = [[name, sigma.hex(), score.hex()] for name, sigma, score in rows]
+    assert hexed == [[name, sigma.hex(), score.hex()]
+                     for name, sigma, score in sweep_reference(ds, cfg)]
 
 
 @pytest.mark.parametrize("fixture",

@@ -291,13 +291,13 @@ def _assert_bisection_solve_count(ds, monkeypatch):
     n_grid = 359  # k * 0.01 < 3.6 for k = 1 .. 359
     assert 359 * cfg.step < cfg.nu <= 360 * cfg.step
     calls = []
-    original = udea.iterative.robust_efficiency
+    original = udea.iterative._robust_score
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(udea.iterative, "robust_efficiency", counting)
+    monkeypatch.setattr(udea.iterative, "_robust_score", counting)
     capable = 0
     for dmu in range(ds.n_units):
         calls.clear()
@@ -330,9 +330,10 @@ def test_search_solve_count_where_floors_bind(monkeypatch):
 
 def test_seeded_search_solve_count(monkeypatch):
     # as above, with every grid point clamp-free: the seed from one
-    # directional-distance LP is exact, and its weights prove that the
-    # point below it and the rounding midpoint fail, so an inefficient
-    # unit needs sigma = 0, the seed point and at most one more solve
+    # directional-distance LP is exact, its weights prove that the point
+    # below it fails and its duals that the seed point succeeds, and one
+    # or the other settles the rounding midpoint, so an inefficient unit
+    # needs only the solve at sigma = 0 and the seed LP
     base = table1_dataset()
     ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
@@ -344,9 +345,8 @@ def test_seeded_search_solve_count(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(udea.iterative, "robust_efficiency",
-                        counting(robust_calls,
-                                 udea.iterative.robust_efficiency))
+    monkeypatch.setattr(udea.iterative, "_robust_score",
+                        counting(robust_calls, udea.iterative._robust_score))
     monkeypatch.setattr(udea.iterative, "_directional_optimum",
                         counting(seed_calls, _directional_optimum))
     inefficient = 0
@@ -357,32 +357,34 @@ def test_seeded_search_solve_count(monkeypatch):
         if out.upsilon == 0.0:
             assert (len(robust_calls), len(seed_calls)) == (1, 0)
         else:
-            assert len(robust_calls) <= 3
-            assert len(seed_calls) == 1
+            assert (len(robust_calls), len(seed_calls)) == (1, 1)
             inefficient += 1
     assert inefficient == 2  # E and F
 
 
 def _wrong_seeds(step, rng):
-    """Seeds for (beta*, lam*) that are off by grid steps or more, or
-    unusable, in beta* (with the true lam*) or in lam* (with the true
-    beta*)."""
+    """Seeds for (beta*, lam*, duals) that are off by grid steps or more,
+    or unusable, in beta* (with the true lam* and duals), in lam* or in
+    the duals (with the true rest)."""
     def shifted(delta):
         def seed(ds, dmu):
-            beta, lam = _directional_optimum(ds, dmu)
-            return beta + delta, lam
+            beta, lam, duals = _directional_optimum(ds, dmu)
+            return beta + delta, lam, duals
         return seed
 
     def constant(value):
-        return lambda ds, dmu: (value, _directional_optimum(ds, dmu)[1])
+        def seed(ds, dmu):
+            _, lam, duals = _directional_optimum(ds, dmu)
+            return value, lam, duals
+        return seed
 
     def failing(ds, dmu):
         raise SolverFault("simplex iteration limit reached in phase 1")
 
     def weights(make):
         def seed(ds, dmu):
-            beta, lam = _directional_optimum(ds, dmu)
-            return beta, make(ds, dmu, lam)
+            beta, lam, duals = _directional_optimum(ds, dmu)
+            return beta, make(ds, dmu, lam), duals
         return seed
 
     def rival_vertex(ds, dmu, lam):
@@ -396,13 +398,33 @@ def _wrong_seeds(step, rng):
         lam[np.argmax(lam)] += 1.0 - lam.sum()
         return lam
 
+    def duals(make):
+        def seed(ds, dmu):
+            beta, lam, own = _directional_optimum(ds, dmu)
+            return beta, lam, make(ds, dmu, own)
+        return seed
+
+    def rival_duals(ds, dmu, duals):
+        return _directional_optimum(ds, (dmu + 1) % ds.n_units)[2]
+
+    def one_side(ds, dmu, duals):
+        # input weights only: every output weight set to 0
+        duals = duals.copy()
+        duals[:ds.n_outputs] = 0.0
+        return duals
+
     return [shifted(2 * step), shifted(-2 * step), shifted(0.3),
             shifted(-0.3), constant(0.0), constant(1e300),
             constant(math.inf), constant(math.nan), failing,
             weights(lambda ds, dmu, lam: rng.dirichlet(np.ones(ds.n_units))),
             weights(rival_vertex),
             weights(lambda ds, dmu, lam: np.full(ds.n_units, math.nan)),
-            weights(round_off_negatives)]
+            weights(round_off_negatives),
+            duals(lambda ds, dmu, d: rng.uniform(0.0, 1.0, d.size)),
+            duals(rival_duals), duals(one_side),
+            duals(lambda ds, dmu, d: np.zeros(d.size)),
+            duals(lambda ds, dmu, d: np.full(d.size, math.nan)),
+            duals(lambda ds, dmu, d: None)]
 
 
 def _wrong_seed_cases(rng, example1_csv):

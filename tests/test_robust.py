@@ -12,8 +12,8 @@ from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
                          _directional_optimum, _proves_failure,
-                         directional_distance, robust_efficiency,
-                         transform_box)
+                         _proves_success, directional_distance,
+                         robust_efficiency, transform_box)
 
 
 def test_config_validation():
@@ -404,7 +404,7 @@ def test_directional_weights_are_a_point_of_the_simplex(rng):
     for _ in range(10):
         ds = random_dataset(rng, max_units=10, max_dim=4)
         for i in range(ds.n_units):
-            beta, lam = _directional_optimum(ds, i)
+            beta, lam, _ = _directional_optimum(ds, i)
             assert beta == directional_distance(ds, i)
             assert lam.min() >= 0.0
             assert lam.sum() == pytest.approx(1.0, abs=1e-15)
@@ -461,7 +461,7 @@ def test_directional_weights_prove_failure_below_half_beta(rng):
         ds = random_dataset(rng, max_units=8)
         ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
         for i in range(ds.n_units):
-            beta, lam = _directional_optimum(ds, i)
+            beta, lam, _ = _directional_optimum(ds, i)
             for sigma in np.arange(0.0, 0.5 * beta - 1e-3, 0.05):
                 assert _proves_failure(ds, i, sigma, lam)
                 proofs += 1
@@ -486,18 +486,21 @@ def test_unusable_weights_prove_nothing(table1):
 
 
 def test_floored_own_input_proves_nothing():
-    # where an own input is at or below sigma, the floor rule scores 1 and
-    # no weights may prove a failure; an own input floored to 0 (eps = 0)
-    # must not be divided by
+    # where an own input is at or below sigma, the floor rule scores 1
+    # without a solve, and neither weights nor duals prove anything; an
+    # own input floored to 0 (eps = 0) must not be divided by
     ds = DeaDataset(names=list("abc"), X=[[0.3, 2.0, 3.0], [5.0, 1.0, 2.0]],
                     Y=[[1.0, 4.0, 5.0]])
+    duals = [_directional_optimum(ds, 0)[2], np.ones(4), [0.0, 1.0, 0.0, 0.0]]
     for sigma in (0.2, 0.3, 0.4):
         assert robust_efficiency(ds, 0, sigma, eps=0.0).efficient
-        for lam in ([0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.8, 0.0]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in ([0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.8, 0.0]):
                 assert not _proves_failure(ds, 0, sigma, np.array(lam),
                                            eps=0.0)
+            for d in duals:
+                assert not _proves_success(ds, 0, sigma, d, eps=0.0)
 
 
 def test_weights_within_the_score_tolerance_prove_nothing():
@@ -510,3 +513,95 @@ def test_weights_within_the_score_tolerance_prove_nothing():
     ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 3e-6]], Y=[[1.0, 1.0]])
     assert not robust_efficiency(ds, 0, 0.0).efficient
     assert _proves_failure(ds, 0, 0.0, np.array([0.0, 1.0]))
+
+
+def _success_cases(rng):
+    for _ in range(6):
+        yield random_dataset(rng, max_units=8)
+    yield table1_plus_g()
+    yield clamp_dataset()
+    for _ in range(3):
+        # one environmental output, which the box leaves where it is
+        ds = random_dataset(rng, max_units=8)
+        yield DeaDataset(names=ds.names, X=ds.X,
+                         Y=np.vstack([ds.Y, rng.uniform(0.5, 5.0,
+                                                        ds.n_units)]),
+                         env_outputs=[False] * ds.n_outputs + [True])
+    for _ in range(3):
+        # copies of two units: a copy of the unit ties with it at sigma = 0
+        ds = random_dataset(rng, max_units=8)
+        copies = [0, ds.n_units - 1]
+        yield DeaDataset(names=ds.names + ["copy0", "copy1"],
+                         X=np.hstack([ds.X, ds.X[:, copies]]),
+                         Y=np.hstack([ds.Y, ds.Y[:, copies]]))
+    # b has a's output from less input: with output weights alone, a's
+    # duals tie b with a at sigma = 0, where a scores 1/2
+    yield DeaDataset(names=list("abc"), X=[[2.0, 1.0, 3.0]],
+                     Y=[[5.0, 5.0, 4.0]])
+
+
+@pytest.mark.parametrize("eps", [0.0, DEFAULT_EPS])
+def test_duals_prove_only_successes(rng, eps):
+    # whatever the duals, a proof of success at any sigma up to 1.5 times
+    # the largest input, the floors included, is matched by a solve that
+    # scores exactly 1; some proofs come from output weights alone
+    proofs = output_only = 0
+    for ds in _success_cases(rng):
+        m, n = ds.n_outputs, ds.n_inputs
+        for i in range(ds.n_units):
+            beta, _, own = _directional_optimum(ds, i)
+            rival = (i + 1) % ds.n_units
+            candidates = [own, _directional_optimum(ds, rival)[2]]
+            # and random ones, some of them negative, which the proof
+            # must clip
+            candidates += [rng.uniform(0.0, 1.0, own.size),
+                           rng.uniform(-1.0, 1.0, own.size)]
+            sigmas = np.append(np.linspace(0.0, 1.5 * ds.X.max(), 31),
+                               0.5 * beta)
+            for sigma in sigmas:
+                try:
+                    transform_box(ds, i, sigma, eps)
+                except ValueError:  # eps = 0 left the unit no input
+                    for duals in candidates:
+                        with pytest.raises(ValueError):
+                            _proves_success(ds, i, sigma, duals, eps)
+                    continue
+                for duals in candidates:
+                    if _proves_success(ds, i, sigma, duals, eps):
+                        proofs += 1
+                        output_only += not np.any(duals[m:m + n] > 0)
+                        assert robust_efficiency(ds, i, sigma,
+                                                 eps).theta == 1.0
+    assert proofs > 500
+    assert output_only > 10
+
+
+def test_directional_duals_prove_success_from_half_beta(rng):
+    # clear of the floors, the duals prove every sigma above beta* / 2
+    proofs = 0
+    for _ in range(8):
+        ds = random_dataset(rng, max_units=8)
+        ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
+        for i in range(ds.n_units):
+            beta, _, duals = _directional_optimum(ds, i)
+            for sigma in np.arange(0.5 * beta + 1e-3, 0.5 * beta + 2.0, 0.05):
+                assert _proves_success(ds, i, sigma, duals)
+                proofs += 1
+            if beta > 2e-3:
+                assert not _proves_success(ds, i, 0.5 * beta - 1e-3, duals)
+    assert proofs > 100
+
+
+def test_unusable_duals_prove_nothing(table1):
+    # E reaches efficiency at sigma = 11/14 exactly
+    duals = _directional_optimum(table1, 4)[2]
+    for sigma in (0.0, 0.5, 0.78, 0.79, 1.0):
+        # the proof is invariant to the duals' scale
+        assert (_proves_success(table1, 4, sigma, 0.5 * duals)
+                == _proves_success(table1, 4, sigma, 3.0 * duals)
+                == _proves_success(table1, 4, sigma, duals)
+                == (sigma > 11.0 / 14.0))
+    for bad in (None, np.full(duals.size, np.nan), -np.abs(duals) - 1.0,
+                np.zeros(duals.size), np.full(duals.size, np.inf),
+                np.where(duals > 0, np.nan, duals)):
+        assert not _proves_success(table1, 4, 1.0, bad)
