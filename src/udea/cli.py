@@ -2,7 +2,8 @@
 
 CSV layout: first column is the unit name; remaining columns are headed
 ``in:<name>``, ``out:<name>`` or ``env:<name>`` (environmental outputs,
-exempt from uncertainty).  Values are nonnegative decimal reals.
+exempt from uncertainty), the name stripped and not empty.  Values are
+nonnegative decimal reals.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
 from .iterative import _grid_index, iterative_udea
 from .lp import SolverFault
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
-                     UncertaintyConfig, _robust_score, _robust_scores)
+                     UncertaintyConfig, _probe, _robust_scores)
 
 MODES = ("nominal", "robust", "sweep", "exact", "iterative")
 # the report columns that the modes reporting upsilon_star (exact and
@@ -81,21 +82,22 @@ def ingest_csv(path) -> DeaDataset:
     col_kind = []  # (kind, slot) per data column
     for c, head in enumerate(header[1:], start=2):
         head = head.strip()
-        if head.startswith("in:"):
-            col_kind.append(("in", len(input_names)))
-            input_names.append(head[3:])
-        elif head.startswith("out:"):
-            col_kind.append(("out", len(output_names)))
-            output_names.append(head[4:])
-            env_flags.append(False)
-        elif head.startswith("env:"):
-            col_kind.append(("out", len(output_names)))
-            output_names.append(head[4:])
-            env_flags.append(True)
-        else:
+        kind, colon, var = head.partition(":")
+        var = var.strip()
+        if not colon or kind not in ("in", "out", "env"):
             raise DataError(
                 f"{path}: column {c} header {head!r} must start with "
                 "'in:', 'out:' or 'env:'")
+        if not var:
+            raise DataError(f"{path}: column {c} header {head!r} names "
+                            "no variable")
+        if kind == "in":
+            col_kind.append(("in", len(input_names)))
+            input_names.append(var)
+        else:
+            col_kind.append(("out", len(output_names)))
+            output_names.append(var)
+            env_flags.append(kind == "env")
     if not input_names:
         raise DataError(f"{path}: at least one 'in:' column is required")
     if not output_names:
@@ -213,7 +215,7 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
 
     if config.mode == "robust":
         rows = [[ds.names[i], config.sigma,
-                 _robust_score(ds, i, config.sigma, cfg.eps)] for i in units]
+                 _probe(ds, i, config.sigma, cfg.eps)] for i in units]
         return ["dmu", "sigma", "score"], rows
 
     if config.mode == "sweep":

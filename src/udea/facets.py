@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import DeaDataset, is_extreme
 from .geometry import SUPPORT_TOL, FacetSet, Hyperplane, facet_thresholds
 from .outcome import UdeaOutcome
-from .robust import DEFAULT_EPS, _robust_score
+from .robust import DEFAULT_EPS, _probe
 
 DEFAULT_DIM_LIMIT = 4
 DEFAULT_UNIT_LIMIT = 64
@@ -165,7 +165,7 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
     # gamma at the smaller of upsilon and nu; with neither finite, at
     # sigma = 0, where the corner is the data itself
     sigma = min(upsilon, nu)
-    gamma = _robust_score(ds, i, sigma if math.isfinite(sigma) else 0.0, eps)
+    gamma = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0, eps)
     return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=gamma,
                        capable=upsilon < nu or (upsilon <= nu and attainable),
                        facet=facet_set.facets[k], facet_index=k,

@@ -18,28 +18,17 @@ capability.  On success the true minimum lies in a width-``t`` bracket
 below the first successful grid point; one extra midpoint probe rounds the
 reported value to the nearest grid multiple.
 
-The directional distance solve also gives weights ``lam*`` and duals.
-Below ``beta* / 2`` the weights are a feasible point of the corner's
-nominal program whose score is short of 1 by more than the efficiency
-tolerance, which proves without a solve that the score fails there
-(``robust._proves_failure``).  At or above ``beta* / 2`` the duals are a
-supporting hyperplane that still holds the unit on the corner, which
-proves without a solve that the score is 1 (``robust._proves_success``);
-such a point is scored 1.0, as the solve scores it.  Every probe but
-sigma = 0 and the cap is tried against the proof for its side first: the
-seed point, the point below it, bisection probes and the midpoint.  So a
-clamp-free inefficient unit costs two LPs, sigma = 0 and the directional
-distance.  Both proofs hold for any weights and duals, so ones that prove
-nothing cost only the solves they would have saved.
+Every probe but sigma = 0 and the cap reads the weights and duals of the
+directional distance solve, which settle most of them without a solve
+(``robust._probe``).  So a clamp-free inefficient unit costs two LPs,
+sigma = 0 and the directional distance.
 """
 
 import math
 
 from .dataset import DeaDataset, _efficient
-from .lp import SolverFault
 from .outcome import UdeaOutcome
-from .robust import (UncertaintyConfig, _directional_optimum, _proves_failure,
-                     _proves_success, _robust_score)
+from .robust import NO_PROOF, UncertaintyConfig, _probe, _proof
 
 
 def iterative_udea(ds: DeaDataset, dmu: int,
@@ -52,22 +41,11 @@ def iterative_udea(ds: DeaDataset, dmu: int,
     # grid index k -> robust score at sigma = k * t, or None where the
     # seed weights prove the score fails there
     probes = {}
-    beta, lam, duals = math.nan, None, None
-
-    def score(sigma):
-        # floors aside, the weights prove failures only below beta* / 2
-        # and the duals successes only at or above it, so neither is
-        # tried on the other side
-        if sigma < 0.5 * beta:
-            if _proves_failure(ds, i, sigma, lam, cfg.eps):
-                return None
-        elif _proves_success(ds, i, sigma, duals, cfg.eps):
-            return 1.0
-        return _robust_score(ds, i, sigma, cfg.eps)
+    proof = NO_PROOF
 
     def reached(k):
         if k not in probes:
-            probes[k] = score(k * t)
+            probes[k] = _probe(ds, i, k * t, cfg.eps, proof)
         return probes[k] is not None and _efficient(probes[k])
 
     def trace():
@@ -79,11 +57,14 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            capable=True, trace=trace(), bracket=(0.0, 0.0))
 
     top = _search_top(ds, i, t, cfg)
-    # beta* / 2 is exact where no floor binds: when g succeeds and g - 1
-    # fails, the bisection below has nothing left to do
-    g, beta, lam, duals = _seed(ds, i, t, top)
-    if g and reached(g):
-        reached(g - 1)
+    proof = _proof(ds, i)
+    # beta* / 2 is exact where no floor binds: when its grid point g
+    # succeeds and g - 1 fails, the bisection below has nothing left to do
+    target = 0.5 * proof[0]
+    if 0 < target <= top * t:  # also rejects nan and inf
+        g = _grid_index(target, t)
+        if reached(g):
+            reached(g - 1)
     # the score is monotone and fails at lo; if it succeeds at k, its first
     # success on the grid lies in (lo, k]
     lo = max(j for j in probes if not reached(j))
@@ -98,14 +79,14 @@ def iterative_udea(ds: DeaDataset, dmu: int,
         # the true minimum lies in (sigma - t, sigma]; the midpoint, proved
         # or solved, rounds it to the nearest grid multiple
         sigma = k * t
-        half = score(sigma - 0.5 * t)
+        half = _probe(ds, i, sigma - 0.5 * t, cfg.eps, proof)
         below = half is not None and _efficient(half)
         return UdeaOutcome(dmu=i, upsilon=sigma - t if below else sigma,
                            gamma=probes[k], capable=True,
                            trace=trace(), bracket=(sigma - t, sigma))
 
     # grid exhausted below a finite cap; the supremum is attained at nu
-    at_nu = _robust_score(ds, i, cfg.nu, cfg.eps)
+    at_nu = _probe(ds, i, cfg.nu, cfg.eps)
     probed = trace() + [(cfg.nu, at_nu)]
     if _efficient(at_nu):
         return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu,
@@ -127,21 +108,6 @@ def _search_top(ds, dmu, t, cfg):
         if k * t < cfg.nu:
             return k
     return max(_grid_index(cfg.nu, t) - 1, 0)
-
-
-def _seed(ds, dmu, t, top):
-    """``(g, beta*, lam*, duals)`` from the directional distance solve:
-    ``g`` is the smallest grid index with ``g * t >= beta* / 2``, or 0 when
-    ``g`` falls outside ``1 .. top``.  A solve that fails to give a finite
-    optimum gives ``(0, nan, None, None)``."""
-    try:
-        beta, lam, duals = _directional_optimum(ds, dmu)
-    except SolverFault:
-        return 0, math.nan, None, None
-    target = 0.5 * beta
-    if not 0 < target <= top * t:  # also rejects nan and inf
-        return 0, beta, lam, duals
-    return _grid_index(target, t), beta, lam, duals
 
 
 def _grid_index(value, t):

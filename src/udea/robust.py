@@ -6,13 +6,15 @@ drop and outputs rise by sigma while every rival's inputs rise and outputs
 drop.  The robust solve is therefore one nominal solve on that transformed
 ("virtual") dataset.
 
-The directional distance solve along the box direction settles most
-corners without that solve.  Its weights ``lam*`` prove a failure below
-``beta* / 2`` (``_proves_failure``), and its duals prove a success at or
-above it (``_proves_success``); each proof reads only the corner's data
-(``_box_corner``) and holds for any weights or duals.  The searches and
-sweeps read only scores, so they skip the slacks and peers of
-``robust_efficiency`` (``_robust_score``).
+Every robust score that the search, the sweep and the CLI read is
+settled by ``_probe`` on the one corner ``transform_box`` builds for it.
+The directional distance solve along the box direction (``_proof``)
+settles most corners without a nominal solve: below ``beta* / 2`` its
+weights ``lam*`` may prove a failure (``_proves_failure``), and at or
+above it its duals may prove a score of 1 (``_proves_success``).  A
+corner the proofs leave open takes the floor rule of
+``robust_efficiency`` or one solve, of which the probe reads only the
+score, not the slacks and peers.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ from .lp import SolverFault
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
 DEFAULT_CAP = 3.6
+# (beta*, lam*, duals) that prove nothing: every probe given it is solved
+NO_PROOF = (np.nan, None, None)
 
 
 @dataclass
@@ -61,21 +65,6 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
     Environmental output rows are left untouched.
     """
-    X, Y = _box_corner(ds, dmu, sigma, eps)
-    # ds is already validated, and the floors keep the corner valid except
-    # for the check in _box_corner, so the corner skips
-    # DeaDataset.__post_init__
-    corner = DeaDataset.__new__(DeaDataset)
-    vars(corner).update(names=list(ds.names), X=X, Y=Y,
-                        env_outputs=ds.env_outputs.copy(),
-                        input_names=list(ds.input_names),
-                        output_names=list(ds.output_names))
-    return corner
-
-
-def _box_corner(ds: DeaDataset, dmu: int, sigma: float, eps: float):
-    """``(X', Y')``, the data of ``transform_box``'s corner, without the
-    dataset around them."""
     if not sigma >= 0:  # also rejects nan
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     i = _check_index(ds, dmu)
@@ -89,7 +78,14 @@ def _box_corner(ds: DeaDataset, dmu: int, sigma: float, eps: float):
         np.maximum(Y, 0.0, out=Y)
         if not X[:, i].sum() > 0:
             raise ValueError("every unit needs at least one positive input")
-    return X, Y
+    # ds is already validated, and the floors keep the corner valid except
+    # for the check above, so the corner skips DeaDataset.__post_init__
+    corner = DeaDataset.__new__(DeaDataset)
+    vars(corner).update(names=list(ds.names), X=X, Y=Y,
+                        env_outputs=ds.env_outputs.copy(),
+                        input_names=list(ds.input_names),
+                        output_names=list(ds.output_names))
+    return corner
 
 
 def directional_distance(ds: DeaDataset, dmu: int) -> float:
@@ -120,6 +116,15 @@ def _directional_optimum(ds: DeaDataset, dmu: int):
     return _frontier_optimum(ds, i, _frontier_lp(ds, i, z_col))
 
 
+def _proof(ds: DeaDataset, dmu: int):
+    """``_directional_optimum`` of ``dmu``, the ``proof`` that ``_probe``
+    reads, or ``NO_PROOF`` where that solve faults."""
+    try:
+        return _directional_optimum(ds, dmu)
+    except SolverFault:
+        return NO_PROOF
+
+
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
                       eps: float = DEFAULT_EPS) -> EfficiencyResult:
     """Best achievable score of ``dmu`` over the sigma-box: a nominal solve
@@ -133,57 +138,72 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
     the transform keeps does the same).  The LP cannot be trusted there, as
     an own input near the pivot tolerance makes the theta column look zero.
     """
-    theta, lam, corner = _robust_optimum(ds, dmu, sigma, eps)
+    corner = transform_box(ds, dmu, sigma, eps)
+    theta, lam = _corner_optimum(corner, int(dmu), sigma)
     return _result(corner, int(dmu), lam, theta)
 
 
-def _robust_score(ds: DeaDataset, dmu: int, sigma: float,
-                  eps: float = DEFAULT_EPS) -> float:
-    """The score of ``robust_efficiency`` alone, without the slacks and
-    peers it reads from the weights."""
-    return _robust_optimum(ds, dmu, sigma, eps)[0]
+def _corner_optimum(corner: DeaDataset, i: int, sigma: float):
+    """``(theta, lam)`` of ``robust_efficiency`` on its ``corner``: the
+    floor rule's, or one solve's."""
+    if sigma > 0 and corner.X[:, i].min() <= sigma:
+        lam = np.zeros(corner.n_units)
+        lam[i] = 1.0
+        return 1.0, lam
+    z, lam, _ = _frontier_optimum(corner, i, build_envelopment_lp(corner, i))
+    return 1.0 - z, lam
 
 
-def _robust_optimum(ds, dmu, sigma, eps):
-    """``(theta, lam, corner)`` of ``robust_efficiency``."""
+def _probe(ds: DeaDataset, dmu: int, sigma: float,
+           eps: float = DEFAULT_EPS, proof=NO_PROOF):
+    """The score of ``robust_efficiency(ds, dmu, sigma, eps)``, or ``None``
+    where the weights of ``proof`` (a ``_proof`` of ``dmu``) prove that it
+    fails.
+
+    Floors aside, the weights prove failures only below ``beta* / 2`` and
+    the duals successes only at or above it, so each is tried on its own
+    side alone, on the one corner the solve would use.  A proved success
+    scores 1.0, as the solve scores it.  Otherwise the score is the floor
+    rule's or one solve's, bit for bit ``robust_efficiency``'s.  Both
+    proofs hold for any weights and duals, so ones that prove nothing,
+    ``NO_PROOF`` and weights of ``None`` among them, cost only the solves
+    they would have saved.
+    """
+    beta, lam, duals = proof
     corner = transform_box(ds, dmu, sigma, eps)
     i = int(dmu)
-    if sigma > 0 and corner.X[:, i].min() <= sigma:
-        lam = np.zeros(ds.n_units)
-        lam[i] = 1.0
-        return 1.0, lam, corner
-    z, lam, _ = _frontier_optimum(corner, i, build_envelopment_lp(corner, i))
-    return 1.0 - z, lam, corner
+    if sigma < 0.5 * beta:
+        if _proves_failure(corner, i, sigma, lam):
+            return None
+    elif _proves_success(corner, i, sigma, duals):
+        return 1.0
+    return _corner_optimum(corner, i, sigma)[0]
 
 
 def _robust_scores(ds: DeaDataset, dmu: int, sigmas,
                    eps: float = DEFAULT_EPS) -> list:
-    """``_robust_score`` of ``dmu`` at each of the ascending ``sigmas``.
+    """The score of ``dmu`` at each of the ascending ``sigmas``.
 
-    One directional-distance solve gives the duals, and from the first
-    sigma at or above ``beta* / 2`` where they prove the score is 1
-    (``_proves_success``) every later score is 1 without a solve: the
-    score never falls as sigma grows and never exceeds 1.  A solve that
-    gives no duals leaves every sigma to be solved.
+    Each ``_probe`` reads the duals of one ``_proof`` but not its weights,
+    so every score is a number.  From the first sigma at or above
+    ``beta* / 2`` that scores exactly 1, proved or solved, every later
+    score is 1 without a probe: the score never falls as sigma grows and
+    never exceeds 1.
     """
-    i = int(dmu)
-    try:
-        beta, _, duals = _directional_optimum(ds, i)
-    except SolverFault:
-        beta, duals = np.nan, None
+    beta, _, duals = _proof(ds, dmu)
     scores = []
     for sigma in sigmas:
-        if sigma >= 0.5 * beta and _proves_success(ds, i, sigma, duals,
-                                                   eps):
-            return scores + [1.0] * (len(sigmas) - len(scores))
-        scores.append(_robust_score(ds, i, sigma, eps))
-    return scores
+        scores.append(_probe(ds, dmu, sigma, eps, (beta, None, duals)))
+        if scores[-1] == 1.0 and sigma >= 0.5 * beta:
+            break
+    return scores + [1.0] * (len(sigmas) - len(scores))
 
 
-def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
-                    eps: float = DEFAULT_EPS) -> bool:
+def _proves_failure(corner: DeaDataset, dmu: int, sigma: float,
+                    lam) -> bool:
     """True when the weights ``lam`` prove, without a solve, that
-    ``robust_efficiency(ds, dmu, sigma, eps)`` is not efficient.
+    ``robust_efficiency`` of ``dmu`` at ``sigma`` is not efficient, where
+    ``corner`` is the ``transform_box`` corner of that solve.
 
     ``lam`` (nonnegative, rescaled to sum 1) is a feasible point of the
     corner's nominal program when it meets every output row, environmental
@@ -199,7 +219,7 @@ def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
     total = lam.sum()
     if not (0 < total < np.inf and lam.min() >= 0):  # also rejects nan
         return False
-    X, Y = _box_corner(ds, dmu, sigma, eps)
+    X, Y = corner.X, corner.Y
     i = int(dmu)
     own_x = X[:, i]
     if not own_x.min() > sigma:
@@ -212,10 +232,11 @@ def _proves_failure(ds: DeaDataset, dmu: int, sigma: float, lam,
                 and np.max(X @ lam / own_x) < 1.0 - 2.0 * SCORE_TOL)
 
 
-def _proves_success(ds: DeaDataset, dmu: int, sigma: float, duals,
-                    eps: float = DEFAULT_EPS) -> bool:
+def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
+                    duals) -> bool:
     """True when ``duals`` prove, without a solve, that
-    ``robust_efficiency(ds, dmu, sigma, eps)`` scores 1.
+    ``robust_efficiency`` of ``dmu`` at ``sigma`` scores 1, where
+    ``corner`` is the ``transform_box`` corner of that solve.
 
     Take the output and input entries of ``duals``, clipped at 0, as
     weights u and v, and h'_k = v.x'_k - u.y'_k on the corner's data.
@@ -246,10 +267,10 @@ def _proves_success(ds: DeaDataset, dmu: int, sigma: float, duals,
     duals = np.asarray(duals, dtype=float)
     if not np.all(np.isfinite(duals)):
         return False
-    m, n = ds.n_outputs, ds.n_inputs
+    m, n = corner.n_outputs, corner.n_inputs
     u = np.maximum(duals[:m], 0.0)
     v = np.maximum(duals[m:m + n], 0.0)
-    X, Y = _box_corner(ds, dmu, sigma, eps)
+    X, Y = corner.X, corner.Y
     i = int(dmu)
     if not X[:, i].min() > sigma:
         return False

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import udea.dataset
 from udea.dataset import DeaDataset, is_extreme, solve_nominal
 from udea.facets import SUPPORT_TOL, FacetSet
 from udea.geometry import (AXIS_TOL, Hyperplane, MinUncertainty,
@@ -298,6 +299,21 @@ def efficiency_gain_upper_bound(ds: DeaDataset, dmu: int, sigma: float,
         spread = ds.X[q, others].max() - ds.X[q, others].min()
         best = max(best, (spread + 2.0 * sigma) / xqi)
     return float(best)
+
+
+def count_lps(monkeypatch):
+    """A list that grows by one with each LP solved until ``monkeypatch``
+    is undone.  Every frontier program is solved through
+    ``udea.dataset.solve_lp``, so its calls are the LPs."""
+    calls = []
+    solve = udea.dataset.solve_lp
+
+    def counting(lp, *args, **kwargs):
+        calls.append(1)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
+    return calls
 
 
 def linear_walk_udea(ds, dmu, cfg):

@@ -6,13 +6,14 @@ import pytest
 import udea.cli
 import udea.dataset
 from conftest import DATA_DIR
-from helpers import CLAMP_X, clamp_dataset, emit_csv, sweep_reference
+from helpers import (CLAMP_X, clamp_dataset, count_lps, emit_csv,
+                     sweep_reference)
 from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
                       _sigma_grid, apply_scaling, build_parser, ingest_csv,
                       main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
-from udea.lp import LpSolution, solve_lp
+from udea.lp import LpSolution
 from udea.robust import UncertaintyConfig
 
 # the options every mode takes besides --data, and those each mode reads
@@ -45,6 +46,17 @@ def test_ingest_example(example1_csv):
     assert not ds.env_outputs.any()
 
 
+def test_ingest_strips_variable_names(tmp_path, capsys):
+    # a space after the prefix is not part of the name, so --scale finds it
+    path = write_csv(tmp_path / "d.csv", [
+        "dmu, in: x ,out:  y", "u1,1,2", "u2,2,1"])
+    ds = ingest_csv(path)
+    assert (ds.input_names, ds.output_names) == (["x"], ["y"])
+    assert main(["nominal", "--data", path, "--scale", "x=2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "dmu,score,peers,slack_in:x,slack_out:y"
+
+
 def test_ingest_env_columns(tmp_path):
     path = write_csv(tmp_path / "d.csv", [
         "dmu,in:a,out:b,env:c", "u1,1,2,3", "u2,2,1,3"])
@@ -69,6 +81,8 @@ def test_ingest_env_columns(tmp_path):
     (["dmu,in:x,out:y", "u1,1,0", "u2,2,0"], "all zero"),
     (["dmu,in:a,out:a", "u1,1,2"], "duplicate variable names"),
     (["dmu,in:x,out:y", "A,1,2", "A;B,2,3"], "row 3: unit name 'A;B'"),
+    (["dmu,in:,out:y", "u1,1,2"], "column 2 header 'in:' names no variable"),
+    (["dmu,in:x,env: ", "u1,1,2"], "column 3 header 'env:' names no variable"),
 ])
 def test_ingest_rejections(tmp_path, lines, needle):
     path = write_csv(tmp_path / "bad.csv", lines) if lines \
@@ -402,14 +416,7 @@ def test_iterative_solves_each_nominal_program_once(fixture, lps,
     config = RunConfig(mode="iterative", preset="radiotherapy")
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
     cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
-    calls = []
-
-    def counting(lp, *args, **kwargs):
-        calls.append(1)
-        return solve_lp(lp, *args, **kwargs)
-
-    # every frontier program is solved in udea.dataset
-    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
+    calls = count_lps(monkeypatch)
     nominal = solve_all(ds)
     for i in range(ds.n_units):
         iterative_udea(ds, i, cfg)
@@ -439,13 +446,7 @@ def test_sweep_matches_a_solve_at_every_sigma(data, nu, step, lps,
                            if data.startswith("case_study") else None)
         ds = apply_scaling(ingest_csv(DATA_DIR / data), config)
     cfg = UncertaintyConfig(nu=nu, step=step)
-    calls = []
-
-    def counting(lp, *args, **kwargs):
-        calls.append(1)
-        return solve_lp(lp, *args, **kwargs)
-
-    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
+    calls = count_lps(monkeypatch)
     header, rows = _compute(RunConfig(mode="sweep"), ds, cfg)
     assert len(calls) == lps
     monkeypatch.undo()
@@ -493,3 +494,24 @@ def test_exact_sees_facets_through_a_copied_unit(tmp_path):
         assert exact["capable"] == walk["capable"] == "true"
         assert abs(float(exact["upsilon_star"])
                    - float(walk["upsilon_star"])) <= step
+
+
+# the committed reports under tests/data/expected, in the default
+# six-decimal format, which last-bit differences between BLAS builds do
+# not reach: a change that alters a report on purpose updates its file
+EXPECTED_REPORTS = {"nominal": [], "exact": [], "iterative": [],
+                    "robust_0.5": ["--sigma", "0.5"],
+                    "robust_3.6": ["--sigma", "3.6"],
+                    "sweep": ["--nu", "1.0", "--step", "0.05"]}
+
+
+@pytest.mark.parametrize("report", sorted(EXPECTED_REPORTS))
+@pytest.mark.parametrize("fixture", ["example1", "table1_dup",
+                                     "case_study_s11_p0", "case_study_s3_p4"])
+def test_report_matches_committed(fixture, report, capsys):
+    argv = [report.split("_")[0], "--data", str(DATA_DIR / f"{fixture}.csv")]
+    if fixture.startswith("case_study"):
+        argv += ["--preset", "radiotherapy"]
+    assert main(argv + EXPECTED_REPORTS[report]) == 0
+    expected = DATA_DIR / "expected" / f"{fixture}.{report}.csv"
+    assert capsys.readouterr().out.encode() == expected.read_bytes()

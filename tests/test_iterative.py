@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-import udea.iterative
-from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, linear_walk_udea,
-                     random_dataset, random_dataset_2d, table1_dataset,
-                     table1_plus_g)
+import udea.robust
+from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, count_lps,
+                     linear_walk_udea, random_dataset, random_dataset_2d,
+                     table1_dataset, table1_plus_g)
 from conftest import DATA_DIR
 from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
 from udea.dataset import SCORE_TOL, DeaDataset, solve_nominal
@@ -284,20 +284,13 @@ def test_search_matches_walk_random_unbounded_cap(rng):
 
 
 def _assert_bisection_solve_count(ds, monkeypatch):
-    """At most 3 + ceil(log2 359) robust solves per unit on the case-study
-    grid, sorted traces, and the walk's results; returns how many units
-    needed a search."""
+    """At most 3 + ceil(log2 359) LPs per unit on the case-study grid, the
+    directional-distance one included, sorted traces, and the walk's
+    results; returns how many units needed a search."""
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
     n_grid = 359  # k * 0.01 < 3.6 for k = 1 .. 359
     assert 359 * cfg.step < cfg.nu <= 360 * cfg.step
-    calls = []
-    original = udea.iterative._robust_score
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(udea.iterative, "_robust_score", counting)
+    calls = count_lps(monkeypatch)
     capable = 0
     for dmu in range(ds.n_units):
         calls.clear()
@@ -337,27 +330,25 @@ def test_seeded_search_solve_count(monkeypatch):
     base = table1_dataset()
     ds = DeaDataset(names=base.names, X=base.X + 10.0, Y=base.Y + 10.0)
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
-    robust_calls, seed_calls = [], []
+    seed_calls = []
 
-    def counting(calls, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
-        return wrapper
+    def seed(*args, **kwargs):
+        seed_calls.append(1)
+        return _directional_optimum(*args, **kwargs)
 
-    monkeypatch.setattr(udea.iterative, "_robust_score",
-                        counting(robust_calls, udea.iterative._robust_score))
-    monkeypatch.setattr(udea.iterative, "_directional_optimum",
-                        counting(seed_calls, _directional_optimum))
+    lps = count_lps(monkeypatch)
+    monkeypatch.setattr(udea.robust, "_directional_optimum", seed)
     inefficient = 0
     for dmu in range(ds.n_units):
-        robust_calls.clear()
+        lps.clear()
         seed_calls.clear()
         out = iterative_udea(ds, dmu, cfg)
+        # every LP but the seed's is a robust solve
+        robust_calls = len(lps) - len(seed_calls)
         if out.upsilon == 0.0:
-            assert (len(robust_calls), len(seed_calls)) == (1, 0)
+            assert (robust_calls, len(seed_calls)) == (1, 0)
         else:
-            assert (len(robust_calls), len(seed_calls)) == (1, 1)
+            assert (robust_calls, len(seed_calls)) == (1, 1)
             inefficient += 1
     assert inefficient == 2  # E and F
 
@@ -446,6 +437,6 @@ def test_wrong_seed_gives_walk_result(rng, example1_csv, monkeypatch):
         for dmu in range(ds.n_units):
             ref = linear_walk_udea(ds, dmu, cfg)
             for seed in _wrong_seeds(cfg.step, rng):
-                monkeypatch.setattr(udea.iterative, "_directional_optimum",
+                monkeypatch.setattr(udea.robust, "_directional_optimum",
                                     seed)
                 _assert_same_as_walk(ds, dmu, cfg, ref)

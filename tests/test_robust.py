@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (best_corner_score, clamp_dataset,
+from helpers import (best_corner_score, clamp_dataset, count_lps,
                      efficiency_gain_upper_bound, random_dataset,
                      table1_plus_g)
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
-                         _directional_optimum, _proves_failure,
+                         _directional_optimum, _probe, _proves_failure,
                          _proves_success, directional_distance,
                          robust_efficiency, transform_box)
 
@@ -426,30 +426,63 @@ def _certificate_cases(rng):
         yield DeaDataset(names=ds.names, X=ds.X, Y=0.02 * ds.Y)
 
 
+def _failure_proved(ds, i, sigma, lam, eps=DEFAULT_EPS):
+    return _proves_failure(transform_box(ds, i, sigma, eps), i, sigma, lam)
+
+
+def _success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
+    return _proves_success(transform_box(ds, i, sigma, eps), i, sigma, duals)
+
+
+def _check_probe(ds, i, sigma, eps, proof, lps, settled):
+    """``_probe`` gives None only where ``robust_efficiency`` is not
+    efficient, 1.0 only where it is, and where it solves, its score bit
+    for bit; ``settled`` counts how each probe ended."""
+    before = len(lps)
+    score = _probe(ds, i, sigma, eps, proof)
+    solved = len(lps) > before
+    result = robust_efficiency(ds, i, sigma, eps)
+    if solved:
+        assert score.hex() == result.theta.hex()
+        settled["solved"] += 1
+    elif score is None:
+        assert not result.efficient
+        settled["failed"] += 1
+    elif score == 1.0:
+        assert result.efficient
+        settled["efficient"] += 1
+
+
 @pytest.mark.parametrize("eps", [0.0, DEFAULT_EPS])
-def test_weights_prove_only_failures(rng, eps):
+def test_weights_prove_only_failures(rng, eps, monkeypatch):
     # whatever the weights, a proof of failure at a grid point up to nu
-    # is never contradicted by the solve there
+    # is never contradicted by the solve there, and nor is _probe
     sigmas = [k * 0.05 for k in range(72)] + [3.6]
     proofs = 0
+    lps = count_lps(monkeypatch)
+    settled = dict.fromkeys(["solved", "failed", "efficient"], 0)
     for ds in _certificate_cases(rng):
         for i in range(ds.n_units):
-            weights = [_directional_optimum(ds, i)[1]]
+            beta, own, duals = _directional_optimum(ds, i)
+            weights = [own]
             weights += list(rng.dirichlet(np.ones(ds.n_units), size=3))
             for sigma in sigmas:
                 try:
-                    transform_box(ds, i, sigma, eps)
+                    corner = transform_box(ds, i, sigma, eps)
                 except ValueError:  # eps = 0 left the unit no input
                     for lam in weights:
                         with pytest.raises(ValueError):
-                            _proves_failure(ds, i, sigma, lam, eps)
+                            _probe(ds, i, sigma, eps, (beta, lam, duals))
                     continue
                 for lam in weights:
-                    if _proves_failure(ds, i, sigma, lam, eps):
+                    if _proves_failure(corner, i, sigma, lam):
                         proofs += 1
                         assert not robust_efficiency(ds, i, sigma,
                                                      eps).efficient
+                    _check_probe(ds, i, sigma, eps, (beta, lam, duals), lps,
+                                 settled)
     assert proofs > 100
+    assert min(settled.values()) > 100, settled
 
 
 def test_directional_weights_prove_failure_below_half_beta(rng):
@@ -463,9 +496,9 @@ def test_directional_weights_prove_failure_below_half_beta(rng):
         for i in range(ds.n_units):
             beta, lam, _ = _directional_optimum(ds, i)
             for sigma in np.arange(0.0, 0.5 * beta - 1e-3, 0.05):
-                assert _proves_failure(ds, i, sigma, lam)
+                assert _failure_proved(ds, i, sigma, lam)
                 proofs += 1
-            assert not _proves_failure(ds, i, 0.5 * beta + 1e-3, lam)
+            assert not _failure_proved(ds, i, 0.5 * beta + 1e-3, lam)
     assert proofs > 20
 
 
@@ -473,16 +506,16 @@ def test_unusable_weights_prove_nothing(table1):
     # E fails at sigma = 0.5 (upsilon* = 11/14), which no weights outside
     # the simplex may be taken to show
     lam = _directional_optimum(table1, 4)[1]
-    assert _proves_failure(table1, 4, 0.5, lam)
+    assert _failure_proved(table1, 4, 0.5, lam)
     # the proof reads lam / sum(lam), so rescaled weights prove the same
     for sigma in (0.0, 0.3, 0.5, 0.78, 0.79, 1.0):
-        assert (_proves_failure(table1, 4, sigma, 0.5 * lam)
-                == _proves_failure(table1, 4, sigma, 3.0 * lam)
-                == _proves_failure(table1, 4, sigma, lam)
+        assert (_failure_proved(table1, 4, sigma, 0.5 * lam)
+                == _failure_proved(table1, 4, sigma, 3.0 * lam)
+                == _failure_proved(table1, 4, sigma, lam)
                 == (sigma < 11.0 / 14.0))
     for bad in (np.full(6, np.nan), np.zeros(6), -lam,
                 np.where(lam > 0, lam, -1e-13), np.full(6, np.inf)):
-        assert not _proves_failure(table1, 4, 0.5, bad)
+        assert not _failure_proved(table1, 4, 0.5, bad)
 
 
 def test_floored_own_input_proves_nothing():
@@ -497,10 +530,10 @@ def test_floored_own_input_proves_nothing():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lam in ([0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.8, 0.0]):
-                assert not _proves_failure(ds, 0, sigma, np.array(lam),
+                assert not _failure_proved(ds, 0, sigma, np.array(lam),
                                            eps=0.0)
             for d in duals:
-                assert not _proves_success(ds, 0, sigma, d, eps=0.0)
+                assert not _success_proved(ds, 0, sigma, d, eps=0.0)
 
 
 def test_weights_within_the_score_tolerance_prove_nothing():
@@ -508,11 +541,11 @@ def test_weights_within_the_score_tolerance_prove_nothing():
     # bound falls short of 1 by less than the tolerance prove nothing
     ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 5e-7]], Y=[[1.0, 1.0]])
     assert robust_efficiency(ds, 0, 0.0).efficient
-    assert not _proves_failure(ds, 0, 0.0, np.array([0.0, 1.0]))
+    assert not _failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
     # by more than twice the tolerance, they do
     ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 3e-6]], Y=[[1.0, 1.0]])
     assert not robust_efficiency(ds, 0, 0.0).efficient
-    assert _proves_failure(ds, 0, 0.0, np.array([0.0, 1.0]))
+    assert _failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
 
 
 def _success_cases(rng):
@@ -541,15 +574,18 @@ def _success_cases(rng):
 
 
 @pytest.mark.parametrize("eps", [0.0, DEFAULT_EPS])
-def test_duals_prove_only_successes(rng, eps):
+def test_duals_prove_only_successes(rng, eps, monkeypatch):
     # whatever the duals, a proof of success at any sigma up to 1.5 times
     # the largest input, the floors included, is matched by a solve that
-    # scores exactly 1; some proofs come from output weights alone
+    # scores exactly 1, and so is _probe; some proofs come from output
+    # weights alone
     proofs = output_only = 0
+    lps = count_lps(monkeypatch)
+    settled = dict.fromkeys(["solved", "failed", "efficient"], 0)
     for ds in _success_cases(rng):
         m, n = ds.n_outputs, ds.n_inputs
         for i in range(ds.n_units):
-            beta, _, own = _directional_optimum(ds, i)
+            beta, lam, own = _directional_optimum(ds, i)
             rival = (i + 1) % ds.n_units
             candidates = [own, _directional_optimum(ds, rival)[2]]
             # and random ones, some of them negative, which the proof
@@ -560,20 +596,23 @@ def test_duals_prove_only_successes(rng, eps):
                                0.5 * beta)
             for sigma in sigmas:
                 try:
-                    transform_box(ds, i, sigma, eps)
+                    corner = transform_box(ds, i, sigma, eps)
                 except ValueError:  # eps = 0 left the unit no input
                     for duals in candidates:
                         with pytest.raises(ValueError):
-                            _proves_success(ds, i, sigma, duals, eps)
+                            _probe(ds, i, sigma, eps, (beta, lam, duals))
                     continue
                 for duals in candidates:
-                    if _proves_success(ds, i, sigma, duals, eps):
+                    if _proves_success(corner, i, sigma, duals):
                         proofs += 1
                         output_only += not np.any(duals[m:m + n] > 0)
                         assert robust_efficiency(ds, i, sigma,
                                                  eps).theta == 1.0
+                    _check_probe(ds, i, sigma, eps, (beta, lam, duals), lps,
+                                 settled)
     assert proofs > 500
     assert output_only > 10
+    assert min(settled.values()) > 100, settled
 
 
 def test_directional_duals_prove_success_from_half_beta(rng):
@@ -585,10 +624,10 @@ def test_directional_duals_prove_success_from_half_beta(rng):
         for i in range(ds.n_units):
             beta, _, duals = _directional_optimum(ds, i)
             for sigma in np.arange(0.5 * beta + 1e-3, 0.5 * beta + 2.0, 0.05):
-                assert _proves_success(ds, i, sigma, duals)
+                assert _success_proved(ds, i, sigma, duals)
                 proofs += 1
             if beta > 2e-3:
-                assert not _proves_success(ds, i, 0.5 * beta - 1e-3, duals)
+                assert not _success_proved(ds, i, 0.5 * beta - 1e-3, duals)
     assert proofs > 100
 
 
@@ -597,11 +636,11 @@ def test_unusable_duals_prove_nothing(table1):
     duals = _directional_optimum(table1, 4)[2]
     for sigma in (0.0, 0.5, 0.78, 0.79, 1.0):
         # the proof is invariant to the duals' scale
-        assert (_proves_success(table1, 4, sigma, 0.5 * duals)
-                == _proves_success(table1, 4, sigma, 3.0 * duals)
-                == _proves_success(table1, 4, sigma, duals)
+        assert (_success_proved(table1, 4, sigma, 0.5 * duals)
+                == _success_proved(table1, 4, sigma, 3.0 * duals)
+                == _success_proved(table1, 4, sigma, duals)
                 == (sigma > 11.0 / 14.0))
     for bad in (None, np.full(duals.size, np.nan), -np.abs(duals) - 1.0,
                 np.zeros(duals.size), np.full(duals.size, np.inf),
                 np.where(duals > 0, np.nan, duals)):
-        assert not _proves_success(table1, 4, 1.0, bad)
+        assert not _success_proved(table1, 4, 1.0, bad)
