@@ -9,12 +9,13 @@ The pivot rule is written out at ``_simplex_core``.
 
 Each pivot is a fixed handful of array calls, so the numpy build does not
 pay per-element Python work: the entering column is one ``argmin`` over
-the reduced costs plus a 0/inf mask of the disallowed columns, which is
-built once per call rather than once per pivot, the ratio test is a
-sequential loop over the ``m`` rows (it keeps the exact tie-break order),
-and the row update is one rank-1 update of the whole tableau.  Only calls
-numba's nopython mode supports are used, so both backends run the same
-source and the same floating-point operations.
+the reduced costs (a second one, over the costs with the disallowed
+columns masked to inf, runs only when the first picks a disallowed
+column), the ratio test is a sequential loop over the ``m`` rows (it
+keeps the exact tie-break order), and the row update is one rank-1
+update of the whole tableau.  Only calls numba's nopython mode supports
+are used, so both backends run the same source and the same
+floating-point operations.
 """
 
 import os
@@ -52,8 +53,11 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
 
     Per pivot: the entering column is the allowed one with the most
     negative reduced cost (the first on ties), and the run stops when that
-    cost is not below ``-tol``.  ``allowed`` enters as a row of 0 (allowed)
-    and inf (masked), built once per call and added to the reduced costs.
+    cost is not below ``-tol``.  It is read from one ``argmin`` over all
+    the reduced costs: when that first minimum is allowed, it is also the
+    first allowed minimum (for finite costs).  Only when it is masked are
+    the costs taken again with 0 added on allowed columns and inf on
+    masked ones, and their first minimum enters.
     The leaving row comes from the sequential ratio test.  Rows whose
     ratios tie within 1e-12 are ordered lexicographically by their slack
     block divided by their entry in the entering column,
@@ -73,11 +77,11 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     n = T.shape[1] - 1
     cost = T[m, :n]
     rhs = T[:m, n]
-    # 0 on allowed columns, inf on masked ones: added to the reduced costs,
-    # it leaves allowed costs as they are
-    mask = np.where(allowed, 0.0, np.inf)
     for _ in range(max_iter):
-        enter = np.argmin(cost + mask)
+        enter = cost.argmin()
+        if not allowed[enter]:
+            # the first minimum is masked: the first allowed one enters
+            enter = np.argmin(cost + np.where(allowed, 0.0, np.inf))
         if not (allowed[enter] and cost[enter] < -tol):
             return OPTIMAL
         col = T[:m, enter]

@@ -79,7 +79,7 @@ def ingest_csv(path) -> DeaDataset:
         raise DataError(f"{path}: header needs a name column and variables")
 
     input_names, output_names, env_flags = [], [], []
-    col_kind = []  # (kind, slot) per data column
+    in_cols, out_cols = [], []  # data column positions, in header order
     for c, head in enumerate(header[1:], start=2):
         head = head.strip()
         kind, colon, var = head.partition(":")
@@ -92,10 +92,10 @@ def ingest_csv(path) -> DeaDataset:
             raise DataError(f"{path}: column {c} header {head!r} names "
                             "no variable")
         if kind == "in":
-            col_kind.append(("in", len(input_names)))
+            in_cols.append(c - 2)
             input_names.append(var)
         else:
-            col_kind.append(("out", len(output_names)))
+            out_cols.append(c - 2)
             output_names.append(var)
             env_flags.append(kind == "env")
     if not input_names:
@@ -103,21 +103,21 @@ def ingest_csv(path) -> DeaDataset:
     if not output_names:
         raise DataError(f"{path}: at least one 'out:' or 'env:' column required")
 
-    names = []
-    X = np.zeros((len(input_names), len(rows)))
-    Y = np.zeros((len(output_names), len(rows)))
+    names, seen, table = [], set(), []
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} fields, "
                             f"expected {len(header)}")
         name = row[0].strip()
-        if name in names:
+        if name in seen:
             raise DataError(f"{path}: row {r + 2}: duplicate unit name {name!r}")
         if ";" in name:
             # the peers column joins unit names with ';'
             raise DataError(f"{path}: row {r + 2}: unit name {name!r} "
                             "holds ';', which separates peers")
         names.append(name)
+        seen.add(name)
+        values = []
         for c, raw in enumerate(row[1:]):
             try:
                 value = float(raw)
@@ -127,8 +127,14 @@ def ingest_csv(path) -> DeaDataset:
             if not math.isfinite(value) or value < 0:
                 raise DataError(f"{path}: row {r + 2}, column {c + 2}: "
                                 f"negative or non-finite value {raw}")
-            kind, slot = col_kind[c]
-            (X if kind == "in" else Y)[slot, r] = value
+            values.append(value)
+        table.append(values)
+    # one unit per row of `table`, one variable per row of X and Y, copied
+    # to C order: a matrix-vector product may round differently on the
+    # transposed layout
+    table = np.array(table, dtype=float).reshape(len(rows), len(header) - 1)
+    X = table[:, in_cols].T.copy()
+    Y = table[:, out_cols].T.copy()
     if not rows:
         raise DataError(f"{path}: no data rows")
     for k, var in enumerate(input_names):

@@ -187,8 +187,8 @@ def _result(ds: DeaDataset, i: int, lam, theta) -> EfficiencyResult:
     # slacks recomputed from lam so they are basis-independent
     output_slacks = ds.Y @ lam - ds.Y[:, i]
     input_slacks = theta * ds.X[:, i] - ds.X @ lam
-    peers = [int(k) for k in np.flatnonzero(lam > PEER_TOL)]
-    binding = [int(n) for n in np.flatnonzero(np.abs(input_slacks) <= 1e-7)]
+    peers = (lam > PEER_TOL).nonzero()[0].tolist()
+    binding = (np.abs(input_slacks) <= 1e-7).nonzero()[0].tolist()
     return EfficiencyResult(dmu=i, theta=float(theta), lam=lam,
                             input_slacks=input_slacks,
                             output_slacks=output_slacks,

@@ -107,7 +107,7 @@ def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LpSolution:
         sign = np.where(np.array(lp.senses) == GEQ, -1.0, 1.0)
         A = sign[:, None] * A
         b = sign * b
-    if np.any(b < 0):
+    if (b < 0).any():
         raise MalformedProgramError("x = lb violates a row: no start vertex")
 
     # tableau [A | I | b] over [c | 0 | 0]; the slack basis is x' = 0

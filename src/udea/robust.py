@@ -228,8 +228,8 @@ def _proves_failure(corner: DeaDataset, dmu: int, sigma: float,
         # is never divided by
         return False
     lam = lam / total
-    return bool(np.all(Y @ lam >= Y[:, i])
-                and np.max(X @ lam / own_x) < 1.0 - 2.0 * SCORE_TOL)
+    return bool((Y @ lam >= Y[:, i]).all()
+                and (X @ lam / own_x).max() < 1.0 - 2.0 * SCORE_TOL)
 
 
 def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
@@ -265,7 +265,7 @@ def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
     if duals is None:
         return False
     duals = np.asarray(duals, dtype=float)
-    if not np.all(np.isfinite(duals)):
+    if not np.isfinite(duals).all():
         return False
     m, n = corner.n_outputs, corner.n_inputs
     u = np.maximum(duals[:m], 0.0)
@@ -274,12 +274,14 @@ def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
     i = int(dmu)
     if not X[:, i].min() > sigma:
         return False
-    h = v @ X - u @ Y
+    vX = v @ X
+    uY = u @ Y
+    h = vX - uY
     gap = h - h[i]
     gap[i] = np.inf
     # each h'_k sums terms no larger than `size`, so its round-off is far
     # below 1e-12 * size, and v.x'_i at 1e-3 * size stands clear of it
-    size = (v @ X + u @ Y).max()
+    size = (vX + uY).max()
     vx = v @ X[:, i]
     if vx > 1e-3 * size:
         return bool(gap.min() >= -1e-12 * vx)

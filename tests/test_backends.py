@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import udea.lp
-from helpers import random_dataset, table1_dataset
+from conftest import DATA_DIR
+from helpers import random_dataset, scalar_simplex_core, table1_dataset
 from udea._kernels import (HAVE_NUMBA, _select_backend, simplex_core_numba,
                            simplex_core_numpy)
+from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
 from udea.dataset import solve_all
 from udea.facets import exact_udea
 from udea.iterative import iterative_udea
+from udea.robust import UncertaintyConfig
 
 
 @pytest.fixture
@@ -25,6 +28,33 @@ def _solve_everything(ds):
     nominal = [(r.theta, r.lam.copy()) for r in solve_all(ds)]
     iterative = [iterative_udea(ds, i).upsilon for i in range(ds.n_units)]
     return nominal, iterative
+
+
+def _report_bits(data, config):
+    """The rows ``udea <mode>`` reports for ``config`` on the dataset file
+    ``data``, every float as its ``float.hex``."""
+    ds = apply_scaling(ingest_csv(DATA_DIR / data), config)
+    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
+    _, rows = _compute(config, ds, cfg)
+    return [[v.hex() if isinstance(v, float) else v for v in row]
+            for row in rows]
+
+
+@pytest.mark.parametrize("data, config", [
+    ("example1.csv", RunConfig(mode="nominal")),
+    ("example1.csv", RunConfig(mode="robust", sigma=0.5)),
+    ("example1.csv", RunConfig(mode="sweep", nu=1.0, step=0.05)),
+    ("example1.csv", RunConfig(mode="exact")),
+    ("example1.csv", RunConfig(mode="iterative")),
+    ("case_study_s11_p0.csv",
+     RunConfig(mode="iterative", preset="radiotherapy")),
+], ids=["nominal", "robust", "sweep", "exact", "iterative", "case_study"])
+def test_reports_match_reference_kernel(backend, data, config):
+    # every reported number, bit for bit, whether the package kernel or
+    # the element-by-element reference of its rule solves each LP
+    ours = _report_bits(data, config)
+    backend(scalar_simplex_core)
+    assert _report_bits(data, config) == ours
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")

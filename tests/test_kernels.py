@@ -126,6 +126,21 @@ def test_random_tableaus_with_masked_columns(rng):
     assert _assert_same(T, basis, none) == OPTIMAL
 
 
+def test_masked_minimum_falls_back_to_first_allowed():
+    # the most negative reduced cost (column 0) is masked, and columns 1
+    # and 2 tie for the next best: the first of them enters
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+    T, basis = _slack_tableau(A, np.array([4.0, 6.0]),
+                              np.array([-5.0, -2.0, -2.0]))
+    allowed = np.array([False, True, True, True, True])
+    assert _assert_same(T, basis, allowed, max_iter=1) == ITERATION_LIMIT
+    for core in KERNELS:
+        T1, basis1 = T.copy(), basis.copy()
+        core(T1, basis1, allowed, TOL, 1)
+        assert 1 in basis1.tolist() and 2 not in basis1.tolist()
+    assert _assert_same(T, basis, allowed) == OPTIMAL
+
+
 def test_frontier_programs_table1_and_random(recorded, rng):
     sigmas = (0.0, 0.05, 0.3, 0.8, 2.0)
     datasets = [table1_dataset(), table1_plus_g(), clamp_dataset()]
