@@ -74,7 +74,10 @@ def ingest_csv(path) -> DeaDataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required")
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+        # (row number, fields), numbered as the reader yields rows, the
+        # header row 1 and blank rows included
+        rows = [(r, row) for r, row in enumerate(reader, start=2)
+                if any(c.strip() for c in row)]
     if len(header) < 2:
         raise DataError(f"{path}: header needs a name column and variables")
 
@@ -104,16 +107,16 @@ def ingest_csv(path) -> DeaDataset:
         raise DataError(f"{path}: at least one 'out:' or 'env:' column required")
 
     names, seen, table = [], set(), []
-    for r, row in enumerate(rows):
+    for r, row in rows:
         if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 2} has {len(row)} fields, "
+            raise DataError(f"{path}: row {r} has {len(row)} fields, "
                             f"expected {len(header)}")
         name = row[0].strip()
         if name in seen:
-            raise DataError(f"{path}: row {r + 2}: duplicate unit name {name!r}")
+            raise DataError(f"{path}: row {r}: duplicate unit name {name!r}")
         if ";" in name:
             # the peers column joins unit names with ';'
-            raise DataError(f"{path}: row {r + 2}: unit name {name!r} "
+            raise DataError(f"{path}: row {r}: unit name {name!r} "
                             "holds ';', which separates peers")
         names.append(name)
         seen.add(name)
@@ -122,10 +125,10 @@ def ingest_csv(path) -> DeaDataset:
             try:
                 value = float(raw)
             except ValueError:
-                raise DataError(f"{path}: row {r + 2}, column {c + 2}: "
+                raise DataError(f"{path}: row {r}, column {c + 2}: "
                                 f"unparseable value {raw!r}")
             if not math.isfinite(value) or value < 0:
-                raise DataError(f"{path}: row {r + 2}, column {c + 2}: "
+                raise DataError(f"{path}: row {r}, column {c + 2}: "
                                 f"negative or non-finite value {raw}")
             values.append(value)
         table.append(values)
@@ -143,6 +146,10 @@ def ingest_csv(path) -> DeaDataset:
     for k, var in enumerate(output_names):
         if not Y[k].any():
             raise DataError(f"{path}: output column for {var!r} is all zero")
+    k = X.any(axis=0).argmin()  # the first unit with no positive input, if any
+    if not X[:, k].any():
+        raise DataError(f"{path}: row {rows[k][0]}: unit {names[k]!r} has "
+                        "no positive input")
     try:
         return DeaDataset(names=names, X=X, Y=Y,
                           env_outputs=np.array(env_flags, dtype=bool),

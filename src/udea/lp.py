@@ -13,6 +13,9 @@ import numpy as np
 from ._kernels import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, simplex_core
 
 DEFAULT_TOL = 1e-9
+# pivot budget of one solve; the lexicographic rule cannot cycle, so only
+# a far larger program than the package builds could exhaust it
+MAX_PIVOTS = 100_000
 
 LEQ = "<="
 GEQ = ">="
@@ -87,7 +90,7 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` from its feasible vertex x = lb.
 
     ``>=`` rows are negated to ``<=``; an ``=`` row, or a row that x = lb
@@ -95,6 +98,7 @@ def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LpSolution:
     with a basic optimal solution, or "unbounded".  Deterministic for a
     fixed input, as the pivot rule (``_kernels._simplex_core``, at
     tolerance ``DEFAULT_TOL``) keeps no state between kernel calls.
+    ``SolverFault`` is raised after ``MAX_PIVOTS`` pivots.
     """
     n0 = lp.c.shape[0]
     m = lp.A.shape[0]
@@ -118,7 +122,7 @@ def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LpSolution:
     T[:m, -1] = b
     T[m, :n0] = lp.c
     allowed = np.ones(n0 + m, dtype=np.bool_)
-    status = simplex_core(T, basis, allowed, DEFAULT_TOL, max_iter)
+    status = simplex_core(T, basis, allowed, DEFAULT_TOL, MAX_PIVOTS)
     if status == ITERATION_LIMIT:
         raise SolverFault("simplex iteration limit reached")
     if status == UNBOUNDED:

@@ -11,8 +11,11 @@ settled by ``_probe`` on the one corner ``transform_box`` builds for it.
 The directional distance solve along the box direction (``_proof``)
 settles most corners without a nominal solve: below ``beta* / 2`` its
 weights ``lam*`` may prove a failure (``_proves_failure``), and at or
-above it its duals may prove a score of 1 (``_proves_success``).  A
-corner the proofs leave open takes the floor rule of
+above it its duals may prove a score of 1 (``_proves_success``).  Each
+check runs once where it belongs: ``_certificate`` checks and rescales
+the weights and duals once per ``_proof``, and ``_probe`` alone decides
+whether a corner may be proved, leaving to the proofs only their sigma
+arithmetic.  A corner the proofs leave open takes the floor rule of
 ``robust_efficiency`` or one solve, of which the probe reads only the
 score, not the slacks and peers.
 """
@@ -29,8 +32,8 @@ from .lp import SolverFault
 DEFAULT_EPS = 1e-9
 DEFAULT_STEP = 0.01
 DEFAULT_CAP = 3.6
-# (beta*, lam*, duals) that prove nothing: every probe given it is solved
-NO_PROOF = (np.nan, None, None)
+# (beta*, lam, u, v) that prove nothing: every probe given it is solved
+NO_PROOF = (np.nan, None, None, None)
 
 
 @dataclass
@@ -109,7 +112,7 @@ def _directional_optimum(ds: DeaDataset, dmu: int):
     """``(beta*, lam*, duals)`` of ``directional_distance`` from its one
     solve: ``lam*`` on the simplex and the rows' multipliers
     (``dataset._frontier_optimum``), whose output and input entries are
-    the weights (u, v) that ``_proves_success`` reads."""
+    the weights (u, v) of ``_certificate``."""
     i = _check_index(ds, dmu)
     z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
                             np.ones(ds.n_inputs)])
@@ -117,12 +120,37 @@ def _directional_optimum(ds: DeaDataset, dmu: int):
 
 
 def _proof(ds: DeaDataset, dmu: int):
-    """``_directional_optimum`` of ``dmu``, the ``proof`` that ``_probe``
-    reads, or ``NO_PROOF`` where that solve faults."""
+    """``(beta*, lam, u, v)``: ``beta*`` of ``_directional_optimum`` and the
+    ``_certificate`` of its weights and duals, the ``proof`` that
+    ``_probe`` reads, or ``NO_PROOF`` where that solve faults."""
     try:
-        return _directional_optimum(ds, dmu)
+        beta, lam, duals = _directional_optimum(ds, dmu)
     except SolverFault:
         return NO_PROOF
+    return (beta, *_certificate(ds, lam, duals))
+
+
+def _certificate(ds: DeaDataset, lam, duals):
+    """``(lam, u, v)`` that the proofs read, from any weights ``lam`` and
+    ``duals`` of a program over ``ds``: ``lam`` rescaled to sum 1, and the
+    output and input entries of ``duals`` clipped at 0 as u and v.
+
+    The proofs hold for any weights and duals; missing, negative or
+    non-finite ones prove nothing, so a part made from them is None (the
+    duals' negative entries are clipped, not rejected).  Checked here
+    once per ``_proof``, not on every probe.
+    """
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float)
+        total = lam.sum()
+        usable = 0 < total < np.inf and lam.min() >= 0  # also rejects nan
+        lam = lam / total if usable else None
+    u = v = None
+    if duals is not None and np.isfinite(duals).all():
+        m, n = ds.n_outputs, ds.n_inputs
+        duals = np.maximum(np.asarray(duals, dtype=float), 0.0)
+        u, v = duals[:m], duals[m:m + n]
+    return lam, u, v
 
 
 def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
@@ -160,23 +188,27 @@ def _probe(ds: DeaDataset, dmu: int, sigma: float,
     where the weights of ``proof`` (a ``_proof`` of ``dmu``) prove that it
     fails.
 
-    Floors aside, the weights prove failures only below ``beta* / 2`` and
-    the duals successes only at or above it, so each is tried on its own
-    side alone, on the one corner the solve would use.  A proved success
-    scores 1.0, as the solve scores it.  Otherwise the score is the floor
-    rule's or one solve's, bit for bit ``robust_efficiency``'s.  Both
-    proofs hold for any weights and duals, so ones that prove nothing,
-    ``NO_PROOF`` and weights of ``None`` among them, cost only the solves
-    they would have saved.
+    A proof is tried only where every own input of the corner exceeds
+    ``sigma``: at or below it the floor rule of ``robust_efficiency``
+    scores 1 without a solve, and an own input floored to 0 is never
+    divided by.  Floors aside, the weights prove failures only below
+    ``beta* / 2`` and the duals successes only at or above it, so each is
+    tried on its own side alone, on the one corner the solve would use.
+    A proved success scores 1.0, as the solve scores it.  Otherwise the
+    score is the floor rule's or one solve's, bit for bit
+    ``robust_efficiency``'s, so weights or duals that prove nothing, and
+    parts of ``proof`` that are None, cost only the solves they would
+    have saved.
     """
-    beta, lam, duals = proof
+    beta, lam, u, v = proof
     corner = transform_box(ds, dmu, sigma, eps)
     i = int(dmu)
-    if sigma < 0.5 * beta:
-        if _proves_failure(corner, i, sigma, lam):
-            return None
-    elif _proves_success(corner, i, sigma, duals):
-        return 1.0
+    if corner.X[:, i].min() > sigma:
+        if sigma < 0.5 * beta:
+            if lam is not None and _proves_failure(corner, i, lam):
+                return None
+        elif u is not None and _proves_success(corner, i, u, v):
+            return 1.0
     return _corner_optimum(corner, i, sigma)[0]
 
 
@@ -190,57 +222,42 @@ def _robust_scores(ds: DeaDataset, dmu: int, sigmas,
     score is 1 without a probe: the score never falls as sigma grows and
     never exceeds 1.
     """
-    beta, _, duals = _proof(ds, dmu)
+    beta, _, u, v = _proof(ds, dmu)
     scores = []
     for sigma in sigmas:
-        scores.append(_probe(ds, dmu, sigma, eps, (beta, None, duals)))
+        scores.append(_probe(ds, dmu, sigma, eps, (beta, None, u, v)))
         if scores[-1] == 1.0 and sigma >= 0.5 * beta:
             break
     return scores + [1.0] * (len(sigmas) - len(scores))
 
 
-def _proves_failure(corner: DeaDataset, dmu: int, sigma: float,
-                    lam) -> bool:
-    """True when the weights ``lam`` prove, without a solve, that
-    ``robust_efficiency`` of ``dmu`` at ``sigma`` is not efficient, where
-    ``corner`` is the ``transform_box`` corner of that solve.
+def _proves_failure(corner: DeaDataset, dmu: int, lam) -> bool:
+    """True when the weights ``lam`` (a ``_certificate``'s, on the simplex)
+    prove, without a solve, that the robust score of ``dmu`` on ``corner``
+    is not efficient, where ``corner`` is the ``transform_box`` corner of
+    that score and every own input of it exceeds sigma (see ``_probe``).
 
-    ``lam`` (nonnegative, rescaled to sum 1) is a feasible point of the
-    corner's nominal program when it meets every output row, environmental
-    rows included, and then bounds its minimum by theta(lam) =
-    max_n (X' lam)_n / x'_{i,n}.  With every own input of the corner above
-    ``sigma`` the floor rule of ``robust_efficiency`` does not apply, and
-    theta(lam) below ``1 - 2 * SCORE_TOL`` leaves the solve's score short
-    of ``1 - SCORE_TOL`` by more than its round-off.  This holds for any
-    ``lam``, optimal or not: weights that prove nothing return False, and
-    so do negative or non-finite ones.
+    ``lam`` is a feasible point of the corner's nominal program when it
+    meets every output row, environmental rows included, and then bounds
+    its minimum by theta(lam) = max_n (X' lam)_n / x'_{i,n}.  theta(lam)
+    below ``1 - 2 * SCORE_TOL`` leaves the solve's score short of
+    ``1 - SCORE_TOL`` by more than its round-off.  This holds for any
+    ``lam`` on the simplex, optimal or not.
     """
-    lam = np.asarray(lam, dtype=float)
-    total = lam.sum()
-    if not (0 < total < np.inf and lam.min() >= 0):  # also rejects nan
-        return False
     X, Y = corner.X, corner.Y
-    i = int(dmu)
-    own_x = X[:, i]
-    if not own_x.min() > sigma:
-        # the floor rule's ground: theta(lam) >= 1 there, as every rival
-        # input on the row is at least sigma; an own input floored to 0
-        # is never divided by
-        return False
-    lam = lam / total
-    return bool((Y @ lam >= Y[:, i]).all()
-                and (X @ lam / own_x).max() < 1.0 - 2.0 * SCORE_TOL)
+    return bool((Y @ lam >= Y[:, dmu]).all()
+                and (X @ lam / X[:, dmu]).max() < 1.0 - 2.0 * SCORE_TOL)
 
 
-def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
-                    duals) -> bool:
-    """True when ``duals`` prove, without a solve, that
-    ``robust_efficiency`` of ``dmu`` at ``sigma`` scores 1, where
-    ``corner`` is the ``transform_box`` corner of that solve.
+def _proves_success(corner: DeaDataset, dmu: int, u, v) -> bool:
+    """True when the weights ``u`` and ``v`` (a ``_certificate``'s,
+    nonnegative) prove, without a solve, that the robust score of ``dmu``
+    on ``corner`` is 1, where ``corner`` is the ``transform_box`` corner
+    of that score and every own input of it exceeds sigma (see
+    ``_probe``).
 
-    Take the output and input entries of ``duals``, clipped at 0, as
-    weights u and v, and h'_k = v.x'_k - u.y'_k on the corner's data.
-    Every feasible lam of the corner's nominal program meets
+    Take h'_k = v.x'_k - u.y'_k on the corner's data.  Every feasible lam
+    of the corner's nominal program meets
     theta * v.x'_i >= v.X' lam = sum_k lam_k h'_k + u.Y' lam
     >= sum_k lam_k h'_k + u.y'_i, so:
 
@@ -258,31 +275,18 @@ def _proves_success(corner: DeaDataset, dmu: int, sigma: float,
     2 sigma >= 2 sigma - beta*, so they prove every sigma above
     ``beta* / 2``, and ``beta* / 2`` itself unless v.x'_i = 0 there (an
     output-axis facet, whose threshold is strict).  The bound holds for
-    any duals: duals that prove nothing return False, and so do missing
-    or non-finite ones.  So does an own input at or below ``sigma``, where
-    the floor rule of ``robust_efficiency`` decides without a solve.
+    any nonnegative u and v.
     """
-    if duals is None:
-        return False
-    duals = np.asarray(duals, dtype=float)
-    if not np.isfinite(duals).all():
-        return False
-    m, n = corner.n_outputs, corner.n_inputs
-    u = np.maximum(duals[:m], 0.0)
-    v = np.maximum(duals[m:m + n], 0.0)
     X, Y = corner.X, corner.Y
-    i = int(dmu)
-    if not X[:, i].min() > sigma:
-        return False
     vX = v @ X
     uY = u @ Y
     h = vX - uY
-    gap = h - h[i]
-    gap[i] = np.inf
+    gap = h - h[dmu]
+    gap[dmu] = np.inf
     # each h'_k sums terms no larger than `size`, so its round-off is far
     # below 1e-12 * size, and v.x'_i at 1e-3 * size stands clear of it
     size = (vX + uY).max()
-    vx = v @ X[:, i]
+    vx = v @ X[:, dmu]
     if vx > 1e-3 * size:
         return bool(gap.min() >= -1e-12 * vx)
     return bool(gap.min() > 1e-12 * size)

@@ -83,6 +83,11 @@ def test_ingest_env_columns(tmp_path):
     (["dmu,in:x,out:y", "A,1,2", "A;B,2,3"], "row 3: unit name 'A;B'"),
     (["dmu,in:,out:y", "u1,1,2"], "column 2 header 'in:' names no variable"),
     (["dmu,in:x,env: ", "u1,1,2"], "column 3 header 'env:' names no variable"),
+    # rows are numbered as in the file, blank ones and empty fields counted
+    (["dmu,in:x,out:y", "A,1,2", "", "B,-2,3"],
+     "row 4, column 2: negative or non-finite value -2"),
+    (["dmu,in:x,out:y", "A,1,2", ",,", "B,0,3"],
+     "row 4: unit 'B' has no positive input"),
 ])
 def test_ingest_rejections(tmp_path, lines, needle):
     path = write_csv(tmp_path / "bad.csv", lines) if lines \
@@ -460,7 +465,9 @@ def test_sweep_matches_a_solve_at_every_sigma(data, nu, step, lps,
                          ["case_study_s11_p0.csv", "case_study_s3_p4.csv"])
 def test_exact_agrees_with_iterative_on_case_study(tmp_path, fixture):
     # volume_class is an env column: the box moves neither it nor its
-    # facet coefficient, so exact is within half a step of iterative
+    # facet coefficient, and no clamp binds on these plans, so at the
+    # defaults (nu = 3.6, t = 0.01) exact lies in the iterative bracket
+    # (sigma - t, sigma] and within half a step of the rounded value
     reports = {}
     for mode in ("exact", "iterative"):
         out = tmp_path / f"{mode}.csv"
@@ -468,13 +475,19 @@ def test_exact_agrees_with_iterative_on_case_study(tmp_path, fixture):
                      "--preset", "radiotherapy", "--out", str(out),
                      "--full-precision"]) == 0
         reports[mode] = read_report(out)
-    half_step = RunConfig(mode="iterative").step / 2
+    step = RunConfig(mode="iterative").step
+    capable = 0
     for exact, walk in zip(reports["exact"], reports["iterative"]):
         assert exact["dmu"] == walk["dmu"]
         assert exact["capable"] == walk["capable"]
         if exact["capable"] == "true":
-            assert abs(float(exact["upsilon_star"])
-                       - float(walk["upsilon_star"])) <= half_step + 1e-12
+            capable += 1
+            upsilon = float(exact["upsilon_star"])
+            sigma = float(walk["bracket_hi"])
+            assert sigma - step < upsilon <= sigma
+            assert abs(upsilon
+                       - float(walk["upsilon_star"])) <= step / 2 + 1e-12
+    assert (len(reports["exact"]), capable) == (40, 38)
 
 
 def test_exact_sees_facets_through_a_copied_unit(tmp_path):

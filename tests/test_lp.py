@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udea.lp
 from helpers import lp_vertex_oracle, table1_dataset
 from udea.dataset import build_envelopment_lp, is_extreme, solve_nominal
 from udea.lp import LinearProgram, MalformedProgramError, solve_lp
@@ -181,7 +182,8 @@ def _highs_objective(lp):
     ("case_study_s11_p0.csv", "plan14", 0.14),
     ("case_study_s3_p4.csv", "plan37", 1.36),
 ])
-def test_degenerate_case_study_programs_terminate(fixture, unit, sigma):
+def test_degenerate_case_study_programs_terminate(fixture, unit, sigma,
+                                                  monkeypatch):
     from conftest import DATA_DIR
     from udea.cli import RunConfig, apply_scaling, ingest_csv
     from udea.robust import robust_efficiency, transform_box
@@ -190,7 +192,9 @@ def test_degenerate_case_study_programs_terminate(fixture, unit, sigma):
                        RunConfig(mode="iterative", preset="radiotherapy"))
     i = ds.names.index(unit)
     lp = build_envelopment_lp(transform_box(ds, i, sigma), i)
-    sol = solve_lp(lp, max_iter=1000)
+    # a cycle would exhaust a budget of 1000 pivots
+    monkeypatch.setattr(udea.lp, "MAX_PIVOTS", 1000)
+    sol = solve_lp(lp)
     assert sol.optimal
     assert robust_efficiency(ds, i, sigma).theta == 1.0 - sol.x[-1]
     assert sol.objective == pytest.approx(_highs_objective(lp), abs=1e-9)

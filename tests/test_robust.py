@@ -10,7 +10,7 @@ from helpers import (best_corner_score, clamp_dataset, count_lps,
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
-from udea.robust import (DEFAULT_EPS, UncertaintyConfig,
+from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _certificate,
                          _directional_optimum, _probe, _proves_failure,
                          _proves_success, directional_distance,
                          robust_efficiency, transform_box)
@@ -426,20 +426,42 @@ def _certificate_cases(rng):
         yield DeaDataset(names=ds.names, X=ds.X, Y=0.02 * ds.Y)
 
 
+def _proof_of(ds, beta, lam, duals):
+    """The ``_probe`` proof that ``_proof`` makes of these parts."""
+    return (beta, *_certificate(ds, lam, duals))
+
+
+def _provable(corner, i, sigma):
+    # _probe's floor test: a proof is tried only where every own input
+    # of the corner exceeds sigma
+    return corner.X[:, i].min() > sigma
+
+
 def _failure_proved(ds, i, sigma, lam, eps=DEFAULT_EPS):
-    return _proves_failure(transform_box(ds, i, sigma, eps), i, sigma, lam)
+    """``_proves_failure`` with the certificate of ``lam``, where
+    ``_probe`` would try it."""
+    corner = transform_box(ds, i, sigma, eps)
+    lam = _certificate(ds, lam, None)[0]
+    return (lam is not None and _provable(corner, i, sigma)
+            and _proves_failure(corner, i, lam))
 
 
 def _success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
-    return _proves_success(transform_box(ds, i, sigma, eps), i, sigma, duals)
+    """``_proves_success`` with the certificate of ``duals``, where
+    ``_probe`` would try it."""
+    corner = transform_box(ds, i, sigma, eps)
+    _, u, v = _certificate(ds, None, duals)
+    return (u is not None and _provable(corner, i, sigma)
+            and _proves_success(corner, i, u, v))
 
 
-def _check_probe(ds, i, sigma, eps, proof, lps, settled):
-    """``_probe`` gives None only where ``robust_efficiency`` is not
-    efficient, 1.0 only where it is, and where it solves, its score bit
-    for bit; ``settled`` counts how each probe ended."""
+def _check_probe(ds, i, sigma, eps, parts, lps, settled):
+    """``_probe`` with the proof of ``parts`` (beta*, weights, duals)
+    gives None only where ``robust_efficiency`` is not efficient, 1.0
+    only where it is, and where it solves, its score bit for bit;
+    ``settled`` counts how each probe ended."""
     before = len(lps)
-    score = _probe(ds, i, sigma, eps, proof)
+    score = _probe(ds, i, sigma, eps, _proof_of(ds, *parts))
     solved = len(lps) > before
     result = robust_efficiency(ds, i, sigma, eps)
     if solved:
@@ -468,14 +490,15 @@ def test_weights_prove_only_failures(rng, eps, monkeypatch):
             weights += list(rng.dirichlet(np.ones(ds.n_units), size=3))
             for sigma in sigmas:
                 try:
-                    corner = transform_box(ds, i, sigma, eps)
+                    transform_box(ds, i, sigma, eps)
                 except ValueError:  # eps = 0 left the unit no input
                     for lam in weights:
                         with pytest.raises(ValueError):
-                            _probe(ds, i, sigma, eps, (beta, lam, duals))
+                            _probe(ds, i, sigma, eps,
+                                   _proof_of(ds, beta, lam, duals))
                     continue
                 for lam in weights:
-                    if _proves_failure(corner, i, sigma, lam):
+                    if _failure_proved(ds, i, sigma, lam, eps):
                         proofs += 1
                         assert not robust_efficiency(ds, i, sigma,
                                                      eps).efficient
@@ -534,6 +557,21 @@ def test_floored_own_input_proves_nothing():
                                            eps=0.0)
             for d in duals:
                 assert not _success_proved(ds, 0, sigma, d, eps=0.0)
+
+
+def test_probe_tries_no_proof_on_a_floored_corner():
+    # whatever beta* says, _probe leaves a corner whose own input is at
+    # or below sigma to the floor rule, so an own input floored to 0 is
+    # never divided by: with lam = e_i that would be 0 / 0, a RuntimeWarning
+    ds = DeaDataset(names=list("abc"), X=[[0.3, 2.0, 3.0], [5.0, 1.0, 2.0]],
+                    Y=[[1.0, 4.0, 5.0]])
+    duals = _directional_optimum(ds, 0)[2]
+    for sigma in (0.2, 0.3, 0.4):
+        for lam in ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]):
+            # beta* = inf tries the weights, beta* = 0 the duals
+            for beta in (np.inf, 0.0):
+                proof = _proof_of(ds, beta, lam, duals)
+                assert _probe(ds, 0, sigma, 0.0, proof) == 1.0
 
 
 def test_weights_within_the_score_tolerance_prove_nothing():
@@ -596,14 +634,15 @@ def test_duals_prove_only_successes(rng, eps, monkeypatch):
                                0.5 * beta)
             for sigma in sigmas:
                 try:
-                    corner = transform_box(ds, i, sigma, eps)
+                    transform_box(ds, i, sigma, eps)
                 except ValueError:  # eps = 0 left the unit no input
                     for duals in candidates:
                         with pytest.raises(ValueError):
-                            _probe(ds, i, sigma, eps, (beta, lam, duals))
+                            _probe(ds, i, sigma, eps,
+                                   _proof_of(ds, beta, lam, duals))
                     continue
                 for duals in candidates:
-                    if _proves_success(corner, i, sigma, duals):
+                    if _success_proved(ds, i, sigma, duals, eps):
                         proofs += 1
                         output_only += not np.any(duals[m:m + n] > 0)
                         assert robust_efficiency(ds, i, sigma,
