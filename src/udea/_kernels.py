@@ -3,7 +3,8 @@
 The pivot loop is the hot path of every efficiency solve, so it is compiled
 with numba when available.  A pure-numpy build of the same source is kept as
 a fallback and can be forced with ``UDEA_BACKEND=numpy``; set
-``UDEA_BACKEND=numba`` to fail loudly when numba is missing.
+``UDEA_BACKEND=numba`` to fail loudly when numba is missing.  Unset or
+empty picks numba when it is installed; any other value is an error.
 
 The pivot rule is written out at ``_simplex_core``.
 
@@ -13,7 +14,8 @@ the reduced costs (a second one, over the costs with the disallowed
 columns masked to inf, runs only when the first picks a disallowed
 column), the ratio test is a sequential loop over the ``m`` rows (it
 keeps the exact tie-break order), and the row update is one rank-1
-update of the whole tableau.  Only calls numba's nopython mode supports
+update of the whole tableau, every row included, after which the divided
+pivot row is written back.  Only calls numba's nopython mode supports
 are used, so both backends run the same source and the same
 floating-point operations.
 """
@@ -67,11 +69,12 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     lexicographically at every pivot, so no basis repeats and the loop
     ends (Dantzig, Orden & Wolfe 1955).
 
-    The pivot row is divided by the pivot, and ``f * row`` is subtracted
-    from every other row with entry ``f`` in the entering column as one
-    rank-1 update.  Rows with ``f == 0`` are left untouched, as a
-    row-by-row update leaves them, so every cell gets the same one
-    multiply and one subtract, down to the sign of a zero.
+    The pivot row is divided by the pivot, ``f * row`` is subtracted from
+    every row with entry ``f`` in the entering column as one rank-1 update
+    of the whole tableau, and the divided row then replaces the pivot row.
+    Every cell gets one multiply and one subtract, rows with ``f == 0``
+    included: that can flip only the sign of a zero cell, which no
+    pivot decision reads.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -115,16 +118,8 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
         if leave == -1:
             return UNBOUNDED
         prow = T[leave] / T[leave, enter]
-        f = T[:, enter].copy()
-        f[leave] = 0.0
-        if np.count_nonzero(f) == m:
-            # the usual case: every other row has a nonzero multiplier
-            T -= f[:, None] * prow
-        else:
-            # subtracting a signed zero would turn a -0.0 cell into +0.0
-            for i in range(m + 1):
-                if f[i] != 0.0:
-                    T[i, :] -= f[i] * prow
+        # the product is a new array: the column is read before T changes
+        T -= T[:, enter][:, None] * prow
         T[leave, :] = prow
         basis[leave] = enter
     return ITERATION_LIMIT
@@ -146,7 +141,7 @@ def _select_backend():
         if not HAVE_NUMBA:
             raise ImportError("UDEA_BACKEND=numba but numba is not installed")
         return "numba", simplex_core_numba
-    if choice not in ("", "auto"):
+    if choice:
         raise ValueError(f"unknown UDEA_BACKEND value: {choice!r}")
     if HAVE_NUMBA:
         return "numba", simplex_core_numba

@@ -383,7 +383,7 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
     (Dantzig pricing, then the ratio test with its lexicographic
     tie-break on the slack block) written as an element-by-element loop.
     It reads the tableau one element at a time and updates it row by row,
-    skipping rows whose entry in the entering column is zero.  The package
+    every row but the pivot row, zero multipliers included.  The package
     kernel must leave the same ``T`` (bit for bit, signs of zero included),
     ``basis`` and status.
     """
@@ -432,9 +432,7 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
         T[leave, :] /= piv
         for i in range(m + 1):
             if i != leave:
-                f = T[i, enter]
-                if f != 0.0:
-                    T[i, :] -= f * T[leave, :]
+                T[i, :] -= T[i, enter] * T[leave, :]
         basis[leave] = enter
     return ITERATION_LIMIT
 
