@@ -1,36 +1,26 @@
-"""Dense simplex tableau kernels.
+"""The dense simplex tableau kernel.
 
-The pivot loop is the hot path of every efficiency solve, so it is compiled
-with numba when available.  A pure-numpy build of the same source is kept as
-a fallback and can be forced with ``UDEA_BACKEND=numpy``; set
-``UDEA_BACKEND=numba`` to fail loudly when numba is missing.  Unset or
-empty picks numba when it is installed; any other value is an error.
+The pivot loop is the hot path of every efficiency solve.  Its rule is
+written out at ``_simplex_core``.
 
-The pivot rule is written out at ``_simplex_core``.
-
-Each pivot is a fixed handful of array calls, so the numpy build does not
-pay per-element Python work: the entering column is one ``argmin`` over
-the reduced costs (a second one, over the costs with the disallowed
-columns masked to inf, runs only when the first picks a disallowed
-column), the ratio test is a sequential loop over the ``m`` rows (it
-keeps the exact tie-break order), and the row update is one rank-1
-update of the whole tableau, every row included, after which the divided
-pivot row is written back.  Only calls numba's nopython mode supports
-are used, so both backends run the same source and the same
-floating-point operations.
+Each pivot is a fixed handful of array calls, with no per-element Python
+work: the entering column is one ``argmin`` over the reduced costs (a
+second one, over the costs with the disallowed columns masked to inf,
+runs only when the first picks a disallowed column), the ratio test is a
+sequential loop over the ``m`` rows (it keeps the exact tie-break order),
+and the row update is one matrix product (BLAS) of the entering column
+by the divided pivot row, subtracted from the whole tableau, after which
+the divided row is written back.  Each product is ``f * p`` rounded once,
+except that a zero factor gives +0.0, so the update differs from an
+element-by-element one only in the sign of a zero cell.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
+# the one kernel is numpy's; these names remain for the benchmark, which
+# records them
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 # status codes returned by the core loop
 OPTIMAL = 0
@@ -69,12 +59,15 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     lexicographically at every pivot, so no basis repeats and the loop
     ends (Dantzig, Orden & Wolfe 1955).
 
-    The pivot row is divided by the pivot, ``f * row`` is subtracted from
-    every row with entry ``f`` in the entering column as one rank-1 update
-    of the whole tableau, and the divided row then replaces the pivot row.
-    Every cell gets one multiply and one subtract, rows with ``f == 0``
-    included: that can flip only the sign of a zero cell, which no
-    pivot decision reads.
+    The pivot row is divided by the pivot, and ``f * row`` is subtracted
+    from every row with entry ``f`` in the entering column: the products
+    are one matrix product (BLAS ``gemm``) of the column by the row,
+    subtracted from the whole tableau, and the divided row then replaces
+    the pivot row.  With one inner term each product is ``f * p`` rounded
+    once, except that a zero factor gives +0.0 whatever the other
+    factor's sign.  Every cell gets one product and one subtract, rows
+    with ``f == 0`` included: that can flip only the sign of a zero cell,
+    which no pivot decision reads.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -117,35 +110,14 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
                         leave = i
         if leave == -1:
             return UNBOUNDED
-        prow = T[leave] / T[leave, enter]
+        prow = T[leave:leave + 1] / T[leave, enter]
         # the product is a new array: the column is read before T changes
-        T -= T[:, enter][:, None] * prow
-        T[leave, :] = prow
+        T -= np.dot(T[:, enter:enter + 1], prow)
+        T[leave] = prow
         basis[leave] = enter
     return ITERATION_LIMIT
 
 
-simplex_core_numpy = _simplex_core
-
-if HAVE_NUMBA:
-    simplex_core_numba = njit(cache=True)(_simplex_core)
-else:
-    simplex_core_numba = None
-
-
-def _select_backend():
-    choice = os.environ.get("UDEA_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy", simplex_core_numpy
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("UDEA_BACKEND=numba but numba is not installed")
-        return "numba", simplex_core_numba
-    if choice:
-        raise ValueError(f"unknown UDEA_BACKEND value: {choice!r}")
-    if HAVE_NUMBA:
-        return "numba", simplex_core_numba
-    return "numpy", simplex_core_numpy
-
-
-BACKEND, simplex_core = _select_backend()
+# ``simplex_core`` is the binding ``udea.lp`` calls and the benchmark's
+# tracing swaps; the benchmark's tests read ``simplex_core_numpy``
+simplex_core = simplex_core_numpy = _simplex_core

@@ -378,14 +378,23 @@ def sweep_reference(ds, cfg):
             for i in range(ds.n_units) for sigma in _sigma_grid(cfg)]
 
 
+def blas_product(f, p):
+    """The products ``f * p`` as BLAS forms them in a matrix product with
+    one inner term: ``f * p`` rounded once, but +0.0 wherever ``f`` or
+    ``p`` is zero, whatever the sign of either factor (a product that
+    underflows keeps its sign, as ``-1e-200 * 1e-200`` gives -0.0)."""
+    return np.where((f == 0.0) | (p == 0.0), 0.0, f * p)
+
+
 def scalar_simplex_core(T, basis, allowed, tol, max_iter):
     """Reference simplex kernel: the rule of ``udea._kernels._simplex_core``
     (Dantzig pricing, then the ratio test with its lexicographic
     tie-break on the slack block) written as an element-by-element loop.
     It reads the tableau one element at a time and updates it row by row,
-    every row but the pivot row, zero multipliers included.  The package
-    kernel must leave the same ``T`` (bit for bit, signs of zero included),
-    ``basis`` and status.
+    every row but the pivot row, zero multipliers included, subtracting
+    each product as the kernel's BLAS product forms it
+    (``blas_product``).  The package kernel must leave the same ``T``
+    (bit for bit, signs of zero included), ``basis`` and status.
     """
     from udea._kernels import ITERATION_LIMIT, OPTIMAL, UNBOUNDED
 
@@ -432,7 +441,7 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
         T[leave, :] /= piv
         for i in range(m + 1):
             if i != leave:
-                T[i, :] -= T[i, enter] * T[leave, :]
+                T[i, :] -= blas_product(T[i, enter], T[leave, :])
         basis[leave] = enter
     return ITERATION_LIMIT
 

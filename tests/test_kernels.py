@@ -2,11 +2,14 @@
 
 Each bit-for-bit case runs ``helpers.scalar_simplex_core``, an
 element-by-element loop of the same rule (Dantzig pricing, lexicographic
-ratio-test tie-break), and every available backend kernel on copies of one
-tableau, and requires the same status, basis and tableau bytes, so even
-the sign of a zero counts.  The optimality cases do not depend on the
-pivoting rule: every ending must be optimal or unbounded as scipy's HiGHS
-sees the same program.
+ratio-test tie-break), and the package kernel on copies of one tableau,
+and requires the same status, basis and tableau bytes, so even the sign
+of a zero counts.  The reference forms each product of the row update as
+the kernel's BLAS matrix product does (``helpers.blas_product``); one
+test checks that model against ``np.dot`` itself, so a BLAS that forms
+them otherwise fails there first.  The optimality cases do not depend on
+the pivoting rule: every ending must be optimal or unbounded as scipy's
+HiGHS sees the same program.
 """
 
 import numpy as np
@@ -14,16 +17,15 @@ import pytest
 
 import udea.lp
 from conftest import DATA_DIR
-from helpers import (clamp_dataset, random_dataset, scalar_simplex_core,
-                     table1_dataset, table1_plus_g)
-from udea._kernels import (HAVE_NUMBA, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
-                           simplex_core_numba, simplex_core_numpy)
+from helpers import (blas_product, clamp_dataset, random_dataset,
+                     scalar_simplex_core, table1_dataset, table1_plus_g)
+from udea._kernels import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, simplex_core
 from udea.cli import RunConfig, apply_scaling, ingest_csv
 from udea.dataset import is_extreme
 from udea.lp import LEQ, LinearProgram, solve_lp
 from udea.robust import directional_distance, robust_efficiency
 
-KERNELS = [simplex_core_numpy] + ([simplex_core_numba] if HAVE_NUMBA else [])
+KERNELS = [simplex_core]
 TOL = 1e-9
 
 
@@ -100,6 +102,22 @@ def _frontier_programs(ds, sigmas):
 def _case_study(name):
     return apply_scaling(ingest_csv(DATA_DIR / name),
                          RunConfig(mode="iterative", preset="radiotherapy"))
+
+
+def test_blas_product_model(rng):
+    # np.dot of a column by a row, as the kernel's update takes them from
+    # the tableau, gives blas_product's bytes: signed zeros, subnormal,
+    # underflowing and overflowing products included
+    vals = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, -1e-310, 3e-160,
+                     -3e-160, 1e-200, -1e-200, 1e200, -1e200, 1e308])
+    for _ in range(2000):
+        m, n = rng.integers(2, 12), rng.integers(2, 40)
+        T = rng.choice(vals, (m, n)) * rng.choice([1.0, 0.7, 1.3], (m, n))
+        j, i = rng.integers(n), rng.integers(m)
+        col, row = T[:, j:j + 1], T[i:i + 1] / 1.0
+        with np.errstate(over="ignore", under="ignore"):
+            want = blas_product(col, row)
+            assert np.dot(col, row).tobytes() == want.tobytes()
 
 
 def test_random_degenerate_tableaus(rng):
