@@ -35,13 +35,13 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     ``T`` is ``(m+1, n+1)``: ``m`` constraint rows, a reduced-cost row at the
     bottom and the right-hand side in the last column.  The ``m`` columns
     just before the right-hand side must start as the identity (the slack
-    block of ``[A | I | b]``, as ``solve_lp`` builds it), so that they hold
-    B^-1 at every basis.  ``basis[i]`` is the column basic in row ``i``;
-    ``allowed`` masks columns eligible to enter (``solve_lp`` allows every
-    column).  Returns ``OPTIMAL``, ``UNBOUNDED`` or ``ITERATION_LIMIT``
-    after ``max_iter`` pivots.  The rule keeps no state between calls,
-    so a run stepped with ``max_iter=1`` until it stops ends exactly as
-    one call.
+    block of ``[A | I | b]``, as ``dataset._frontier_tableau`` and
+    ``lp.solve_lp`` build it), so that they hold B^-1 at every basis.
+    ``basis[i]`` is the column basic in row ``i``; ``allowed`` masks
+    columns eligible to enter (both callers allow every column).  Returns
+    ``OPTIMAL``, ``UNBOUNDED`` or ``ITERATION_LIMIT`` after ``max_iter``
+    pivots.  The rule keeps no state between calls, so a run stepped with
+    ``max_iter=1`` until it stops ends exactly as one call.
 
     Per pivot: the entering column is the allowed one with the most
     negative reduced cost (the first on ties), and the run stops when that
@@ -118,6 +118,7 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
     return ITERATION_LIMIT
 
 
-# ``simplex_core`` is the binding ``udea.lp`` calls and the benchmark's
-# tracing swaps; the benchmark's tests read ``simplex_core_numpy``
+# ``simplex_core`` is the name ``udea.lp`` and ``udea.dataset`` each bind
+# and call; the benchmark's tracing swaps only ``udea.lp``'s, and its tests
+# read ``simplex_core_numpy``
 simplex_core = simplex_core_numpy = _simplex_core

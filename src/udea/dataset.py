@@ -7,15 +7,24 @@ The nominal score of unit ``i`` is the optimal value of
 
 which is always feasible (the unit is its own peer) and bounded in (0, 1].
 It is solved with lam_i eliminated and z = 1 - theta, so that the simplex
-starts at the unit itself (``_frontier_lp``), and its weights are read back
-onto the simplex (``_frontier_optimum``).
+starts at the unit itself.  This program, the directional-distance
+program of ``robust`` and the extreme-point test are one frontier program
+with different z columns: ``_frontier_tableau`` writes its simplex tableau
+straight from the data arrays, the unit and the z column, and
+``_frontier_solve`` runs the kernel on it and reads back the score, the
+weights (on the simplex) and the duals.  Neither goes through
+``LinearProgram`` or ``solve_lp``; ``build_envelopment_lp`` is a
+``LinearProgram`` view of the same tableau.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, LEQ, LinearProgram, SolverFault, solve_lp
+# the frontier solve's own binding of the kernel
+from ._kernels import ITERATION_LIMIT, UNBOUNDED, simplex_core
+from .lp import DEFAULT_TOL, LEQ, MAX_PIVOTS, LinearProgram, SolverFault
 
 SCORE_TOL = 1e-6
 PEER_TOL = 1e-6
@@ -112,81 +121,107 @@ def _efficient(theta) -> bool:
 
 
 def build_envelopment_lp(ds: DeaDataset, dmu: int) -> LinearProgram:
-    """Assemble the envelopment program for unit ``dmu`` in the frontier
-    form of ``_frontier_lp``, with z = 1 - theta.
+    """The envelopment program of unit ``dmu`` as a ``LinearProgram``: the
+    rows and costs of its ``_frontier_tableau``, with z = 1 - theta.
 
     Variables are (lam_1..lam_I, z); rows are M output rows, N input rows
     and the convexity row, all ``<=``.  The z column is 0 on outputs and
     x_i on inputs, so an input row reads X lam <= theta x_i, and the
-    objective -z is theta - 1.
+    objective -z is theta - 1.  ``solve_lp`` solves it as the package's
+    own solve does.
     """
     i = _check_index(ds, dmu)
-    return _frontier_lp(ds, i, np.concatenate([np.zeros(ds.n_outputs),
-                                               ds.X[:, i]]))
+    T = _frontier_tableau(ds.X, ds.Y, i, 0.0, ds.X[:, i])
+    n = ds.n_units + 1
+    return LinearProgram(c=T[-1, :n], A=T[:-1, :n],
+                         senses=[LEQ] * (T.shape[0] - 1), b=T[:-1, -1])
 
 
-def _frontier_lp(ds: DeaDataset, i: int, z_col) -> LinearProgram:
-    """The block every frontier program shares, over (lam_1..lam_I, z),
-    written with lam_i = 1 - sum_{k != i} lam_k substituted:
+def _frontier_tableau(X, Y, i: int, z_y, z_x):
+    """The start tableau ``[A | I | b]`` over ``[c | 0 | 0]`` of the
+    frontier program of unit ``i`` on inputs ``X`` and outputs ``Y``.
+
+    The program is over (lam_1..lam_I, z), written with
+    lam_i = 1 - sum_{k != i} lam_k substituted:
 
         min -z  s.t.  -(Y - y_i) lam + z_y z <= 0,
                        (X - x_i) lam + z_x z <= 0,
                        sum_{k != i} lam_k   <= 1,   lam, z >= 0
 
-    where ``z_col`` = (z_y, z_x) is the z column, output rows first.
     Column i is all zero, so lam_i stays 0 and is read back as one minus
     the other weights.  x = 0 is the unit itself (lam = e_i), which every
-    row admits, so the simplex starts there.
+    row admits, so the slack basis is the simplex's start.  Every frontier
+    program of the package is this one with its own z column (z_y on the
+    output rows, z_x on the input rows); ``is_extreme`` also rewrites its
+    input right-hand sides and costs.
     """
-    n_units, m = ds.n_units, ds.n_outputs
-    A = np.zeros((m + ds.n_inputs + 1, n_units + 1))
-    A[:m, :n_units] = ds.Y[:, i:i + 1] - ds.Y
-    A[m:-1, :n_units] = ds.X - ds.X[:, i:i + 1]
-    A[-1, :n_units] = 1.0
-    A[-1, i] = 0.0
-    A[:-1, -1] = z_col
-    c = np.zeros(n_units + 1)
-    c[-1] = -1.0
-    b = np.zeros(m + ds.n_inputs + 1)
-    b[-1] = 1.0
-    # float, finite and shaped by construction from a validated dataset,
-    # so the program skips LinearProgram.__post_init__
-    lp = LinearProgram.__new__(LinearProgram)
-    vars(lp).update(c=c, A=A, senses=[LEQ] * b.size, b=b,
-                    lb=np.zeros(n_units + 1))
-    return lp
+    m, n_units = Y.shape
+    rows = m + X.shape[0] + 1
+    cols = n_units + rows + 2
+    T = np.zeros((rows + 1, cols))
+    T[:m, :n_units] = Y[:, i:i + 1] - Y
+    T[m:rows - 1, :n_units] = X - X[:, i:i + 1]
+    T[rows - 1, :n_units] = 1.0
+    T[rows - 1, i] = 0.0
+    T[:m, n_units] = z_y
+    T[m:rows - 1, n_units] = z_x
+    # the slack block's diagonal, cells (r, n_units + 1 + r): one slice of
+    # stride cols + 1 through the flat tableau
+    T.reshape(-1)[n_units + 1:rows * (cols + 1):cols + 1] = 1.0
+    T[rows - 1, -1] = 1.0
+    T[rows, n_units] = -1.0
+    return T
 
 
-def _frontier_optimum(ds: DeaDataset, i: int, lp: LinearProgram):
-    """``(z*, lam*, duals)`` of a program of unit ``i`` in ``_frontier_lp``'s
-    layout.  ``lam*`` is a point of the simplex: ``lam_i`` is one minus the
-    other weights, round-off negatives are set to 0 and the sum rescaled
-    to 1.  ``duals`` are the rows' multipliers (``LpSolution.duals``):
-    output rows, input rows, then the convexity row."""
-    sol = solve_lp(lp)
-    if not sol.optimal:
+def _frontier_solve(T, i: int):
+    """``(z*, lam*, duals)`` of a ``_frontier_tableau`` of unit ``i``, which
+    the kernel solves in place.  ``lam*`` is a point of the simplex:
+    ``lam_i`` is one minus the other weights, round-off negatives are set
+    to 0 and the sum rescaled to 1.  ``duals`` are the rows' multipliers
+    (as ``LpSolution.duals``): output rows, input rows, then the convexity
+    row.  ``SolverFault`` is raised if the kernel ends other than optimal.
+    """
+    rows = T.shape[0] - 1
+    n = T.shape[1] - 1 - rows
+    basis = np.arange(n, n + rows, dtype=np.int64)
+    status = simplex_core(T, basis, np.ones(n + rows, dtype=np.bool_),
+                          DEFAULT_TOL, MAX_PIVOTS)
+    if status == ITERATION_LIMIT:
+        raise SolverFault("simplex iteration limit reached")
+    if status == UNBOUNDED:
         # feasible at x = 0, and bounded by the convexity and input rows
-        raise SolverFault(f"frontier program of unit {i} ended {sol.status}")
-    lam = sol.x[:ds.n_units]
+        raise SolverFault(f"frontier program of unit {i} ended unbounded")
+    x = np.zeros(n + rows)
+    x[basis] = T[:rows, -1]
+    # 0.0 + reads a -0.0 right-hand side as +0.0
+    x = 0.0 + x[:n]
+    lam = x[:-1]
     lam[i] = 1.0 - lam.sum()
     np.maximum(lam, 0.0, out=lam)
     lam /= lam.sum()
-    return float(sol.x[-1]), lam, sol.duals
+    return float(x[-1]), lam, T[rows, n:-1].copy()
+
+
+def _nominal_optimum(X, Y, i: int):
+    """``_frontier_solve`` of the nominal program of unit ``i``: z column
+    0 on outputs and x_i on inputs, so that z = 1 - theta."""
+    return _frontier_solve(_frontier_tableau(X, Y, i, 0.0, X[:, i]), i)
 
 
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
     """Nominal efficiency score of unit ``dmu`` with slack and peer analysis."""
     i = _check_index(ds, dmu)
-    z, lam, _ = _frontier_optimum(ds, i, build_envelopment_lp(ds, i))
-    return _result(ds, i, lam, 1.0 - z)
+    z, lam, _ = _nominal_optimum(ds.X, ds.Y, i)
+    return _result(ds.X, ds.Y, i, lam, 1.0 - z)
 
 
-def _result(ds: DeaDataset, i: int, lam, theta) -> EfficiencyResult:
-    """Score ``theta`` of unit ``i`` at weights ``lam``, with the slacks,
-    peers and binding inputs read from them."""
+def _result(X, Y, i: int, lam, theta) -> EfficiencyResult:
+    """Score ``theta`` of unit ``i`` on inputs ``X`` and outputs ``Y`` at
+    weights ``lam``, with the slacks, peers and binding inputs read from
+    them."""
     # slacks recomputed from lam so they are basis-independent
-    output_slacks = ds.Y @ lam - ds.Y[:, i]
-    input_slacks = theta * ds.X[:, i] - ds.X @ lam
+    output_slacks = Y @ lam - Y[:, i]
+    input_slacks = theta * X[:, i] - X @ lam
     peers = (lam > PEER_TOL).nonzero()[0].tolist()
     binding = (np.abs(input_slacks) <= 1e-7).nonzero()[0].tolist()
     return EfficiencyResult(dmu=i, theta=float(theta), lam=lam,
@@ -210,11 +245,12 @@ def is_extreme(ds: DeaDataset, dmu: int) -> bool:
     is extreme iff its own weight lam_i stays above ``DEFAULT_TOL``.
     """
     i = _check_index(ds, dmu)
-    lp = build_envelopment_lp(ds, i)
-    lp.A[:, -1] = 0.0
-    lp.b[ds.n_outputs:-1] = SCORE_TOL * ds.X[:, i]
-    lp.c = -lp.A[-1]
-    return bool(_frontier_optimum(ds, i, lp)[1][i] > DEFAULT_TOL)
+    m, n = ds.n_outputs, ds.n_units + 1
+    T = _frontier_tableau(ds.X, ds.Y, i, 0.0, 0.0)
+    T[m:-2, -1] = SCORE_TOL * ds.X[:, i]
+    # the costs are minus the convexity row, its z cell (-0.0) included
+    T[-1, :n] = -T[-2, :n]
+    return bool(_frontier_solve(T, i)[1][i] > DEFAULT_TOL)
 
 
 def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:
@@ -241,7 +277,14 @@ def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:
 
 
 def _check_index(ds: DeaDataset, dmu: int) -> int:
-    i = int(dmu)
+    """``dmu`` as an index of a unit of ``ds``: an integer (numpy's
+    included, but not a float such as 2.0) in ``range(ds.n_units)``.
+    The public entries check it once; the solves they make do not."""
+    try:
+        i = operator.index(dmu)
+    except TypeError:
+        msg = f"unit index must be an integer, got {dmu!r}"
+        raise TypeError(msg) from None
     if not 0 <= i < ds.n_units:
         raise IndexError(f"unit index {dmu} out of range for {ds.n_units} units")
     return i

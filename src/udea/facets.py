@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dataset import DeaDataset, is_extreme
+from .dataset import DeaDataset, _check_index, is_extreme
 from .geometry import SUPPORT_TOL, FacetSet, Hyperplane, facet_thresholds
 from .outcome import UdeaOutcome
 from .robust import DEFAULT_EPS, _probe
@@ -149,7 +149,7 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
 
     ``facet_set`` may be passed in to amortise enumeration over many units.
     """
-    i = int(dmu)
+    i = _check_index(ds, dmu)
     if facet_set is None:
         facet_set = enumerate_efficient_facets(ds)
     if not facet_set.facets:

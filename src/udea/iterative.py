@@ -26,7 +26,7 @@ sigma = 0 and the directional distance.
 
 import math
 
-from .dataset import DeaDataset, _efficient
+from .dataset import DeaDataset, _check_index, _efficient
 from .outcome import UdeaOutcome
 from .robust import NO_PROOF, UncertaintyConfig, _probe, _proof
 
@@ -36,7 +36,7 @@ def iterative_udea(ds: DeaDataset, dmu: int,
     """Grid search for the minimum uncertainty making ``dmu`` efficient."""
     if cfg is None:
         cfg = UncertaintyConfig()
-    i = int(dmu)
+    i = _check_index(ds, dmu)
     t = cfg.step
     # grid index k -> robust score at sigma = k * t, or None where the
     # seed weights prove the score fails there

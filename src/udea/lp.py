@@ -1,9 +1,13 @@
-"""Self-contained dense linear-programming engine.
+"""General dense linear programs and their one-phase simplex solve.
 
-One-phase simplex on a dense tableau ``[A | I | b]``, started from the
-slack basis at x = lb.  Every program the package builds has that start:
-the frontier programs are written so that x = 0 is the unit under
-evaluation itself.  The pivot rule is ``_kernels._simplex_core``'s.
+``solve_lp`` solves a ``LinearProgram`` on a dense tableau ``[A | I | b]``,
+started from the slack basis at x = lb; the pivot rule is
+``_kernels._simplex_core``'s.  The package's own frontier programs do not
+come through here: ``dataset._frontier_tableau`` writes their tableau in
+this same layout straight from the data, and ``dataset._frontier_solve``
+runs the kernel on it.  ``solve_lp`` remains for programs a caller builds,
+``dataset.build_envelopment_lp`` among them, and as the reference that
+the tests hold the frontier solve to.
 """
 
 from dataclasses import dataclass

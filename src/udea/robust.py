@@ -7,7 +7,9 @@ drop.  The robust solve is therefore one nominal solve on that transformed
 ("virtual") dataset.
 
 Every robust score that the search, the sweep and the CLI read is
-settled by ``_probe`` on the one corner ``transform_box`` builds for it.
+settled by ``_probe`` on the one corner ``_corner`` builds for it, as two
+arrays (inputs, outputs); ``transform_box`` is the same corner as a
+dataset.
 The directional distance solve along the box direction (``_proof``)
 settles most corners without a nominal solve: below ``beta* / 2`` its
 weights ``lam*`` may prove a failure (``_proves_failure``), and at or
@@ -17,7 +19,8 @@ the weights and duals once per ``_proof``, and ``_probe`` alone decides
 whether a corner may be proved, leaving to the proofs only their sigma
 arithmetic.  A corner the proofs leave open takes the floor rule of
 ``robust_efficiency`` or one solve, of which the probe reads only the
-score, not the slacks and peers.
+score, not the slacks and peers.  Every solve goes straight from the
+arrays into its simplex tableau (``dataset._frontier_tableau``).
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (SCORE_TOL, DeaDataset, EfficiencyResult, _check_index,
-                      _frontier_lp, _frontier_optimum, _result,
-                      build_envelopment_lp)
+                      _frontier_solve, _frontier_tableau, _nominal_optimum,
+                      _result)
 from .lp import SolverFault
 
 DEFAULT_EPS = 1e-9
@@ -68,27 +71,33 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
     Environmental output rows are left untouched.
     """
-    if not sigma >= 0:  # also rejects nan
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    i = _check_index(ds, dmu)
-    X = ds.X + sigma
-    X[:, i] = ds.X[:, i] - sigma
-    Y = ds.Y - sigma
-    Y[:, i] = ds.Y[:, i] + sigma
-    Y[ds.env_outputs, :] = ds.Y[ds.env_outputs, :]
-    if sigma > 0:
-        np.maximum(X, eps, out=X)
-        np.maximum(Y, 0.0, out=Y)
-        if not X[:, i].sum() > 0:
-            raise ValueError("every unit needs at least one positive input")
+    X, Y = _corner(ds, _check_index(ds, dmu), sigma, eps)
     # ds is already validated, and the floors keep the corner valid except
-    # for the check above, so the corner skips DeaDataset.__post_init__
+    # for the check in _corner, so the corner skips DeaDataset.__post_init__
     corner = DeaDataset.__new__(DeaDataset)
     vars(corner).update(names=list(ds.names), X=X, Y=Y,
                         env_outputs=ds.env_outputs.copy(),
                         input_names=list(ds.input_names),
                         output_names=list(ds.output_names))
     return corner
+
+
+def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
+    """``(X, Y)`` of ``transform_box(ds, i, sigma, eps)``, without the
+    dataset around them; ``i`` is a checked unit index."""
+    if not sigma >= 0:  # also rejects nan
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    X = ds.X + sigma
+    X[:, i] = ds.X[:, i] - sigma
+    Y = ds.Y - sigma
+    Y[:, i] = ds.Y[:, i] + sigma
+    np.copyto(Y, ds.Y, where=ds.env_outputs[:, None])
+    if sigma > 0:
+        np.maximum(X, eps, out=X)
+        np.maximum(Y, 0.0, out=Y)
+        if not X[:, i].sum() > 0:
+            raise ValueError("every unit needs at least one positive input")
+    return X, Y
 
 
 def directional_distance(ds: DeaDataset, dmu: int) -> float:
@@ -99,32 +108,30 @@ def directional_distance(ds: DeaDataset, dmu: int) -> float:
                         sum(lam) = 1,  lam >= 0,  beta >= 0
 
     (Chambers, Chung & Färe 1996), solved as the frontier program of
-    ``_frontier_lp`` with z = beta and z column (g, 1).  ``lam = e_i`` is
-    feasible, so ``beta* >= 0``.  The box transform moves ``dmu`` by
-    ``sigma`` along g and every rival by ``sigma`` against it, so while no
-    ``eps``/0 floor binds, ``beta* / 2`` is the minimum uncertainty making
-    ``dmu`` efficient.
+    ``dataset._frontier_tableau`` with z = beta and z column (g, 1).
+    ``lam = e_i`` is feasible, so ``beta* >= 0``.  The box transform moves
+    ``dmu`` by ``sigma`` along g and every rival by ``sigma`` against it, so
+    while no ``eps``/0 floor binds, ``beta* / 2`` is the minimum
+    uncertainty making ``dmu`` efficient.
     """
-    return _directional_optimum(ds, dmu)[0]
+    return _directional_optimum(ds, _check_index(ds, dmu))[0]
 
 
-def _directional_optimum(ds: DeaDataset, dmu: int):
-    """``(beta*, lam*, duals)`` of ``directional_distance`` from its one
-    solve: ``lam*`` on the simplex and the rows' multipliers
-    (``dataset._frontier_optimum``), whose output and input entries are
+def _directional_optimum(ds: DeaDataset, i: int):
+    """``(beta*, lam*, duals)`` of ``directional_distance`` of unit ``i``
+    from its one solve: ``lam*`` on the simplex and the rows' multipliers
+    (``dataset._frontier_solve``), whose output and input entries are
     the weights (u, v) of ``_certificate``."""
-    i = _check_index(ds, dmu)
-    z_col = np.concatenate([np.where(ds.env_outputs, 0.0, 1.0),
-                            np.ones(ds.n_inputs)])
-    return _frontier_optimum(ds, i, _frontier_lp(ds, i, z_col))
+    z_y = np.where(ds.env_outputs, 0.0, 1.0)
+    return _frontier_solve(_frontier_tableau(ds.X, ds.Y, i, z_y, 1.0), i)
 
 
-def _proof(ds: DeaDataset, dmu: int):
-    """``(beta*, lam, u, v)``: ``beta*`` of ``_directional_optimum`` and the
-    ``_certificate`` of its weights and duals, the ``proof`` that
-    ``_probe`` reads, or ``NO_PROOF`` where that solve faults."""
+def _proof(ds: DeaDataset, i: int):
+    """``(beta*, lam, u, v)``: ``beta*`` of ``_directional_optimum`` of unit
+    ``i`` and the ``_certificate`` of its weights and duals, the ``proof``
+    that ``_probe`` reads, or ``NO_PROOF`` where that solve faults."""
     try:
-        beta, lam, duals = _directional_optimum(ds, dmu)
+        beta, lam, duals = _directional_optimum(ds, i)
     except SolverFault:
         return NO_PROOF
     return (beta, *_certificate(ds, lam, duals))
@@ -166,27 +173,29 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
     the transform keeps does the same).  The LP cannot be trusted there, as
     an own input near the pivot tolerance makes the theta column look zero.
     """
-    corner = transform_box(ds, dmu, sigma, eps)
-    theta, lam = _corner_optimum(corner, int(dmu), sigma)
-    return _result(corner, int(dmu), lam, theta)
+    i = _check_index(ds, dmu)
+    X, Y = _corner(ds, i, sigma, eps)
+    theta, lam = _corner_optimum(X, Y, i, sigma)
+    return _result(X, Y, i, lam, theta)
 
 
-def _corner_optimum(corner: DeaDataset, i: int, sigma: float):
-    """``(theta, lam)`` of ``robust_efficiency`` on its ``corner``: the
-    floor rule's, or one solve's."""
-    if sigma > 0 and corner.X[:, i].min() <= sigma:
-        lam = np.zeros(corner.n_units)
+def _corner_optimum(X, Y, i: int, sigma: float):
+    """``(theta, lam)`` of ``robust_efficiency`` on its corner ``(X, Y)``:
+    the floor rule's, or one solve's."""
+    if sigma > 0 and X[:, i].min() <= sigma:
+        lam = np.zeros(X.shape[1])
         lam[i] = 1.0
         return 1.0, lam
-    z, lam, _ = _frontier_optimum(corner, i, build_envelopment_lp(corner, i))
+    z, lam, _ = _nominal_optimum(X, Y, i)
     return 1.0 - z, lam
 
 
-def _probe(ds: DeaDataset, dmu: int, sigma: float,
+def _probe(ds: DeaDataset, i: int, sigma: float,
            eps: float = DEFAULT_EPS, proof=NO_PROOF):
-    """The score of ``robust_efficiency(ds, dmu, sigma, eps)``, or ``None``
-    where the weights of ``proof`` (a ``_proof`` of ``dmu``) prove that it
-    fails.
+    """The score of ``robust_efficiency(ds, i, sigma, eps)``, or ``None``
+    where the weights of ``proof`` (a ``_proof`` of unit ``i``) prove that
+    it fails.  ``i`` is a checked unit index; ``sigma`` and the floored
+    corner are checked here, as ``transform_box`` checks them.
 
     A proof is tried only where every own input of the corner exceeds
     ``sigma``: at or below it the floor rule of ``robust_efficiency``
@@ -201,20 +210,19 @@ def _probe(ds: DeaDataset, dmu: int, sigma: float,
     have saved.
     """
     beta, lam, u, v = proof
-    corner = transform_box(ds, dmu, sigma, eps)
-    i = int(dmu)
-    if corner.X[:, i].min() > sigma:
+    X, Y = _corner(ds, i, sigma, eps)
+    if X[:, i].min() > sigma:
         if sigma < 0.5 * beta:
-            if lam is not None and _proves_failure(corner, i, lam):
+            if lam is not None and _proves_failure(X, Y, i, lam):
                 return None
-        elif u is not None and _proves_success(corner, i, u, v):
+        elif u is not None and _proves_success(X, Y, i, u, v):
             return 1.0
-    return _corner_optimum(corner, i, sigma)[0]
+    return _corner_optimum(X, Y, i, sigma)[0]
 
 
-def _robust_scores(ds: DeaDataset, dmu: int, sigmas,
+def _robust_scores(ds: DeaDataset, i: int, sigmas,
                    eps: float = DEFAULT_EPS) -> list:
-    """The score of ``dmu`` at each of the ascending ``sigmas``.
+    """The score of unit ``i`` at each of the ascending ``sigmas``.
 
     Each ``_probe`` reads the duals of one ``_proof`` but not its weights,
     so every score is a number.  From the first sigma at or above
@@ -222,20 +230,20 @@ def _robust_scores(ds: DeaDataset, dmu: int, sigmas,
     score is 1 without a probe: the score never falls as sigma grows and
     never exceeds 1.
     """
-    beta, _, u, v = _proof(ds, dmu)
+    beta, _, u, v = _proof(ds, i)
     scores = []
     for sigma in sigmas:
-        scores.append(_probe(ds, dmu, sigma, eps, (beta, None, u, v)))
+        scores.append(_probe(ds, i, sigma, eps, (beta, None, u, v)))
         if scores[-1] == 1.0 and sigma >= 0.5 * beta:
             break
     return scores + [1.0] * (len(sigmas) - len(scores))
 
 
-def _proves_failure(corner: DeaDataset, dmu: int, lam) -> bool:
+def _proves_failure(X, Y, dmu: int, lam) -> bool:
     """True when the weights ``lam`` (a ``_certificate``'s, on the simplex)
-    prove, without a solve, that the robust score of ``dmu`` on ``corner``
-    is not efficient, where ``corner`` is the ``transform_box`` corner of
-    that score and every own input of it exceeds sigma (see ``_probe``).
+    prove, without a solve, that the robust score of ``dmu`` on the corner
+    ``(X, Y)`` is not efficient, where that is the ``_corner`` of the
+    score and every own input of it exceeds sigma (see ``_probe``).
 
     ``lam`` is a feasible point of the corner's nominal program when it
     meets every output row, environmental rows included, and then bounds
@@ -244,17 +252,15 @@ def _proves_failure(corner: DeaDataset, dmu: int, lam) -> bool:
     ``1 - SCORE_TOL`` by more than its round-off.  This holds for any
     ``lam`` on the simplex, optimal or not.
     """
-    X, Y = corner.X, corner.Y
     return bool((Y @ lam >= Y[:, dmu]).all()
                 and (X @ lam / X[:, dmu]).max() < 1.0 - 2.0 * SCORE_TOL)
 
 
-def _proves_success(corner: DeaDataset, dmu: int, u, v) -> bool:
+def _proves_success(X, Y, dmu: int, u, v) -> bool:
     """True when the weights ``u`` and ``v`` (a ``_certificate``'s,
     nonnegative) prove, without a solve, that the robust score of ``dmu``
-    on ``corner`` is 1, where ``corner`` is the ``transform_box`` corner
-    of that score and every own input of it exceeds sigma (see
-    ``_probe``).
+    on the corner ``(X, Y)`` is 1, where that is the ``_corner`` of the
+    score and every own input of it exceeds sigma (see ``_probe``).
 
     Take h'_k = v.x'_k - u.y'_k on the corner's data.  Every feasible lam
     of the corner's nominal program meets
@@ -277,7 +283,6 @@ def _proves_success(corner: DeaDataset, dmu: int, u, v) -> bool:
     output-axis facet, whose threshold is strict).  The bound holds for
     any nonnegative u and v.
     """
-    X, Y = corner.X, corner.Y
     vX = v @ X
     uY = u @ Y
     h = vX - uY

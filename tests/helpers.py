@@ -303,16 +303,17 @@ def efficiency_gain_upper_bound(ds: DeaDataset, dmu: int, sigma: float,
 
 def count_lps(monkeypatch):
     """A list that grows by one with each LP solved until ``monkeypatch``
-    is undone.  Every frontier program is solved through
-    ``udea.dataset.solve_lp``, so its calls are the LPs."""
+    is undone.  Every frontier program is solved by one call of the
+    kernel binding ``udea.dataset.simplex_core``, so its calls are the
+    LPs."""
     calls = []
-    solve = udea.dataset.solve_lp
+    kernel = udea.dataset.simplex_core
 
-    def counting(lp, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return solve(lp, *args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(udea.dataset, "solve_lp", counting)
+    monkeypatch.setattr(udea.dataset, "simplex_core", counting)
     return calls
 
 

@@ -3,7 +3,7 @@ reference solves each LP."""
 
 import pytest
 
-import udea.lp
+import udea.dataset
 from conftest import DATA_DIR
 from helpers import scalar_simplex_core
 from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
@@ -33,5 +33,5 @@ def test_reports_match_reference_kernel(monkeypatch, data, config):
     # every reported number, bit for bit, whether the package kernel or
     # the element-by-element reference of its rule solves each LP
     ours = _report_bits(data, config)
-    monkeypatch.setattr(udea.lp, "simplex_core", scalar_simplex_core)
+    monkeypatch.setattr(udea.dataset, "simplex_core", scalar_simplex_core)
     assert _report_bits(data, config) == ours

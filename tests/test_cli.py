@@ -13,7 +13,7 @@ from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
                       main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
-from udea.lp import LpSolution
+from udea._kernels import UNBOUNDED
 from udea.robust import UncertaintyConfig
 
 # the options every mode takes besides --data, and those each mode reads
@@ -293,8 +293,8 @@ def test_exit_code_bad_scale(example1_csv, capsys, pairs):
 
 
 def test_exit_code_solver_fault(example1_csv, capsys, monkeypatch):
-    monkeypatch.setattr(udea.dataset, "solve_lp",
-                        lambda *args, **kwargs: LpSolution(status="unbounded"))
+    monkeypatch.setattr(udea.dataset, "simplex_core",
+                        lambda *args, **kwargs: UNBOUNDED)
     assert main(["nominal", "--data", str(example1_csv)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: solver fault: ")

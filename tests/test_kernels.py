@@ -15,7 +15,7 @@ HiGHS sees the same program.
 import numpy as np
 import pytest
 
-import udea.lp
+import udea.dataset
 from conftest import DATA_DIR
 from helpers import (blas_product, clamp_dataset, random_dataset,
                      scalar_simplex_core, table1_dataset, table1_plus_g)
@@ -81,13 +81,14 @@ def _degenerate_tableau(rng):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every (T, basis, allowed) that solve_lp hands to the kernel."""
+    """Every (T, basis, allowed) that the frontier solve
+    (``udea.dataset._frontier_solve``) hands to the kernel."""
     calls = []
 
     def record(T, basis, allowed, tol, max_iter):
         calls.append((T.copy(), basis.copy(), allowed.copy()))
         return scalar_simplex_core(T, basis, allowed, tol, max_iter)
-    monkeypatch.setattr(udea.lp, "simplex_core", record)
+    monkeypatch.setattr(udea.dataset, "simplex_core", record)
     return calls
 
 

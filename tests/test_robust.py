@@ -443,7 +443,7 @@ def _failure_proved(ds, i, sigma, lam, eps=DEFAULT_EPS):
     corner = transform_box(ds, i, sigma, eps)
     lam = _certificate(ds, lam, None)[0]
     return (lam is not None and _provable(corner, i, sigma)
-            and _proves_failure(corner, i, lam))
+            and _proves_failure(corner.X, corner.Y, i, lam))
 
 
 def _success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
@@ -452,7 +452,7 @@ def _success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
     corner = transform_box(ds, i, sigma, eps)
     _, u, v = _certificate(ds, None, duals)
     return (u is not None and _provable(corner, i, sigma)
-            and _proves_success(corner, i, u, v))
+            and _proves_success(corner.X, corner.Y, i, u, v))
 
 
 def _check_probe(ds, i, sigma, eps, parts, lps, settled):
