@@ -11,8 +11,15 @@ as arrays; a ``Hyperplane`` is built only for the first candidate of each
 new facet.  The work is exponential in the unit count and dimension; hard
 size limits steer larger instances to the iterative solver.
 
+Only the distinct units that no other distinct unit weakly dominates (no
+more of any input, no less of any output) take the extreme-point LP: a
+dominating unit reproduces a dominated one (lam = its unit vector), so
+``is_extreme`` would reject it anyway.
+
 ``exact_udea`` scores a unit against every facet in one array expression
-(``geometry.facet_thresholds``) over the stack its ``FacetSet`` holds.
+(``geometry.facet_thresholds``) over the stack its ``FacetSet`` holds, and
+the attaining facet, a supporting hyperplane, is the certificate that lets
+``robust._probe`` score gamma = 1 at upsilon without a solve.
 """
 
 import itertools
@@ -21,9 +28,9 @@ import math
 import numpy as np
 
 from .dataset import DeaDataset, _check_index, is_extreme
-from .geometry import SUPPORT_TOL, FacetSet, Hyperplane, facet_thresholds
+from .geometry import FacetSet, Hyperplane, facet_thresholds, support_tol
 from .outcome import UdeaOutcome
-from .robust import DEFAULT_EPS, _probe
+from .robust import DEFAULT_EPS, _certificate, _probe
 
 DEFAULT_DIM_LIMIT = 4
 DEFAULT_UNIT_LIMIT = 64
@@ -52,18 +59,20 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
 
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
     # identical units reproduce each other, so neither would test extreme:
-    # only the lowest index of each distinct point is tested
+    # only the lowest index of each distinct point is tested, and only if
+    # no other distinct point dominates it
     first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
     distinct = DeaDataset(names=[ds.names[i] for i in first],
                           X=ds.X[:, first], Y=ds.Y[:, first],
                           env_outputs=ds.env_outputs)
-    extremes = [i for k, i in enumerate(first) if is_extreme(distinct, k)]
+    dominated = _dominated(points[first], n)
+    extremes = [i for k, i in enumerate(first)
+                if not dominated[k] and is_extreme(distinct, k)]
 
     # free-disposal recession directions of the production set
     dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
 
-    scale = max(1.0, float(np.abs(points).max()))
-    tol = SUPPORT_TOL * scale
+    tol = support_tol(ds)
 
     found, tried = {}, set()
     for s_size in range(1, min(phi, len(extremes)) + 1):
@@ -76,7 +85,18 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
 
     ordered = sorted(found.items(), key=lambda kv: kv[0])
     return FacetSet(facets=[v[0] for _, v in ordered],
-                    generators=[v[1] for _, v in ordered])
+                    generators=[v[1] for _, v in ordered], tol=tol)
+
+
+def _dominated(points, n):
+    """Mask of the rows of ``points`` (distinct units, ``n`` inputs then
+    the outputs, environmental ones included) that another row weakly
+    dominates: no more of any input and no less of any output.  Such a
+    unit is reproduced by the one dominating it, so it is not extreme."""
+    gains = np.concatenate([-points[:, :n], points[:, n:]], axis=1)
+    covers = (gains[:, None, :] >= gains[None, :, :]).all(axis=2)  # [j, k]
+    np.fill_diagonal(covers, False)
+    return covers.any(axis=0)
 
 
 def _add_facets(found, tried, subsets, dchoices, points, dirs, n, tol):
@@ -163,10 +183,18 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
     upsilon = float(values[k])
     attainable = bool(attainable[k])
     # gamma at the smaller of upsilon and nu; with neither finite, at
-    # sigma = 0, where the corner is the data itself
+    # sigma = 0, where the corner is the data itself.  The facet's
+    # (v, u) = (alpha, -beta) are variable-returns multipliers (Banker,
+    # Charnes & Cooper 1984) and 2 upsilon is the unit's distance to it
+    # along the box direction: a proof with beta* = 2 upsilon, which
+    # _probe reads only at sigma >= beta* / 2, that is at sigma = upsilon
     sigma = min(upsilon, nu)
-    gamma = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0, eps)
+    facet = facet_set.facets[k]
+    _, u, v = _certificate(ds, None, np.concatenate([-facet.beta,
+                                                     facet.alpha]))
+    gamma = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0, eps,
+                   (2.0 * upsilon, None, u, v))
     return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=gamma,
                        capable=upsilon < nu or (upsilon <= nu and attainable),
-                       facet=facet_set.facets[k], facet_index=k,
+                       facet=facet, facet_index=k,
                        attainable=attainable)

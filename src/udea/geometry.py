@@ -7,7 +7,9 @@ coefficients >= 0 and output coefficients <= 0.  With that orientation the
 closed form below reproduces the worked two-dimensional example exactly.
 A ``FacetSet`` stacks its facets once, when it is built, and the formula
 is evaluated for the whole stack at once (``facet_thresholds``); one facet
-is a set of one.
+is a set of one.  A set carries the support tolerance of the data it was
+enumerated from (``support_tol``), so the formula does not recompute it
+for every unit.
 """
 
 import math
@@ -67,13 +69,22 @@ class Hyperplane:
                      + self.beta @ np.atleast_1d(y) - self.d)
 
 
+def support_tol(ds: DeaDataset) -> float:
+    """``SUPPORT_TOL * max(1, largest datum)`` of the nonnegative data of
+    ``ds``: the distance within which a unit lies on a hyperplane."""
+    return SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max())
+
+
 @dataclass
 class FacetSet:
     """Facets and their generators, stacked once, when the set is built, for
-    ``facet_thresholds``: one column per facet."""
+    ``facet_thresholds``: one column per facet.  ``tol`` is the
+    ``support_tol`` of the data the facets were enumerated from; a set built
+    by hand snaps only gaps of exactly 0 unless it is given one."""
 
     facets: list
     generators: list = field(default_factory=list)   # extreme-unit indices per facet
+    tol: float = 0.0
 
     def __post_init__(self):
         self.alpha = np.array([h.alpha for h in self.facets], dtype=float).T
@@ -102,12 +113,12 @@ def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
     The unit moves by sigma along the box direction (inputs down, outputs
     up) and every rival by sigma against it, so the gap ``|alpha'x + beta'y - d|`` closes at twice
     the rate ``|-sum(alpha) + sum(beta)|``, environmental outputs left out.
-    A gap no larger than the enumeration's support tolerance is the unit
-    lying on the facet, and scores 0, not its round-off.  A facet that the
-    box cannot move (zero rate) has value inf.  For output-axis facets the
-    value is a strict threshold: the unit needs any amount beyond it, never
-    exactly it (the projection argument only works in the limit of a
-    vanishing facet gradient).
+    A gap no larger than the set's support tolerance ``facet_set.tol`` is
+    the unit lying on the facet, and scores 0, not its round-off.  A facet
+    that the box cannot move (zero rate) has value inf.  For output-axis
+    facets the value is a strict threshold: the unit needs any amount
+    beyond it, never exactly it (the projection argument only works in the
+    limit of a vanishing facet gradient).
     """
     fs = facet_set
     # sums over the variables one row at a time, so that a facet's value
@@ -118,7 +129,7 @@ def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
     finite = rate > AXIS_TOL
     gap = np.abs(sum(fs.alpha * ds.X[:, dmu, None], zero)
                  + sum(fs.beta * ds.Y[:, dmu, None], zero) - fs.d)
-    gap[gap <= SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max())] = 0.0
+    gap[gap <= fs.tol] = 0.0
     values = np.full(len(fs), math.inf)
     np.divide(gap, rate, out=values, where=finite)
     return values, finite & fs.attainable
@@ -126,6 +137,8 @@ def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
 
 def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                              h: Hyperplane) -> MinUncertainty:
-    """``facet_thresholds`` for the one facet ``h``."""
-    values, attainable = facet_thresholds(ds, dmu, FacetSet([h]))
+    """``facet_thresholds`` for the one facet ``h``, at the support
+    tolerance of ``ds``."""
+    values, attainable = facet_thresholds(
+        ds, dmu, FacetSet([h], tol=support_tol(ds)))
     return MinUncertainty(float(values[0]), bool(attainable[0]))

@@ -18,8 +18,8 @@ import numpy as np
 
 import udea.dataset
 from udea.dataset import DeaDataset, is_extreme, solve_nominal
-from udea.facets import SUPPORT_TOL, FacetSet
-from udea.geometry import (AXIS_TOL, Hyperplane, MinUncertainty,
+from udea.facets import FacetSet
+from udea.geometry import (AXIS_TOL, SUPPORT_TOL, Hyperplane, MinUncertainty,
                            min_uncertainty_to_facet)
 
 
@@ -452,7 +452,8 @@ def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
     ``udea.facets.enumerate_efficient_facets`` replaced, kept verbatim (the
     size limits aside) but for one change: identical units are collapsed
     to their lowest index before the extreme-point tests, as in the
-    package.  One SVD, one support test and one orientation per (subset,
+    package.  Unlike the package, it tests every distinct unit, dominated
+    or not.  One SVD, one support test and one orientation per (subset,
     direction choice) candidate.  The package must return the same facets
     (alpha, beta and d bit for bit) and generators.
     """
@@ -516,7 +517,7 @@ def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
 
     ordered = sorted(found.items(), key=lambda kv: kv[0])
     return FacetSet(facets=[v[0] for _, v in ordered],
-                    generators=[v[1] for _, v in ordered])
+                    generators=[v[1] for _, v in ordered], tol=tol)
 
 
 def scalar_unique_normal(rows: np.ndarray, phi: int):

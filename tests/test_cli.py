@@ -433,6 +433,22 @@ def test_iterative_solves_each_nominal_program_once(fixture, lps,
         assert row[1].hex() == plot_row[1].hex() == res.theta.hex()
 
 
+@pytest.mark.parametrize("fixture, lps", [
+    ("case_study_s11_p0.csv", 59), ("case_study_s3_p4.csv", 62),
+    ("example1.csv", 10), ("quoted_names.csv", 9), ("table1_dup.csv", 11)])
+def test_exact_lps(fixture, lps, monkeypatch):
+    # one nominal solve per unit; one extreme-point LP per distinct unit
+    # that no other unit dominates; and a gamma solve only where neither
+    # the attaining facet's proof nor the floor rule settles it
+    config = RunConfig(mode="exact", preset="radiotherapy"
+                       if fixture.startswith("case_study") else None)
+    ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
+    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
+    calls = count_lps(monkeypatch)
+    _compute(config, ds, cfg)
+    assert len(calls) == lps < 3 * ds.n_units
+
+
 @pytest.mark.parametrize("data, nu, step, lps", [
     ("case_study_s11_p0.csv", 3.6, 0.01, 4273),
     ("case_study_s3_p4.csv", 3.6, 0.01, 4294),

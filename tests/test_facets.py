@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (clamp_dataset, random_dataset_2d, scalar_exact_choice,
-                     scalar_enumerate_facets, segment_min_uncertainty,
-                     select_segment_2d, sorted_extremes_2d, table1_dataset)
+from helpers import (clamp_dataset, count_lps, random_dataset_2d,
+                     scalar_exact_choice, scalar_enumerate_facets,
+                     segment_min_uncertainty, select_segment_2d,
+                     sorted_extremes_2d, table1_dataset)
 import udea.facets
-from udea.cli import ingest_csv
-from udea.dataset import DeaDataset, solve_nominal
+from udea.cli import RunConfig, apply_scaling, ingest_csv
+from udea.dataset import DeaDataset, is_extreme, solve_nominal
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
                          enumerate_efficient_facets, exact_udea)
 from udea.geometry import Hyperplane, facet_thresholds, min_uncertainty_to_facet
+from udea.robust import DEFAULT_EPS, NO_PROOF, _probe
 
 
 def facet_key(h):
@@ -215,6 +217,12 @@ def _reference_datasets():
     out["key_boundary"] = _dataset(np.array([[1.0, 1.0 + math.sqrt(1 - a * a),
                                               3.0]]),
                                    np.array([[1.0, 1.0 + a, 1.0]]))
+    # Table 1 plus H = (3 / (1 + 5e-7), 4): B and H reproduce each other
+    # within SCORE_TOL, so neither tests extreme, and H dominates B
+    t1 = table1_dataset()
+    out["near_duplicate"] = DeaDataset(
+        names=t1.names + ["H"], X=np.hstack([t1.X, [[3.0 / (1.0 + 5e-7)]]]),
+        Y=np.hstack([t1.Y, [[4.0]]]))
     return out
 
 
@@ -300,3 +308,136 @@ def test_one_hyperplane_per_facet(monkeypatch):
     fs = enumerate_efficient_facets(sphere_dataset(12))
     assert len(fs) == 26
     assert sorted(map(id, built)) == sorted(map(id, fs))
+
+
+# the dominance test that spares a dominated unit its extreme-point LP, and
+# gamma settled by the attaining facet
+
+def _random_datasets():
+    """Random datasets of 2 to 4 variables on a coarse grid, so that units
+    tie on some variables, with copied units and, in some, an
+    environmental output."""
+    rng = np.random.default_rng(41)
+    out = {}
+    for k in range(12):
+        phi = 2 + k % 3
+        n_in = int(rng.integers(1, phi))
+        n_units = int(rng.integers(6, 16))
+        X = rng.integers(1, 8, (n_in, n_units)) / 2.0
+        Y = rng.integers(1, 8, (phi - n_in, n_units)) / 2.0
+        copies = rng.integers(0, n_units, 3)
+        env = None
+        if phi - n_in > 1 and k % 2:
+            env = [False] * (phi - n_in - 1) + [True]
+        out[f"random{k}"] = _dataset(np.hstack([X, X[:, copies]]),
+                                     np.hstack([Y, Y[:, copies]]), env)
+    return out
+
+
+DOMINANCE_DATASETS = {**REFERENCE_DATASETS, **_random_datasets()}
+
+
+@pytest.mark.parametrize("name", sorted(DOMINANCE_DATASETS))
+def test_dominance_skip_changes_no_facet(name, monkeypatch):
+    # a unit that another distinct unit weakly dominates is reproduced by
+    # it, so skipping its extreme-point LP leaves the facets, their
+    # generators and their order as testing every distinct unit does
+    ds = DOMINANCE_DATASETS[name]
+    tested = []
+
+    def counting(distinct, k):
+        tested.append(k)
+        return is_extreme(distinct, k)
+    monkeypatch.setattr(udea.facets, "is_extreme", counting)
+    got = enumerate_efficient_facets(ds)
+    skipping = len(tested)
+    monkeypatch.setattr(udea.facets, "_dominated",
+                        lambda points, n: np.zeros(len(points), dtype=bool))
+    tested.clear()
+    ref = enumerate_efficient_facets(ds)
+    distinct = len(np.unique(np.vstack([ds.X, ds.Y]), axis=1).T)
+    assert len(tested) == distinct >= skipping
+    assert got.generators == ref.generators
+    assert got.tol == ref.tol
+    for h, r in zip(got.facets, ref.facets, strict=True):
+        assert h.alpha.tobytes() == r.alpha.tobytes()
+        assert h.beta.tobytes() == r.beta.tobytes()
+        assert h.d.hex() == r.d.hex()
+
+
+def test_dominated_units_take_no_extreme_point_lp(table1, monkeypatch):
+    # C dominates E and B dominates F: only A to D are tested
+    tested = []
+
+    def counting(distinct, k):
+        tested.append(k)
+        return is_extreme(distinct, k)
+    monkeypatch.setattr(udea.facets, "is_extreme", counting)
+    enumerate_efficient_facets(table1)
+    assert tested == [0, 1, 2, 3]
+
+
+def test_dominance_mask_matches_pairwise_loop():
+    # environmental outputs count as outputs: the extreme-point test keeps
+    # their rows
+    for ds in DOMINANCE_DATASETS.values():
+        points = np.vstack([ds.X, ds.Y]).T
+        points = points[np.unique(points, axis=0, return_index=True)[1]]
+        n = ds.n_inputs
+        expected = [any(np.all(p[:n] <= q[:n]) and np.all(p[n:] >= q[n:])
+                        for j, p in enumerate(points) if j != k)
+                    for k, q in enumerate(points)]
+        assert udea.facets._dominated(points, n).tolist() == expected
+
+
+def _gamma_cases():
+    """(name, dataset, facet set): the fixtures as the CLI scales them, the
+    datasets above, a strict output-axis threshold, and a facet past an
+    own input, where the floor rule scores gamma."""
+    for path in sorted(DATA_DIR.glob("*.csv")):
+        preset = "radiotherapy" if path.stem.startswith("case_study") else None
+        ds = apply_scaling(ingest_csv(path),
+                           RunConfig(mode="exact", preset=preset))
+        yield path.stem, ds, enumerate_efficient_facets(ds)
+    for name, ds in sorted(DOMINANCE_DATASETS.items()):
+        yield name, ds, enumerate_efficient_facets(ds)
+    strict = DeaDataset(names=["a", "b"], X=[[2.0, 6.0]], Y=[[5.0, 4.5]])
+    yield "strict", strict, enumerate_efficient_facets(strict)
+    yield "clamp", clamp_dataset(), FacetSet(
+        [Hyperplane(alpha=[0.0], beta=[-1.0], d=-10.0)])
+
+
+@pytest.mark.parametrize("name, ds, fs", [
+    pytest.param(*case, id=case[0]) for case in _gamma_cases()])
+def test_gamma_settled_by_the_attaining_facet(name, ds, fs, monkeypatch):
+    # gamma is the probe without a proof, bit for bit, wherever the
+    # facet's multipliers do not prove it; where they do, it is 1.0 with no
+    # solve, and the solve it spares scores at least 1 - 1e-12
+    calls = count_lps(monkeypatch)
+    proved = strict = 0
+    for nu in (math.inf, 0.5):
+        for i in range(ds.n_units):
+            calls.clear()
+            out = exact_udea(ds, i, nu=nu, facet_set=fs)
+            exact_lps = len(calls)
+            sigma = min(out.upsilon, nu)
+            calls.clear()
+            solved = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0,
+                            DEFAULT_EPS, NO_PROOF)
+            if exact_lps < len(calls):
+                # proved, where the probe without a proof solves
+                proved += 1
+                assert sigma == out.upsilon
+                assert out.gamma == 1.0 and solved >= 1.0 - 1e-12
+            else:
+                # solved as without the proof, or by the floor rule
+                assert exact_lps == len(calls)
+                assert out.gamma.hex() == solved.hex()
+            if not out.attainable and sigma == out.upsilon > 0:
+                # a strict threshold keeps its solve
+                assert exact_lps == len(calls)
+                strict += exact_lps
+    if name in ("table1", "example1", "case_study_s11_p0"):
+        assert proved > 0
+    if name in ("strict", "quoted_names"):
+        assert strict > 0
