@@ -191,15 +191,19 @@ def _frontier_solve(T, i: int):
     if status == UNBOUNDED:
         # feasible at x = 0, and bounded by the convexity and input rows
         raise SolverFault(f"frontier program of unit {i} ended unbounded")
-    x = np.zeros(n + rows)
-    x[basis] = T[:rows, -1]
-    # 0.0 + reads a -0.0 right-hand side as +0.0
-    x = 0.0 + x[:n]
-    lam = x[:-1]
+    # the basic values, read as Python floats; 0.0 + reads a -0.0
+    # right-hand side as +0.0
+    lam = np.zeros(n - 1)
+    z = 0.0
+    for j, v in zip(basis.tolist(), T[:rows, -1].tolist()):
+        if j < n - 1:
+            lam[j] = 0.0 + v
+        elif j == n - 1:
+            z = 0.0 + v
     lam[i] = 1.0 - lam.sum()
     np.maximum(lam, 0.0, out=lam)
     lam /= lam.sum()
-    return float(x[-1]), lam, T[rows, n:-1].copy()
+    return z, lam, T[rows, n:-1].copy()
 
 
 def _nominal_optimum(X, Y, i: int):

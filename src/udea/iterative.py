@@ -13,10 +13,12 @@ success wherever no ``eps``/0 floor binds.  If the score succeeds there
 and fails one point below, the search is over.  Any other outcome, or a
 seed that is unavailable or off the span, narrows the interval that
 bisection then finishes, so the seed only saves solves and never changes
-the answer.  If no grid point succeeds, one solve at ``nu`` itself decides
-capability.  On success the true minimum lies in a width-``t`` bracket
-below the first successful grid point; one extra midpoint probe rounds the
-reported value to the nearest grid multiple.
+the answer.  The directional distance is solved only when the span holds
+a grid point above 0.  If no grid point succeeds, one solve at ``nu``
+itself decides capability (at ``nu = 0``, the sigma = 0 score does).  On
+success the true minimum lies in a width-``t`` bracket below the first
+successful grid point; one extra midpoint probe rounds the reported value
+to the nearest grid multiple.
 
 Every probe but sigma = 0 and the cap reads the weights and duals of the
 directional distance solve, which settle most of them without a solve
@@ -57,14 +59,15 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            capable=True, trace=trace(), bracket=(0.0, 0.0))
 
     top = _search_top(ds, i, t, cfg)
-    proof = _proof(ds, i)
-    # beta* / 2 is exact where no floor binds: when its grid point g
-    # succeeds and g - 1 fails, the bisection below has nothing left to do
-    target = 0.5 * proof[0]
-    if 0 < target <= top * t:  # also rejects nan and inf
-        g = _grid_index(target, t)
-        if reached(g):
-            reached(g - 1)
+    if top > 0:  # with no grid point above 0, no proof has a probe to settle
+        proof = _proof(ds, i)
+        # beta* / 2 is exact where no floor binds: when its grid point g
+        # succeeds and g - 1 fails, the bisection below has nothing left
+        target = 0.5 * proof[0]
+        if 0 < target <= top * t:  # also rejects nan and inf
+            g = _grid_index(target, t)
+            if reached(g):
+                reached(g - 1)
     # the score is monotone and fails at lo; if it succeeds at k, its first
     # success on the grid lies in (lo, k]
     lo = max(j for j in probes if not reached(j))
@@ -85,8 +88,9 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            gamma=probes[k], capable=True,
                            trace=trace(), bracket=(sigma - t, sigma))
 
-    # grid exhausted below a finite cap; the supremum is attained at nu
-    at_nu = _probe(ds, i, cfg.nu, cfg.eps)
+    # grid exhausted below a finite cap; the supremum is attained at nu,
+    # which at nu = 0 is the sigma = 0 probe
+    at_nu = probes[0] if cfg.nu == 0 else _probe(ds, i, cfg.nu, cfg.eps)
     probed = trace() + [(cfg.nu, at_nu)]
     if _efficient(at_nu):
         return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu,

@@ -527,7 +527,9 @@ def test_exact_sees_facets_through_a_copied_unit(tmp_path):
 
 # the committed reports under tests/data/expected, in the default
 # six-decimal format, which last-bit differences between BLAS builds do
-# not reach: a change that alters a report on purpose updates its file
+# not reach: a change that alters a report on purpose updates its file.
+# quoted_names also holds a strict output-axis facet (unit D) and an
+# exact upsilon one rounding short of 1 (unit E)
 EXPECTED_REPORTS = {"nominal": [], "exact": [], "iterative": [],
                     "robust_0.5": ["--sigma", "0.5"],
                     "robust_3.6": ["--sigma", "3.6"],
@@ -536,7 +538,8 @@ EXPECTED_REPORTS = {"nominal": [], "exact": [], "iterative": [],
 
 @pytest.mark.parametrize("report", sorted(EXPECTED_REPORTS))
 @pytest.mark.parametrize("fixture", ["example1", "table1_dup",
-                                     "case_study_s11_p0", "case_study_s3_p4"])
+                                     "case_study_s11_p0", "case_study_s3_p4",
+                                     "quoted_names"])
 def test_report_matches_committed(fixture, report, capsys):
     argv = [report.split("_")[0], "--data", str(DATA_DIR / f"{fixture}.csv")]
     if fixture.startswith("case_study"):

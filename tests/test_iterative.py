@@ -353,6 +353,26 @@ def test_seeded_search_solve_count(monkeypatch):
     assert inefficient == 2  # E and F
 
 
+@pytest.mark.parametrize("nu, lps", [(0.0, 1), (0.005, 2)])
+def test_cap_within_one_step_solve_count(nu, lps, monkeypatch):
+    # with the cap at or below one step the grid holds only sigma = 0: the
+    # directional distance has no probe to settle, and at nu = 0 the cap's
+    # score is the sigma = 0 one
+    ds = DeaDataset(names=list("ABCDE"), X=[[2, 3, 6, 4, 5]],
+                    Y=[[2, 5, 7, 3, 3]])
+    cfg = UncertaintyConfig(nu=nu, step=0.01)
+    calls = count_lps(monkeypatch)
+    for dmu in (3, 4):  # D and E, the inefficient units
+        calls.clear()
+        out = iterative_udea(ds, dmu, cfg)
+        assert len(calls) == lps
+        theta = solve_nominal(ds, dmu).theta
+        at_nu = udea.robust.robust_efficiency(ds, dmu, nu).theta
+        assert theta < 1.0 - SCORE_TOL
+        assert out == UdeaOutcome(dmu=dmu, gamma=at_nu,
+                                  trace=[(0.0, theta), (nu, at_nu)])
+
+
 def _wrong_seeds(step, rng):
     """Seeds for (beta*, lam*, duals) that are off by grid steps or more,
     or unusable, in beta* (with the true lam* and duals), in lam* or in

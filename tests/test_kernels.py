@@ -160,6 +160,22 @@ def test_masked_minimum_falls_back_to_first_allowed():
     assert _assert_same(T, basis, allowed) == OPTIMAL
 
 
+def test_overflowing_ratios_decide_as_the_reference():
+    # the first two ratios, 1e305 / 1e-8, overflow and tie at inf: the
+    # kernel's Python floats read inf without numpy's RuntimeWarning (an
+    # error in this suite) and pick the row the reference's numpy scalars
+    # pick
+    A = np.array([[1e-8], [1e-8], [1.0]])
+    T, basis = _slack_tableau(A, np.array([1e305, 1e305, 1.0]),
+                              np.array([-1.0]))
+    allowed = np.ones(4, bool)
+    with np.errstate(over="ignore"):
+        want = _run(scalar_simplex_core, T, basis, allowed)
+    assert want[0] == OPTIMAL
+    for core in KERNELS:
+        assert _run(core, T, basis, allowed) == want
+
+
 def test_frontier_programs_table1_and_random(recorded, rng):
     sigmas = (0.0, 0.05, 0.3, 0.8, 2.0)
     datasets = [table1_dataset(), table1_plus_g(), clamp_dataset()]
