@@ -11,10 +11,13 @@ starts at the unit itself.  This program, the directional-distance
 program of ``robust`` and the extreme-point test are one frontier program
 with different z columns: ``_frontier_tableau`` writes its simplex tableau
 straight from the data arrays, the unit and the z column, and
-``_frontier_solve`` runs the kernel on it and reads back the score, the
-weights (on the simplex) and the duals.  Neither goes through
-``LinearProgram`` or ``solve_lp``; ``build_envelopment_lp`` is a
-``LinearProgram`` view of the same tableau.
+``_frontier_run`` runs the kernel on it.  ``_frontier_solve`` then reads
+back the score, the weights (on the simplex) and the duals, which the
+nominal and directional-distance solves and the extreme-point test
+report or prove from; ``_frontier_score`` reads back the score alone,
+for a robust probe.  None goes through ``LinearProgram`` or
+``solve_lp``; ``build_envelopment_lp`` is a ``LinearProgram`` view of
+the same tableau.
 """
 
 import operator
@@ -131,7 +134,7 @@ def build_envelopment_lp(ds: DeaDataset, dmu: int) -> LinearProgram:
     own solve does.
     """
     i = _check_index(ds, dmu)
-    T = _frontier_tableau(ds.X, ds.Y, i, 0.0, ds.X[:, i])
+    T = _nominal_tableau(ds.X, ds.Y, i)
     n = ds.n_units + 1
     return LinearProgram(c=T[-1, :n], A=T[:-1, :n],
                          senses=[LEQ] * (T.shape[0] - 1), b=T[:-1, -1])
@@ -159,8 +162,8 @@ def _frontier_tableau(X, Y, i: int, z_y, z_x):
     rows = m + X.shape[0] + 1
     cols = n_units + rows + 2
     T = np.zeros((rows + 1, cols))
-    T[:m, :n_units] = Y[:, i:i + 1] - Y
-    T[m:rows - 1, :n_units] = X - X[:, i:i + 1]
+    np.subtract(Y[:, i:i + 1], Y, out=T[:m, :n_units])
+    np.subtract(X, X[:, i:i + 1], out=T[m:rows - 1, :n_units])
     T[rows - 1, :n_units] = 1.0
     T[rows - 1, i] = 0.0
     T[:m, n_units] = z_y
@@ -173,14 +176,10 @@ def _frontier_tableau(X, Y, i: int, z_y, z_x):
     return T
 
 
-def _frontier_solve(T, i: int):
-    """``(z*, lam*, duals)`` of a ``_frontier_tableau`` of unit ``i``, which
-    the kernel solves in place.  ``lam*`` is a point of the simplex:
-    ``lam_i`` is one minus the other weights, round-off negatives are set
-    to 0 and the sum rescaled to 1.  ``duals`` are the rows' multipliers
-    (as ``LpSolution.duals``): output rows, input rows, then the convexity
-    row.  ``SolverFault`` is raised if the kernel ends other than optimal.
-    """
+def _frontier_run(T, i: int):
+    """Solve the ``_frontier_tableau`` ``T`` of unit ``i`` in place and
+    return its final basis.  ``SolverFault`` is raised if the kernel ends
+    other than optimal."""
     rows = T.shape[0] - 1
     n = T.shape[1] - 1 - rows
     basis = np.arange(n, n + rows, dtype=np.int64)
@@ -191,6 +190,32 @@ def _frontier_solve(T, i: int):
     if status == UNBOUNDED:
         # feasible at x = 0, and bounded by the convexity and input rows
         raise SolverFault(f"frontier program of unit {i} ended unbounded")
+    return basis
+
+
+def _frontier_score(T, i: int) -> float:
+    """``z*`` of a ``_frontier_tableau`` of unit ``i``, solved in place by
+    ``_frontier_run``: the bits ``_frontier_solve`` reads, without the
+    weights and duals."""
+    basis = _frontier_run(T, i).tolist()
+    z_col = T.shape[1] - T.shape[0] - 1
+    if z_col not in basis:
+        return 0.0
+    # 0.0 + reads a -0.0 right-hand side as +0.0
+    return 0.0 + T.item(basis.index(z_col), -1)
+
+
+def _frontier_solve(T, i: int):
+    """``(z*, lam*, duals)`` of a ``_frontier_tableau`` of unit ``i``,
+    solved in place by ``_frontier_run``.  ``lam*`` is a point of the
+    simplex: ``lam_i`` is one minus the other weights, round-off negatives
+    are set to 0 and the sum rescaled to 1.  ``duals`` are the rows'
+    multipliers (as ``LpSolution.duals``): output rows, input rows, then
+    the convexity row.
+    """
+    basis = _frontier_run(T, i)
+    rows = T.shape[0] - 1
+    n = T.shape[1] - 1 - rows
     # the basic values, read as Python floats; 0.0 + reads a -0.0
     # right-hand side as +0.0
     lam = np.zeros(n - 1)
@@ -206,16 +231,16 @@ def _frontier_solve(T, i: int):
     return z, lam, T[rows, n:-1].copy()
 
 
-def _nominal_optimum(X, Y, i: int):
-    """``_frontier_solve`` of the nominal program of unit ``i``: z column
-    0 on outputs and x_i on inputs, so that z = 1 - theta."""
-    return _frontier_solve(_frontier_tableau(X, Y, i, 0.0, X[:, i]), i)
+def _nominal_tableau(X, Y, i: int):
+    """The ``_frontier_tableau`` of the nominal program of unit ``i``: z
+    column 0 on outputs and x_i on inputs, so that z = 1 - theta."""
+    return _frontier_tableau(X, Y, i, 0.0, X[:, i])
 
 
 def solve_nominal(ds: DeaDataset, dmu: int) -> EfficiencyResult:
     """Nominal efficiency score of unit ``dmu`` with slack and peer analysis."""
     i = _check_index(ds, dmu)
-    z, lam, _ = _nominal_optimum(ds.X, ds.Y, i)
+    z, lam, _ = _frontier_solve(_nominal_tableau(ds.X, ds.Y, i), i)
     return _result(ds.X, ds.Y, i, lam, 1.0 - z)
 
 

@@ -89,9 +89,12 @@ def iterative_udea(ds: DeaDataset, dmu: int,
                            trace=trace(), bracket=(sigma - t, sigma))
 
     # grid exhausted below a finite cap; the supremum is attained at nu,
-    # which at nu = 0 is the sigma = 0 probe
-    at_nu = probes[0] if cfg.nu == 0 else _probe(ds, i, cfg.nu, cfg.eps)
-    probed = trace() + [(cfg.nu, at_nu)]
+    # which at nu = 0 is the sigma = 0 probe, already in the trace
+    if cfg.nu == 0:
+        at_nu, probed = probes[0], trace()
+    else:
+        at_nu = _probe(ds, i, cfg.nu, cfg.eps)
+        probed = trace() + [(cfg.nu, at_nu)]
     if _efficient(at_nu):
         return UdeaOutcome(dmu=i, upsilon=cfg.nu, gamma=at_nu,
                            capable=True, trace=probed,

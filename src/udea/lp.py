@@ -4,7 +4,7 @@
 started from the slack basis at x = lb; the pivot rule is
 ``_kernels._simplex_core``'s.  The package's own frontier programs do not
 come through here: ``dataset._frontier_tableau`` writes their tableau in
-this same layout straight from the data, and ``dataset._frontier_solve``
+this same layout straight from the data, and ``dataset._frontier_run``
 runs the kernel on it.  ``solve_lp`` remains for programs a caller builds,
 ``dataset.build_envelopment_lp`` among them, and as the reference that
 the tests hold the frontier solve to.

@@ -9,7 +9,9 @@ drop.  The robust solve is therefore one nominal solve on that transformed
 Every robust score that the search, the sweep and the CLI read is
 settled by ``_probe`` on the one corner ``_corner`` builds for it, as two
 arrays (inputs, outputs); ``transform_box`` is the same corner as a
-dataset.
+dataset, of its own arrays.  At sigma = 0 the corner is the data itself:
+``_corner`` returns ``ds.X`` and ``ds.Y``, which every reader of a corner
+only reads.
 The directional distance solve along the box direction (``_proof``)
 settles most corners without a nominal solve: below ``beta* / 2`` its
 weights ``lam*`` may prove a failure (``_proves_failure``), and at or
@@ -18,9 +20,10 @@ check runs once where it belongs: ``_certificate`` checks and rescales
 the weights and duals once per ``_proof``, and ``_probe`` alone decides
 whether a corner may be proved, leaving to the proofs only their sigma
 arithmetic.  A corner the proofs leave open takes the floor rule of
-``robust_efficiency`` or one solve, of which the probe reads only the
-score, not the slacks and peers.  Every solve goes straight from the
-arrays into its simplex tableau (``dataset._frontier_tableau``).
+``robust_efficiency`` or one solve, of which the probe reads back only
+the score (``dataset._frontier_score``): not the weights, duals, slacks
+or peers, which ``robust_efficiency`` reports.  Every solve goes straight
+from the arrays into its simplex tableau (``dataset._frontier_tableau``).
 """
 
 from dataclasses import dataclass
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (SCORE_TOL, DeaDataset, EfficiencyResult, _check_index,
-                      _frontier_solve, _frontier_tableau, _nominal_optimum,
-                      _result)
+                      _frontier_score, _frontier_solve, _frontier_tableau,
+                      _nominal_tableau, _result)
 from .lp import SolverFault
 
 DEFAULT_EPS = 1e-9
@@ -73,9 +76,10 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     """
     X, Y = _corner(ds, _check_index(ds, dmu), sigma, eps)
     # ds is already validated, and the floors keep the corner valid except
-    # for the check in _corner, so the corner skips DeaDataset.__post_init__
+    # for the check in _corner, so the corner skips DeaDataset.__post_init__;
+    # its arrays are copied, as at sigma = 0 they are the data's own
     corner = DeaDataset.__new__(DeaDataset)
-    vars(corner).update(names=list(ds.names), X=X, Y=Y,
+    vars(corner).update(names=list(ds.names), X=X.copy(), Y=Y.copy(),
                         env_outputs=ds.env_outputs.copy(),
                         input_names=list(ds.input_names),
                         output_names=list(ds.output_names))
@@ -84,19 +88,25 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
 
 def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
     """``(X, Y)`` of ``transform_box(ds, i, sigma, eps)``, without the
-    dataset around them; ``i`` is a checked unit index."""
+    dataset around them; ``i`` is a checked unit index.
+
+    At ``sigma = 0`` the corner equals the data, and they are ``ds.X`` and
+    ``ds.Y`` themselves, not copies: a caller reads a corner and never
+    writes into it (``transform_box`` copies them for its dataset).
+    """
     if not sigma >= 0:  # also rejects nan
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if sigma == 0:
+        return ds.X, ds.Y
     X = ds.X + sigma
-    X[:, i] = ds.X[:, i] - sigma
+    np.subtract(ds.X[:, i], sigma, out=X[:, i])
     Y = ds.Y - sigma
-    Y[:, i] = ds.Y[:, i] + sigma
+    np.add(ds.Y[:, i], sigma, out=Y[:, i])
     np.copyto(Y, ds.Y, where=ds.env_outputs[:, None])
-    if sigma > 0:
-        np.maximum(X, eps, out=X)
-        np.maximum(Y, 0.0, out=Y)
-        if not X[:, i].sum() > 0:
-            raise ValueError("every unit needs at least one positive input")
+    np.maximum(X, eps, out=X)
+    np.maximum(Y, 0.0, out=Y)
+    if not X[:, i].sum() > 0:
+        raise ValueError("every unit needs at least one positive input")
     return X, Y
 
 
@@ -175,19 +185,12 @@ def robust_efficiency(ds: DeaDataset, dmu: int, sigma: float,
     """
     i = _check_index(ds, dmu)
     X, Y = _corner(ds, i, sigma, eps)
-    theta, lam = _corner_optimum(X, Y, i, sigma)
-    return _result(X, Y, i, lam, theta)
-
-
-def _corner_optimum(X, Y, i: int, sigma: float):
-    """``(theta, lam)`` of ``robust_efficiency`` on its corner ``(X, Y)``:
-    the floor rule's, or one solve's."""
     if sigma > 0 and X[:, i].min() <= sigma:
         lam = np.zeros(X.shape[1])
         lam[i] = 1.0
-        return 1.0, lam
-    z, lam, _ = _nominal_optimum(X, Y, i)
-    return 1.0 - z, lam
+        return _result(X, Y, i, lam, 1.0)
+    z, lam, _ = _frontier_solve(_nominal_tableau(X, Y, i), i)
+    return _result(X, Y, i, lam, 1.0 - z)
 
 
 def _probe(ds: DeaDataset, i: int, sigma: float,
@@ -195,19 +198,22 @@ def _probe(ds: DeaDataset, i: int, sigma: float,
     """The score of ``robust_efficiency(ds, i, sigma, eps)``, or ``None``
     where the weights of ``proof`` (a ``_proof`` of unit ``i``) prove that
     it fails.  ``i`` is a checked unit index; ``sigma`` and the floored
-    corner are checked here, as ``transform_box`` checks them.
+    corner are checked here, as ``transform_box`` checks them.  The
+    corner is only read, so at sigma = 0 it is the data itself.
 
-    A proof is tried only where every own input of the corner exceeds
-    ``sigma``: at or below it the floor rule of ``robust_efficiency``
-    scores 1 without a solve, and an own input floored to 0 is never
-    divided by.  Floors aside, the weights prove failures only below
-    ``beta* / 2`` and the duals successes only at or above it, so each is
-    tried on its own side alone, on the one corner the solve would use.
-    A proved success scores 1.0, as the solve scores it.  Otherwise the
-    score is the floor rule's or one solve's, bit for bit
-    ``robust_efficiency``'s, so weights or duals that prove nothing, and
-    parts of ``proof`` that are None, cost only the solves they would
-    have saved.
+    The smallest own input of the corner, taken once, decides both the
+    proofs and the floor rule.  A proof is tried only where it exceeds
+    ``sigma``: at or below it, with ``sigma > 0``, the floor rule of
+    ``robust_efficiency`` scores 1 without a solve, and an own input
+    floored to 0 is never divided by.  Floors aside, the weights prove
+    failures only below ``beta* / 2`` and the duals successes only at or
+    above it, so each is tried on its own side alone, on the one corner
+    the solve would use.  A proved success scores 1.0, as the solve scores
+    it.  Otherwise the score is the floor rule's or one solve's, bit for
+    bit ``robust_efficiency``'s; the solve reads back z* alone, not the
+    weights and duals.  So weights or duals that prove nothing, and parts
+    of ``proof`` that are None, cost only the solves they would have
+    saved.
     """
     beta, lam, u, v = proof
     X, Y = _corner(ds, i, sigma, eps)
@@ -217,7 +223,9 @@ def _probe(ds: DeaDataset, i: int, sigma: float,
                 return None
         elif u is not None and _proves_success(X, Y, i, u, v):
             return 1.0
-    return _corner_optimum(X, Y, i, sigma)[0]
+    elif sigma > 0:
+        return 1.0
+    return 1.0 - _frontier_score(_nominal_tableau(X, Y, i), i)
 
 
 def _robust_scores(ds: DeaDataset, i: int, sigmas,

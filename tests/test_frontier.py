@@ -3,11 +3,12 @@
 Every frontier program (nominal, directional distance, the extreme-point
 test, and the nominal program on a sigma-corner) is written straight into
 its simplex tableau by ``dataset._frontier_tableau`` and solved by
-``dataset._frontier_solve``.  Here each tableau the package hands to the
+``dataset._frontier_run``.  Here each tableau the package hands to the
 kernel must equal, byte for byte, the one ``solve_lp`` builds from the
 same program written out as a ``LinearProgram`` (with the corner made as
-the box transform makes it), and the solve's (z*, lam*, duals) must equal
-the bits read back from ``solve_lp``'s solution.
+the box transform makes it), and both read-backs, the (z*, lam*, duals)
+of ``_frontier_solve`` and the z* of ``_frontier_score``, must equal the
+bits read back from ``solve_lp``'s solution.
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ from helpers import (clamp_dataset, random_dataset, table1_dataset,
                      table1_plus_g)
 from udea._kernels import simplex_core
 from udea.cli import RunConfig, _robust_scores, apply_scaling, ingest_csv
-from udea.dataset import (SCORE_TOL, DeaDataset, _frontier_solve,
-                          build_envelopment_lp, is_extreme, solve_nominal)
+from udea.dataset import (SCORE_TOL, DeaDataset, _frontier_score,
+                          _frontier_solve, build_envelopment_lp, is_extreme,
+                          solve_nominal)
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.iterative import iterative_udea
 from udea.lp import LEQ, LinearProgram, solve_lp
@@ -143,7 +145,8 @@ def _check(monkeypatch, recorder, lp, i, optimum=None):
         want_T, want = _reference_solve(mp, lp, i)
     assert T.tobytes() == want_T.tobytes()
     assert _bits(_frontier_solve(T.copy(), i)) == _bits(want)
-    recorder.take()  # that solve's own tableau
+    assert _frontier_score(T.copy(), i).hex() == want[0].hex()
+    recorder.take()  # those solves' own tableaus
     if optimum is not None:
         assert _bits(optimum) == _bits(want)
     return want
@@ -267,5 +270,6 @@ def test_negative_zero_right_hand_side_reads_as_solve_lps(monkeypatch):
     lp.b[1] = -0.0
     T, want = _reference_solve(monkeypatch, lp, 0)
     assert np.signbit(T[1, -1])
+    assert _frontier_score(T.copy(), 0).hex() == "0x0.0p+0"
     assert _bits(_frontier_solve(T, 0)) == _bits(want)
     assert want[0].hex() == "0x0.0p+0"

@@ -357,7 +357,7 @@ def test_seeded_search_solve_count(monkeypatch):
 def test_cap_within_one_step_solve_count(nu, lps, monkeypatch):
     # with the cap at or below one step the grid holds only sigma = 0: the
     # directional distance has no probe to settle, and at nu = 0 the cap's
-    # score is the sigma = 0 one
+    # score is the sigma = 0 one, traced once
     ds = DeaDataset(names=list("ABCDE"), X=[[2, 3, 6, 4, 5]],
                     Y=[[2, 5, 7, 3, 3]])
     cfg = UncertaintyConfig(nu=nu, step=0.01)
@@ -369,8 +369,8 @@ def test_cap_within_one_step_solve_count(nu, lps, monkeypatch):
         theta = solve_nominal(ds, dmu).theta
         at_nu = udea.robust.robust_efficiency(ds, dmu, nu).theta
         assert theta < 1.0 - SCORE_TOL
-        assert out == UdeaOutcome(dmu=dmu, gamma=at_nu,
-                                  trace=[(0.0, theta), (nu, at_nu)])
+        trace = [(0.0, theta)] if nu == 0 else [(0.0, theta), (nu, at_nu)]
+        assert out == UdeaOutcome(dmu=dmu, gamma=at_nu, trace=trace)
 
 
 def _wrong_seeds(step, rng):

@@ -82,7 +82,7 @@ def _degenerate_tableau(rng):
 @pytest.fixture
 def recorded(monkeypatch):
     """Every (T, basis, allowed) that the frontier solve
-    (``udea.dataset._frontier_solve``) hands to the kernel."""
+    (``udea.dataset._frontier_run``) hands to the kernel."""
     calls = []
 
     def record(T, basis, allowed, tol, max_iter):

@@ -41,6 +41,33 @@ def test_transform_identity_at_zero(table1):
     assert np.array_equal(t.Y, table1.Y)
 
 
+def test_transform_at_zero_leaves_the_data_alone(table1):
+    # at sigma = 0 the corner is the data itself; the dataset made of it
+    # holds copies, so writing into them leaves the data as it was
+    X, Y = table1.X.copy(), table1.Y.copy()
+    t = transform_box(table1, 4, 0.0)
+    t.X += 1.0
+    t.Y += 1.0
+    assert np.array_equal(table1.X, X) and np.array_equal(table1.Y, Y)
+
+
+@pytest.mark.parametrize("fixture", ["example1", "table1_dup",
+                                     "case_study_s11_p0", "case_study_s3_p4",
+                                     "quoted_names"])
+def test_robust_at_zero_is_nominal_bit_for_bit(fixture):
+    preset = "radiotherapy" if fixture.startswith("case_study") else None
+    ds = apply_scaling(ingest_csv(DATA_DIR / f"{fixture}.csv"),
+                       RunConfig(mode="nominal", preset=preset))
+    for i in range(ds.n_units):
+        got, want = robust_efficiency(ds, i, 0.0), solve_nominal(ds, i)
+        assert got.theta.hex() == want.theta.hex()
+        for a, b in ((got.lam, want.lam),
+                     (got.input_slacks, want.input_slacks),
+                     (got.output_slacks, want.output_slacks)):
+            assert a.tobytes() == b.tobytes()
+        assert got.peers == want.peers
+
+
 def test_transform_half(table1):
     t = transform_box(table1, 4, 0.5)
     assert t.X[0].tolist() == [1.5, 3.5, 7.5, 10.5, 7.5, 6.5]
