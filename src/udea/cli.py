@@ -267,8 +267,9 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
 
 
 def _sigma_grid(cfg: UncertaintyConfig):
-    """The grid points below ``nu``, then ``nu``: the sigmas
-    ``iterative_udea`` may probe."""
+    """The grid points below ``nu``, then ``nu``: the sigmas ``sweep``
+    reports.  ``iterative_udea`` probes among them, and also the midpoint
+    ``sigma - t / 2`` below its first success, which rounds its answer."""
     if not math.isfinite(cfg.nu):
         raise ValueError("sweep mode needs a finite cap nu")
     sigmas = [k * cfg.step for k in range(_grid_index(cfg.nu, cfg.step))]

@@ -94,8 +94,10 @@ def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
     ``ds.Y`` themselves, not copies: a caller reads a corner and never
     writes into it (``transform_box`` copies them for its dataset).
     """
-    if not sigma >= 0:  # also rejects nan
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    # also rejects nan; an infinite sigma gives infinite rival inputs,
+    # which the slacks of lam = e_i would multiply by 0
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return ds.X, ds.Y
     X = ds.X + sigma

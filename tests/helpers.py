@@ -17,10 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 import udea.dataset
-from udea.dataset import DeaDataset, is_extreme, solve_nominal
+from udea.dataset import (SCORE_TOL, DeaDataset, _frontier_score,
+                          _nominal_tableau, is_extreme)
 from udea.facets import FacetSet
+from udea.iterative import iterative_udea
 from udea.geometry import (AXIS_TOL, SUPPORT_TOL, Hyperplane, MinUncertainty,
                            min_uncertainty_to_facet)
+from udea.robust import (DEFAULT_EPS, _certificate, _proves_failure,
+                         _proves_success, robust_efficiency, transform_box)
 
 
 def table1_dataset():
@@ -107,23 +111,18 @@ def best_corner_score(ds, dmu, sigma, eps=1e-9):
     """Best score for ``dmu`` over every {-sigma, 0, +sigma} perturbation
     pattern of every data cell, with the same nonnegativity clamps the
     transform applies.  Exponential: keep total cells <= 8."""
-    cells = ([("x", n, k) for n in range(ds.n_inputs)
-              for k in range(ds.n_units)]
-             + [("y", m, k) for m in range(ds.n_outputs)
-                for k in range(ds.n_units)])
+    n = ds.X.size
     best = -np.inf
-    for pattern in itertools.product((-sigma, 0.0, sigma), repeat=len(cells)):
-        X = ds.X.copy()
-        Y = ds.Y.copy()
-        for (kind, r, k), delta in zip(cells, pattern):
-            if kind == "x":
-                X[r, k] += delta
-            else:
-                Y[r, k] += delta
-        np.maximum(X, eps, out=X)
-        np.maximum(Y, 0.0, out=Y)
-        perturbed = DeaDataset(names=list(ds.names), X=X, Y=Y)
-        best = max(best, solve_nominal(perturbed, dmu).theta)
+    for pattern in itertools.product((-sigma, 0.0, sigma),
+                                     repeat=n + ds.Y.size):
+        # every input cell, then every output cell, in row-major order
+        delta = np.array(pattern)
+        X = np.maximum(ds.X + delta[:n].reshape(ds.X.shape), eps)
+        Y = np.maximum(ds.Y + delta[n:].reshape(ds.Y.shape), 0.0)
+        # the bits of solve_nominal on the perturbed data, without building
+        # and validating a dataset of them
+        score = 1.0 - _frontier_score(_nominal_tableau(X, Y, dmu), dmu)
+        best = max(best, score)
     return best
 
 
@@ -325,9 +324,7 @@ def linear_walk_udea(ds, dmu, cfg):
     decides capability by one solve at the cap.  ``iterative_udea`` must
     return the same upsilon, bracket, gamma and capability.
     """
-    from udea.dataset import SCORE_TOL
     from udea.outcome import UdeaOutcome
-    from udea.robust import robust_efficiency
 
     i = int(dmu)
     t = cfg.step
@@ -368,15 +365,126 @@ def linear_walk_udea(ds, dmu, cfg):
                        capable=False, trace=trace)
 
 
+def assert_capability_from_trace(out, cfg):
+    """Capable iff some probed sigma, all at most nu, reached efficiency."""
+    assert all(sigma <= cfg.nu for sigma, _ in out.trace)
+    assert out.capable == any(score >= 1.0 - SCORE_TOL
+                              for _, score in out.trace)
+
+
+def assert_same_as_walk(ds, dmu, cfg, ref=None):
+    """``iterative_udea`` gives the upsilon, bracket, gamma (bit for bit)
+    and capability of ``linear_walk_udea`` (or of ``ref``, its outcome),
+    with a sorted trace whose scores are the walk's where both probe."""
+    if ref is None:
+        ref = linear_walk_udea(ds, dmu, cfg)
+    out = iterative_udea(ds, dmu, cfg)
+    assert out.upsilon == ref.upsilon
+    assert out.bracket == ref.bracket
+    assert out.gamma.hex() == ref.gamma.hex()
+    assert out.capable == ref.capable
+    sigmas = [s for s, _ in out.trace]
+    assert sigmas == sorted(sigmas)
+    walked = dict(ref.trace)
+    for sigma, score in out.trace:
+        if sigma in walked:
+            assert score == walked[sigma]
+    assert_capability_from_trace(out, cfg)
+    return out
+
+
 def sweep_reference(ds, cfg):
     """Reference ``udea sweep`` rows: ``robust_efficiency`` solved at every
     sigma of the grid, unit by unit.  The CLI must give the same bits."""
     from udea.cli import _sigma_grid
-    from udea.robust import robust_efficiency
 
     return [[ds.names[i], sigma,
              robust_efficiency(ds, i, sigma, cfg.eps).theta]
             for i in range(ds.n_units) for sigma in _sigma_grid(cfg)]
+
+
+def assert_eps_invariant(ds, sigmas):
+    """At sigma >= eps no rival input x + sigma reaches the floor, and an
+    own input the floor lifts is at or below sigma, where the floor rule
+    scores 1: every unit's theta at each of ``sigmas`` from
+    ``DEFAULT_EPS`` on has the same bits at every eps up to sigma.  Only
+    eps = 0 may leave a unit no positive input, and only once sigma
+    reaches its largest own input."""
+    for i in range(ds.n_units):
+        for sigma in sigmas:
+            if sigma < DEFAULT_EPS:
+                continue
+            ref = robust_efficiency(ds, i, sigma).theta.hex()
+            for eps in (0.0, 1e-12, 1e-6, 1e-3):
+                if sigma < eps:
+                    continue
+                try:
+                    theta = robust_efficiency(ds, i, sigma, eps).theta
+                except ValueError:
+                    assert eps == 0.0 and sigma >= ds.X[:, i].max()
+                    continue
+                assert theta.hex() == ref, (i, sigma, eps)
+
+
+def failure_proved(ds, i, sigma, lam, eps=DEFAULT_EPS):
+    """``robust._proves_failure`` with the certificate of ``lam``, where
+    ``_probe`` would try it: every own input of the corner exceeds
+    sigma."""
+    corner = transform_box(ds, i, sigma, eps)
+    lam = _certificate(ds, lam, None)[0]
+    return (lam is not None and corner.X[:, i].min() > sigma
+            and _proves_failure(corner.X, corner.Y, i, lam))
+
+
+def success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
+    """``robust._proves_success`` with the certificate of ``duals``, where
+    ``_probe`` would try it: every own input of the corner exceeds
+    sigma."""
+    corner = transform_box(ds, i, sigma, eps)
+    _, u, v = _certificate(ds, None, duals)
+    return (u is not None and corner.X[:, i].min() > sigma
+            and _proves_success(corner.X, corner.Y, i, u, v))
+
+
+def _highs(ds, i, z_cost, z_col, x_rhs, own_bound=(0, None)):
+    """min z_cost * z s.t. Y lam - z_y z >= y_i, X lam + z_x z <= x_rhs,
+    sum(lam) = 1, lam >= 0 with ``own_bound`` on lam_i, over (lam, z) with
+    ``z_col`` = (z_y, z_x), solved by scipy's HiGHS; None when
+    infeasible."""
+    from scipy.optimize import linprog
+
+    m, n_units = ds.n_outputs, ds.n_units
+    A_ub = np.vstack([np.hstack([-ds.Y, z_col[:m, None]]),
+                      np.hstack([ds.X, z_col[m:, None]])])
+    b_ub = np.concatenate([-ds.Y[:, i], x_rhs])
+    A_eq = np.append(np.ones(n_units), 0.0)[None, :]
+    bounds = [(0, None)] * n_units + [(None, None)]
+    bounds[i] = own_bound
+    c = np.append(np.zeros(n_units), z_cost)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return res.fun
+
+
+def highs_theta(ds, i, restricted=False):
+    """min theta s.t. Y lam >= y_i, X lam <= theta x_i, sum(lam) = 1, with
+    lam_i = 0 when ``restricted``, by HiGHS: the nominal program as the
+    model states it (needs scipy)."""
+    z_col = np.concatenate([np.zeros(ds.n_outputs), -ds.X[:, i]])
+    return _highs(ds, i, 1.0, z_col, np.zeros(ds.n_inputs),
+                  (0, 0) if restricted else (0, None))
+
+
+def highs_beta(ds, i):
+    """max beta s.t. Y lam >= y_i + g beta, X lam + beta <= x_i,
+    sum(lam) = 1, by HiGHS: the directional distance program as the model
+    states it (needs scipy)."""
+    g = np.where(ds.env_outputs, 0.0, 1.0)
+    z_col = np.concatenate([g, np.ones(ds.n_inputs)])
+    return -_highs(ds, i, -1.0, z_col, ds.X[:, i])
 
 
 def blas_product(f, p):

@@ -254,10 +254,10 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
 @pytest.mark.parametrize("mode, option, value", [
     ("exact", "--nu", "nan"), ("iterative", "--nu", "nan"),
     ("sweep", "--step", "nan"), ("robust", "--sigma", "nan"),
-    ("iterative", "--step", "inf")])
+    ("iterative", "--step", "inf"), ("robust", "--sigma", "inf")])
 def test_exit_code_nan_option(example1_csv, capsys, mode, option, value):
     # nan passes a plain "x < 0" check; it must be rejected by name, as
-    # must an infinite step
+    # must an infinite step or sigma
     assert main([mode, "--data", str(example1_csv), option, value]) == 2
     assert f"{option[2:]} must be" in capsys.readouterr().err
 

@@ -2,56 +2,22 @@
 defines them: lam over every unit, theta or beta a variable of its own and
 the convexity row an equality.  The package solves them with lam_i
 eliminated and z = 1 - theta (or beta), so that the simplex starts at the
-unit itself.  Skipped without scipy.
+unit itself.  ``test_properties.py`` compares them on hypothesis-drawn
+data; here on seeded awkward data, near-duplicate units and wide data.
+Skipped without scipy.
 """
 
 import numpy as np
 import pytest
 
-from helpers import table1_dataset
+from helpers import highs_beta, highs_theta, table1_dataset
 from udea.dataset import (PEER_TOL, SCORE_TOL, DeaDataset, is_extreme,
                           solve_nominal)
 from udea.robust import directional_distance, robust_efficiency, transform_box
 
-linprog = pytest.importorskip("scipy.optimize").linprog
+pytest.importorskip("scipy.optimize")
 
 SIGMAS = (0.25, 0.5, 1.0, 2.5)
-
-
-def _highs(ds, i, z_cost, z_col, x_rhs, own_bound=(0, None)):
-    """min z_cost * z s.t. Y lam - z_y z >= y_i, X lam + z_x z <= x_rhs,
-    sum(lam) = 1, lam >= 0 with ``own_bound`` on lam_i, over (lam, z) with
-    ``z_col`` = (z_y, z_x); None when infeasible."""
-    m, n_units = ds.n_outputs, ds.n_units
-    A_ub = np.vstack([np.hstack([-ds.Y, z_col[:m, None]]),
-                      np.hstack([ds.X, z_col[m:, None]])])
-    b_ub = np.concatenate([-ds.Y[:, i], x_rhs])
-    A_eq = np.append(np.ones(n_units), 0.0)[None, :]
-    bounds = [(0, None)] * n_units + [(None, None)]
-    bounds[i] = own_bound
-    c = np.append(np.zeros(n_units), z_cost)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if res.status == 2:
-        return None
-    assert res.status == 0
-    return res.fun
-
-
-def highs_theta(ds, i, restricted=False):
-    """min theta s.t. Y lam >= y_i, X lam <= theta x_i, sum(lam) = 1, with
-    lam_i = 0 when ``restricted``."""
-    z_col = np.concatenate([np.zeros(ds.n_outputs), -ds.X[:, i]])
-    return _highs(ds, i, 1.0, z_col, np.zeros(ds.n_inputs),
-                  (0, 0) if restricted else (0, None))
-
-
-def highs_beta(ds, i):
-    """max beta s.t. Y lam >= y_i + g beta, X lam + beta <= x_i,
-    sum(lam) = 1."""
-    g = np.where(ds.env_outputs, 0.0, 1.0)
-    z_col = np.concatenate([g, np.ones(ds.n_inputs)])
-    return -_highs(ds, i, -1.0, z_col, ds.X[:, i])
 
 
 def awkward_dataset(rng):

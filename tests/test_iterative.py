@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import udea.robust
-from helpers import (CLAMP_X, CLAMP_Y, clamp_dataset, count_lps,
+from helpers import (CLAMP_X, CLAMP_Y, assert_capability_from_trace,
+                     assert_same_as_walk, clamp_dataset, count_lps,
                      linear_walk_udea, random_dataset, random_dataset_2d,
                      table1_dataset, table1_plus_g)
 from conftest import DATA_DIR
@@ -96,23 +97,16 @@ def test_sweep_matches_per_unit(table1):
         assert row[-1] == single.capable
 
 
-def _assert_capability_from_trace(out, cfg):
-    # capable iff some probed sigma, all at most nu, reached efficiency
-    assert all(sigma <= cfg.nu for sigma, _ in out.trace)
-    assert out.capable == any(score >= 1.0 - SCORE_TOL
-                              for _, score in out.trace)
-
-
 def test_classify_capability(table1):
     cfg = UncertaintyConfig(nu=3.6, step=0.01)
     out = iterative_udea(table1, 4, cfg)
     assert out.capable
-    _assert_capability_from_trace(out, cfg)
+    assert_capability_from_trace(out, cfg)
     capped = UncertaintyConfig(nu=0.5, step=0.01)
     out2 = iterative_udea(table1, 4, capped)
     assert not out2.capable
     assert out2.trace[-1][0] == 0.5  # the cap itself was probed
-    _assert_capability_from_trace(out2, capped)
+    assert_capability_from_trace(out2, capped)
 
 
 def test_capable_is_the_one_capability_field():
@@ -167,24 +161,6 @@ def test_grid_too_fine_for_the_data_raises():
             _grid_index(value, t)
 
 
-def _assert_same_as_walk(ds, dmu, cfg, ref=None):
-    if ref is None:
-        ref = linear_walk_udea(ds, dmu, cfg)
-    out = iterative_udea(ds, dmu, cfg)
-    assert out.upsilon == ref.upsilon
-    assert out.bracket == ref.bracket
-    assert out.gamma.hex() == ref.gamma.hex()
-    assert out.capable == ref.capable
-    sigmas = [s for s, _ in out.trace]
-    assert sigmas == sorted(sigmas)
-    walked = dict(ref.trace)
-    for sigma, score in out.trace:
-        if sigma in walked:
-            assert score == walked[sigma]
-    _assert_capability_from_trace(out, cfg)
-    return out
-
-
 # (nu, step): the case-study grid, an unbounded cap, coarse grids and a cap
 # that is itself a grid point
 SEARCH_CONFIGS = [(3.6, 0.01), (np.inf, 0.01), (0.5, 0.2), (1.0, 0.3),
@@ -194,15 +170,15 @@ SEARCH_CONFIGS = [(3.6, 0.01), (np.inf, 0.01), (0.5, 0.2), (1.0, 0.3),
 @pytest.mark.parametrize("nu, step", SEARCH_CONFIGS)
 def test_search_matches_walk_table1(table1, nu, step):
     for dmu in range(table1.n_units):
-        _assert_same_as_walk(table1, dmu,
-                             UncertaintyConfig(nu=nu, step=step))
+        assert_same_as_walk(table1, dmu,
+                            UncertaintyConfig(nu=nu, step=step))
 
 
 @pytest.mark.parametrize("nu, step", SEARCH_CONFIGS)
 def test_search_matches_walk_example_csv(example1_csv, nu, step):
     ds = ingest_csv(example1_csv)
     for dmu in range(ds.n_units):
-        _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+        assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
 
 # the eps floor and the zero floor bind well below 1.5 x max(X) here
@@ -213,7 +189,7 @@ def test_search_matches_walk_example_csv(example1_csv, nu, step):
 def test_search_matches_walk_where_clamps_bind(nu, step):
     ds = clamp_dataset()
     for dmu in range(ds.n_units):
-        _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+        assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
 
 # with eps = 0 a one-input unit has no positive input left once sigma
@@ -228,7 +204,7 @@ def test_search_matches_walk_at_zero_eps(data, nu, step):
     ds = {"table1_plus_g": table1_plus_g, "clamp": clamp_dataset}[data]()
     cfg = UncertaintyConfig(nu=nu, step=step, eps=0.0)
     for dmu in range(ds.n_units):
-        _assert_same_as_walk(ds, dmu, cfg)
+        assert_same_as_walk(ds, dmu, cfg)
 
 
 @pytest.mark.parametrize("dmu, k", [(1, 10), (2, 13), (3, 6), (6, 21)])
@@ -240,8 +216,8 @@ def test_search_matches_walk_when_grid_grazes_own_input(dmu, k):
                     X=[CLAMP_X], Y=[np.array(CLAMP_Y) + 5.0])
     step = CLAMP_X[dmu] / k
     assert 0.0 < CLAMP_X[dmu] - k * step < 1e-9
-    _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=CLAMP_X[dmu] + 1.0,
-                                                    step=step))
+    assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=CLAMP_X[dmu] + 1.0,
+                                                   step=step))
 
 
 @pytest.mark.parametrize("fixture",
@@ -253,7 +229,7 @@ def test_search_matches_walk_on_case_study(fixture):
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
     cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
     for dmu in range(ds.n_units):
-        _assert_same_as_walk(ds, dmu, cfg)
+        assert_same_as_walk(ds, dmu, cfg)
 
 
 def test_search_matches_walk_random(rng):
@@ -262,7 +238,7 @@ def test_search_matches_walk_random(rng):
         ds = random_dataset(rng, max_units=8)
         nu, step = configs[case % len(configs)]
         for dmu in range(ds.n_units):
-            _assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
+            assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
 
 
 def test_search_matches_walk_random_unbounded_cap(rng):
@@ -277,8 +253,8 @@ def test_search_matches_walk_random_unbounded_cap(rng):
                                                              step=step))
         if not capped.capable or capped.upsilon >= 6.0 - step:
             continue
-        out = _assert_same_as_walk(ds, dmu,
-                                   UncertaintyConfig(nu=np.inf, step=step))
+        out = assert_same_as_walk(ds, dmu,
+                                  UncertaintyConfig(nu=np.inf, step=step))
         assert out.upsilon == capped.upsilon
         checked += 1
 
@@ -301,7 +277,7 @@ def _assert_bisection_solve_count(ds, monkeypatch):
         capable += out.capable and out.upsilon > 0
     monkeypatch.undo()
     for dmu in range(ds.n_units):
-        _assert_same_as_walk(ds, dmu, cfg)
+        assert_same_as_walk(ds, dmu, cfg)
     return capable
 
 
@@ -459,4 +435,4 @@ def test_wrong_seed_gives_walk_result(rng, example1_csv, monkeypatch):
             for seed in _wrong_seeds(cfg.step, rng):
                 monkeypatch.setattr(udea.robust, "_directional_optimum",
                                     seed)
-                _assert_same_as_walk(ds, dmu, cfg, ref)
+                assert_same_as_walk(ds, dmu, cfg, ref)

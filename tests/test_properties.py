@@ -11,11 +11,20 @@ regression case.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udea.dataset import DeaDataset, solve_nominal
-from udea.robust import _probe, robust_efficiency
+from helpers import (assert_eps_invariant, assert_same_as_walk,
+                     failure_proved, highs_beta, highs_theta, success_proved)
+from udea.cli import _sigma_grid
+from udea.dataset import SCORE_TOL, DeaDataset, is_extreme, solve_nominal
+from udea.facets import enumerate_efficient_facets, exact_udea
+from udea.iterative import iterative_udea
+from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _directional_optimum,
+                         _probe, _robust_scores, directional_distance,
+                         robust_efficiency, transform_box)
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None,
                       max_examples=100)
@@ -26,11 +35,12 @@ VALUES = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]),
 
 
 @st.composite
-def datasets(draw):
-    """1-3 inputs, 1-3 outputs (each possibly environmental) and 2-12
-    units, about one in five a copy of an earlier unit."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 3))
+def datasets(draw, variables=7):
+    """1-4 inputs, 1-3 outputs (each possibly environmental), at most
+    ``variables`` in all, and 2-12 units, about one in five a copy of an
+    earlier unit."""
+    n = draw(st.integers(1, min(4, variables - 1)))
+    m = draw(st.integers(1, min(3, variables - n)))
     units = []
     for k in range(draw(st.integers(2, 12))):
         if k and draw(st.integers(0, 4)) == 0:
@@ -57,12 +67,38 @@ def sigmas(ds):
 
 
 @st.composite
+def units(draw):
+    """A dataset and one of its units."""
+    ds = draw(datasets())
+    return ds, draw(st.integers(0, ds.n_units - 1))
+
+
+@st.composite
 def probes(draw):
     """A dataset, one of its units and two sigmas, the smaller first."""
-    ds = draw(datasets())
-    i = draw(st.integers(0, ds.n_units - 1))
+    ds, i = draw(units())
     low, high = sorted(draw(st.lists(sigmas(ds), min_size=2, max_size=2)))
     return ds, i, low, high
+
+
+@PROPERTIES
+@given(datasets())
+def test_nominal_scores(ds):
+    # theta in (0, 1], lam on the simplex, and an inefficient unit held by
+    # an input row.  A peer p with an input wherever the unit has one is
+    # efficient: its radial projection in place of p would lower every
+    # input row that holds theta.  Without that input, an optimum may
+    # take p in place of a unit that dominates it, such as (2, 0) in
+    # place of (1, 0) with the same outputs.
+    for i in range(ds.n_units):
+        res = solve_nominal(ds, i)
+        assert 0.0 < res.theta <= 1.0
+        assert res.lam.min() >= 0.0 and abs(res.lam.sum() - 1.0) <= 1e-15
+        for p in res.peers:
+            if np.all(ds.X[:, p] > 0, where=ds.X[:, i] > 0):
+                assert solve_nominal(ds, p).theta == pytest.approx(1.0,
+                                                                   abs=1e-6)
+        assert res.efficient or res.binding_inputs
 
 
 @PROPERTIES
@@ -72,6 +108,20 @@ def test_probe_is_robust_efficiency_bit_for_bit(case):
     for sigma in (low, high):
         assert (_probe(ds, i, sigma).hex()
                 == robust_efficiency(ds, i, sigma).theta.hex())
+
+
+@PROPERTIES
+@given(probes())
+def test_robust_score(case):
+    # in (0, 1], and exactly 1 once an own input is at most 2 sigma: the
+    # transform brings it to sigma or below, under every rival's input.
+    # Below eps the floor may lift a zero own input above sigma.
+    ds, i, low, high = case
+    for sigma in (low, high):
+        theta = robust_efficiency(ds, i, sigma).theta
+        assert 0.0 < theta <= 1.0
+        if sigma >= DEFAULT_EPS and ds.X[:, i].min() <= 2.0 * sigma:
+            assert theta == 1.0
 
 
 @PROPERTIES
@@ -88,3 +138,123 @@ def test_score_at_least_nominal(case):
     nominal = solve_nominal(ds, i).theta
     for sigma in (low, high):
         assert _probe(ds, i, sigma) >= nominal - 1e-9
+
+
+@PROPERTIES
+@given(probes())
+def test_score_does_not_depend_on_eps(case):
+    ds, _, low, high = case
+    assert_eps_invariant(ds, (low, high))
+
+
+# (nu, step): grids of a few points to a few hundred, one whose cap is a
+# grid point
+SWEEPS = [(1.0, 0.05), (3.6, 0.1), (2.0, 0.25), (15.0, 0.5)]
+
+
+@PROPERTIES
+@given(datasets(), st.sampled_from(SWEEPS))
+def test_sweep_is_probe_bit_for_bit(ds, sweep):
+    grid = _sigma_grid(UncertaintyConfig(nu=sweep[0], step=sweep[1]))
+    for i in range(ds.n_units):
+        assert ([s.hex() for s in _robust_scores(ds, i, grid)]
+                == [_probe(ds, i, sigma).hex() for sigma in grid])
+
+
+# (nu, step): coarse and fine grids, an unbounded cap and a zero one
+SEARCHES = [(3.6, 0.05), (1.0, 0.01), (2.5, 0.3), (4.0, 0.1),
+            (math.inf, 0.05), (0.0, 0.01)]
+
+
+@PROPERTIES
+@given(units(), st.sampled_from(SEARCHES))
+def test_search_is_the_walk(unit, search):
+    ds, i = unit
+    assert_same_as_walk(ds, i, UncertaintyConfig(nu=search[0],
+                                                 step=search[1]))
+
+
+@PROPERTIES
+@given(datasets())
+def test_directional_distance(ds):
+    # beta* >= 0 from lam* on the simplex that meets the program's rows,
+    # and 0 for a unit that scores 1
+    g = np.where(ds.env_outputs, 0.0, 1.0)
+    for i in range(ds.n_units):
+        beta, lam, _ = _directional_optimum(ds, i)
+        assert beta >= 0.0
+        assert beta.hex() == directional_distance(ds, i).hex()
+        assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-15
+        assert np.all(ds.X @ lam + beta <= ds.X[:, i] + 1e-9)
+        assert np.all(ds.Y @ lam - g * beta >= ds.Y[:, i] - 1e-9)
+        if solve_nominal(ds, i).theta == 1.0:
+            assert beta <= 1e-12
+
+
+@PROPERTIES
+@given(datasets(variables=4))
+def test_exact_is_half_the_directional_distance(ds):
+    # neither the facet thresholds nor beta* / 2 see the floors, so they
+    # agree whether or not a floor binds below the threshold; the grid
+    # search does see them, so it is held to within t of the threshold
+    # only where none binds below upsilon* + t
+    facet_set = enumerate_efficient_facets(ds)
+    cfg = UncertaintyConfig(nu=math.inf, step=0.01)
+    outputs = ds.Y[~ds.env_outputs].min(initial=math.inf)
+    for i in range(ds.n_units):
+        exact = exact_udea(ds, i, facet_set=facet_set).upsilon
+        assert directional_distance(ds, i) / 2.0 == pytest.approx(exact,
+                                                                  abs=1e-9)
+        if exact + cfg.step < min(outputs, ds.X[:, i].min()):
+            assert abs(iterative_udea(ds, i, cfg).upsilon - exact) \
+                <= cfg.step
+
+
+@PROPERTIES
+@given(datasets())
+def test_directional_proofs(ds):
+    # clear of the floors, beta* / 2 is the minimum uncertainty: lam*
+    # proves every grid point below it fails, up to a margin, and the
+    # duals every sigma above it succeeds; at beta* / 2 itself the unit
+    # may still fail (the output-axis case)
+    ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
+    for i in range(ds.n_units):
+        beta, lam, duals = _directional_optimum(ds, i)
+        half = 0.5 * beta
+        for sigma in np.arange(0.0, half - 1e-3, 0.05):
+            assert failure_proved(ds, i, sigma, lam)
+        assert not failure_proved(ds, i, half + 1e-3, lam)
+        for sigma in np.arange(half + 1e-3, half + 2.0, 0.05):
+            assert success_proved(ds, i, sigma, duals)
+        if beta > 2e-3:
+            assert not success_proved(ds, i, half - 1e-3, duals)
+
+
+@st.composite
+def highs_cases(draw):
+    """A unit and a sigma at which every own input stays above sigma: 0,
+    or from 1e-6 to half the unit's smallest own input."""
+    ds, i = draw(units())
+    half = 0.5 * ds.X[:, i].min()
+    sigma = st.just(0.0)
+    if half > 1e-6:
+        sigma |= st.floats(1e-6, half, exclude_max=True)
+    return ds, i, draw(sigma)
+
+
+@PROPERTIES
+@given(highs_cases())
+def test_frontier_programs_match_highs(case):
+    # HiGHS on the programs as the model states them; it drops the 1e-9
+    # floor's coefficients, which below sigma = 1e-6 moves its scores
+    pytest.importorskip("scipy.optimize")
+    ds, i, sigma = case
+    assert solve_nominal(ds, i).theta == pytest.approx(highs_theta(ds, i),
+                                                       abs=1e-9)
+    assert directional_distance(ds, i) == pytest.approx(highs_beta(ds, i),
+                                                        abs=1e-9)
+    restricted = highs_theta(ds, i, restricted=True)
+    assert is_extreme(ds, i) == (restricted is None
+                                 or restricted > 1.0 + SCORE_TOL)
+    assert robust_efficiency(ds, i, sigma).theta == pytest.approx(
+        highs_theta(transform_box(ds, i, sigma), i), abs=1e-9)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (best_corner_score, clamp_dataset, count_lps,
-                     efficiency_gain_upper_bound, random_dataset,
+from helpers import (assert_eps_invariant, best_corner_score, clamp_dataset,
+                     count_lps, efficiency_gain_upper_bound, failure_proved,
+                     highs_beta, random_dataset, success_proved,
                      table1_plus_g)
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _certificate,
-                         _directional_optimum, _probe, _proves_failure,
-                         _proves_success, directional_distance,
+                         _directional_optimum, _probe, directional_distance,
                          robust_efficiency, transform_box)
 
 
@@ -66,6 +66,16 @@ def test_robust_at_zero_is_nominal_bit_for_bit(fixture):
                      (got.output_slacks, want.output_slacks)):
             assert a.tobytes() == b.tobytes()
         assert got.peers == want.peers
+
+
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf],
+                         ids=["negative", "nan", "inf"])
+def test_sigma_must_be_nonnegative_and_finite(table1, sigma):
+    # at sigma = inf a rival's input x + sigma would meet lam_k = 0 as
+    # inf * 0 = nan; every entry rejects it as it rejects nan
+    for entry in (transform_box, robust_efficiency, _probe):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            entry(table1, 4, sigma)
 
 
 def test_transform_half(table1):
@@ -187,39 +197,6 @@ def test_large_sigma_reaches_efficiency_default_eps(rng):
     _assert_large_sigma_efficient(rng, DEFAULT_EPS)
 
 
-def _assert_eps_invariant(ds, sigmas):
-    # at sigma >= eps no rival input x + sigma reaches the floor, and an own
-    # input the floor lifts is at or below sigma, where the floor rule
-    # scores 1: the theta bits do not depend on eps
-    for i in range(ds.n_units):
-        for sigma in sigmas:
-            if sigma < DEFAULT_EPS:
-                continue
-            ref = robust_efficiency(ds, i, sigma).theta.hex()
-            for eps in (0.0, 1e-12, 1e-6, 1e-3):
-                if sigma < eps:
-                    continue
-                try:
-                    theta = robust_efficiency(ds, i, sigma, eps).theta
-                except ValueError:
-                    # eps = 0 left the unit no positive input
-                    assert eps == 0.0 and sigma >= ds.X[:, i].max()
-                    continue
-                assert theta.hex() == ref, (i, sigma, eps)
-
-
-def test_score_does_not_depend_on_eps(rng):
-    for k in range(12):
-        ds = random_dataset(rng, max_units=8)
-        if k % 2 and ds.n_inputs > 1:
-            # an input of 0: as an own input, only eps = 0 leaves it at 0
-            ds.X[0, rng.integers(ds.n_units)] = 0.0
-        grid = _sigma_grid(UncertaintyConfig(nu=0.6 * ds.X.max(), step=0.1))
-        # and one ulp short of each input, which leaves a residue of
-        # round-off that only a floor of at least eps lifts
-        _assert_eps_invariant(ds, grid + np.nextafter(ds.X, 0).ravel().tolist())
-
-
 @pytest.mark.parametrize("fixture, preset", [
     ("example1.csv", None), ("table1_dup.csv", None),
     ("case_study_s11_p0.csv", "radiotherapy"),
@@ -230,7 +207,7 @@ def test_score_does_not_depend_on_eps_on_fixtures(fixture, preset):
     # past every own input of the small fixtures; up to the default cap
     # on the case study
     nu = config.nu if preset else 0.6 * ds.X.max()
-    _assert_eps_invariant(ds, _sigma_grid(UncertaintyConfig(nu=nu, step=0.1)))
+    assert_eps_invariant(ds, _sigma_grid(UncertaintyConfig(nu=nu, step=0.1)))
 
 
 def test_floored_own_input_matches_sound_floor(rng):
@@ -327,24 +304,8 @@ def test_transform_preserves_metadata(table1):
     assert solve_all(t)[1].theta >= solve_all(table1)[1].theta - 1e-9
 
 
-def _highs_beta(ds, dmu):
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    n_units = ds.n_units
-    g = (~ds.env_outputs).astype(float)
-    # max beta: X lam + beta <= x_i, -Y lam + g beta <= -y_i, sum lam = 1
-    A_ub = np.vstack([np.hstack([ds.X, np.ones((ds.n_inputs, 1))]),
-                      np.hstack([-ds.Y, g[:, None]])])
-    b_ub = np.concatenate([ds.X[:, dmu], -ds.Y[:, dmu]])
-    A_eq = np.hstack([np.ones((1, n_units)), np.zeros((1, 1))])
-    c = np.zeros(n_units + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return -res.fun
-
-
 def test_directional_distance_matches_highs(rng):
+    pytest.importorskip("scipy.optimize")
     for case in range(20):
         ds = random_dataset(rng, max_units=10, max_dim=5)
         if case % 2 and ds.n_outputs > 1:
@@ -352,7 +313,7 @@ def test_directional_distance_matches_highs(rng):
                             env_outputs=[True] + [False] * (ds.n_outputs - 1))
         for i in range(ds.n_units):
             assert directional_distance(ds, i) == pytest.approx(
-                _highs_beta(ds, i), abs=1e-9)
+                highs_beta(ds, i), abs=1e-9)
 
 
 def test_directional_distance_table1(table1):
@@ -458,30 +419,6 @@ def _proof_of(ds, beta, lam, duals):
     return (beta, *_certificate(ds, lam, duals))
 
 
-def _provable(corner, i, sigma):
-    # _probe's floor test: a proof is tried only where every own input
-    # of the corner exceeds sigma
-    return corner.X[:, i].min() > sigma
-
-
-def _failure_proved(ds, i, sigma, lam, eps=DEFAULT_EPS):
-    """``_proves_failure`` with the certificate of ``lam``, where
-    ``_probe`` would try it."""
-    corner = transform_box(ds, i, sigma, eps)
-    lam = _certificate(ds, lam, None)[0]
-    return (lam is not None and _provable(corner, i, sigma)
-            and _proves_failure(corner.X, corner.Y, i, lam))
-
-
-def _success_proved(ds, i, sigma, duals, eps=DEFAULT_EPS):
-    """``_proves_success`` with the certificate of ``duals``, where
-    ``_probe`` would try it."""
-    corner = transform_box(ds, i, sigma, eps)
-    _, u, v = _certificate(ds, None, duals)
-    return (u is not None and _provable(corner, i, sigma)
-            and _proves_success(corner.X, corner.Y, i, u, v))
-
-
 def _check_probe(ds, i, sigma, eps, parts, lps, settled):
     """``_probe`` with the proof of ``parts`` (beta*, weights, duals)
     gives None only where ``robust_efficiency`` is not efficient, 1.0
@@ -525,7 +462,7 @@ def test_weights_prove_only_failures(rng, eps, monkeypatch):
                                    _proof_of(ds, beta, lam, duals))
                     continue
                 for lam in weights:
-                    if _failure_proved(ds, i, sigma, lam, eps):
+                    if failure_proved(ds, i, sigma, lam, eps):
                         proofs += 1
                         assert not robust_efficiency(ds, i, sigma,
                                                      eps).efficient
@@ -546,9 +483,9 @@ def test_directional_weights_prove_failure_below_half_beta(rng):
         for i in range(ds.n_units):
             beta, lam, _ = _directional_optimum(ds, i)
             for sigma in np.arange(0.0, 0.5 * beta - 1e-3, 0.05):
-                assert _failure_proved(ds, i, sigma, lam)
+                assert failure_proved(ds, i, sigma, lam)
                 proofs += 1
-            assert not _failure_proved(ds, i, 0.5 * beta + 1e-3, lam)
+            assert not failure_proved(ds, i, 0.5 * beta + 1e-3, lam)
     assert proofs > 20
 
 
@@ -556,16 +493,16 @@ def test_unusable_weights_prove_nothing(table1):
     # E fails at sigma = 0.5 (upsilon* = 11/14), which no weights outside
     # the simplex may be taken to show
     lam = _directional_optimum(table1, 4)[1]
-    assert _failure_proved(table1, 4, 0.5, lam)
+    assert failure_proved(table1, 4, 0.5, lam)
     # the proof reads lam / sum(lam), so rescaled weights prove the same
     for sigma in (0.0, 0.3, 0.5, 0.78, 0.79, 1.0):
-        assert (_failure_proved(table1, 4, sigma, 0.5 * lam)
-                == _failure_proved(table1, 4, sigma, 3.0 * lam)
-                == _failure_proved(table1, 4, sigma, lam)
+        assert (failure_proved(table1, 4, sigma, 0.5 * lam)
+                == failure_proved(table1, 4, sigma, 3.0 * lam)
+                == failure_proved(table1, 4, sigma, lam)
                 == (sigma < 11.0 / 14.0))
     for bad in (np.full(6, np.nan), np.zeros(6), -lam,
                 np.where(lam > 0, lam, -1e-13), np.full(6, np.inf)):
-        assert not _failure_proved(table1, 4, 0.5, bad)
+        assert not failure_proved(table1, 4, 0.5, bad)
 
 
 def test_floored_own_input_proves_nothing():
@@ -580,10 +517,10 @@ def test_floored_own_input_proves_nothing():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lam in ([0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.8, 0.0]):
-                assert not _failure_proved(ds, 0, sigma, np.array(lam),
-                                           eps=0.0)
+                assert not failure_proved(ds, 0, sigma, np.array(lam),
+                                          eps=0.0)
             for d in duals:
-                assert not _success_proved(ds, 0, sigma, d, eps=0.0)
+                assert not success_proved(ds, 0, sigma, d, eps=0.0)
 
 
 def test_probe_tries_no_proof_on_a_floored_corner():
@@ -606,11 +543,11 @@ def test_weights_within_the_score_tolerance_prove_nothing():
     # bound falls short of 1 by less than the tolerance prove nothing
     ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 5e-7]], Y=[[1.0, 1.0]])
     assert robust_efficiency(ds, 0, 0.0).efficient
-    assert not _failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
+    assert not failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
     # by more than twice the tolerance, they do
     ds = DeaDataset(names=["a", "b"], X=[[1.0, 1.0 - 3e-6]], Y=[[1.0, 1.0]])
     assert not robust_efficiency(ds, 0, 0.0).efficient
-    assert _failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
+    assert failure_proved(ds, 0, 0.0, np.array([0.0, 1.0]))
 
 
 def _success_cases(rng):
@@ -669,7 +606,7 @@ def test_duals_prove_only_successes(rng, eps, monkeypatch):
                                    _proof_of(ds, beta, lam, duals))
                     continue
                 for duals in candidates:
-                    if _success_proved(ds, i, sigma, duals, eps):
+                    if success_proved(ds, i, sigma, duals, eps):
                         proofs += 1
                         output_only += not np.any(duals[m:m + n] > 0)
                         assert robust_efficiency(ds, i, sigma,
@@ -690,10 +627,10 @@ def test_directional_duals_prove_success_from_half_beta(rng):
         for i in range(ds.n_units):
             beta, _, duals = _directional_optimum(ds, i)
             for sigma in np.arange(0.5 * beta + 1e-3, 0.5 * beta + 2.0, 0.05):
-                assert _success_proved(ds, i, sigma, duals)
+                assert success_proved(ds, i, sigma, duals)
                 proofs += 1
             if beta > 2e-3:
-                assert not _success_proved(ds, i, 0.5 * beta - 1e-3, duals)
+                assert not success_proved(ds, i, 0.5 * beta - 1e-3, duals)
     assert proofs > 100
 
 
@@ -702,11 +639,11 @@ def test_unusable_duals_prove_nothing(table1):
     duals = _directional_optimum(table1, 4)[2]
     for sigma in (0.0, 0.5, 0.78, 0.79, 1.0):
         # the proof is invariant to the duals' scale
-        assert (_success_proved(table1, 4, sigma, 0.5 * duals)
-                == _success_proved(table1, 4, sigma, 3.0 * duals)
-                == _success_proved(table1, 4, sigma, duals)
+        assert (success_proved(table1, 4, sigma, 0.5 * duals)
+                == success_proved(table1, 4, sigma, 3.0 * duals)
+                == success_proved(table1, 4, sigma, duals)
                 == (sigma > 11.0 / 14.0))
     for bad in (None, np.full(duals.size, np.nan), -np.abs(duals) - 1.0,
                 np.zeros(duals.size), np.full(duals.size, np.inf),
                 np.where(duals > 0, np.nan, duals)):
-        assert not _success_proved(table1, 4, 1.0, bad)
+        assert not success_proved(table1, 4, 1.0, bad)
