@@ -45,13 +45,14 @@ class DataError(ValueError):
     """Dataset file rejected; message carries the offending location."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(UncertaintyConfig):
+    """One run: its mode and options, and the uncertainty configuration
+    that the modes read, whose ``eps`` no option sets."""
+
     mode: str
     sigma: float = 0.0
-    nu: float = DEFAULT_CAP
-    step: float = DEFAULT_STEP
-    eps: float = DEFAULT_EPS
+    eps: float = field(default=DEFAULT_EPS, init=False)
     scale: dict = field(default_factory=dict)  # variable name -> factor
     preset: str = None
     out: str = None
@@ -60,6 +61,7 @@ class RunConfig:
     full_precision: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.fmt not in ("csv", "text"):
@@ -180,9 +182,7 @@ def run(config: RunConfig, ds: DeaDataset):
     """Execute one run mode: write the report and, for the
     minimum-uncertainty modes, the plot data."""
     ds = apply_scaling(ds, config)
-    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
-
-    header, rows = _compute(config, ds, cfg)
+    header, rows = _compute(config, ds)
     fmt = _formatter(config)
 
     body = _render(header, [[fmt(v) for v in row] for row in rows], config.fmt)
@@ -211,7 +211,7 @@ def _plot_rows(header, rows):
             for name, theta, upsilon, capable in picked]
 
 
-def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
+def _compute(config: RunConfig, ds: DeaDataset):
     """Dispatch on mode; returns (header, rows)."""
     units = range(ds.n_units)
     if config.mode == "nominal":
@@ -228,20 +228,20 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
 
     if config.mode == "robust":
         rows = [[ds.names[i], config.sigma,
-                 _probe(ds, i, config.sigma, cfg.eps)] for i in units]
+                 _probe(ds, i, config.sigma, config.eps)] for i in units]
         return ["dmu", "sigma", "score"], rows
 
     if config.mode == "sweep":
-        sigmas = _sigma_grid(cfg)
+        sigmas = _sigma_grid(config)
         rows = [[ds.names[i], s, score] for i in units
                 for s, score in zip(sigmas,
-                                    _robust_scores(ds, i, sigmas, cfg.eps))]
+                                    _robust_scores(ds, i, sigmas, config.eps))]
         return ["dmu", "sigma", "score"], rows
 
     if config.mode == "exact":
         nominal = solve_all(ds)
         facet_set = enumerate_efficient_facets(ds)
-        outcomes = [exact_udea(ds, i, nu=cfg.nu, eps=cfg.eps,
+        outcomes = [exact_udea(ds, i, nu=config.nu, eps=config.eps,
                                facet_set=facet_set) for i in units]
         header = ["dmu", "nominal_score", "upsilon_star", "gamma_star",
                   "capable", "facet", "strict"]
@@ -254,7 +254,7 @@ def _compute(config: RunConfig, ds: DeaDataset, cfg: UncertaintyConfig):
         return header, rows
 
     # iterative: the search's first probe is sigma = 0, the nominal program
-    outcomes = [iterative_udea(ds, i, cfg) for i in units]
+    outcomes = [iterative_udea(ds, i, config) for i in units]
     header = ["dmu", "nominal_score", "upsilon_star", "bracket_lo",
               "bracket_hi", "gamma_star", "capable"]
     rows = []
@@ -271,7 +271,7 @@ def _sigma_grid(cfg: UncertaintyConfig):
     reports.  ``iterative_udea`` probes among them, and also the midpoint
     ``sigma - t / 2`` below its first success, which rounds its answer."""
     if not math.isfinite(cfg.nu):
-        raise ValueError("sweep mode needs a finite cap nu")
+        raise ValueError(f"nu must be finite in sweep mode, got {cfg.nu}")
     sigmas = [k * cfg.step for k in range(_grid_index(cfg.nu, cfg.step))]
     return sigmas + [cfg.nu]
 
@@ -352,7 +352,8 @@ def _parse_scales(pairs):
         try:
             factor = float(raw)
         except ValueError:
-            raise DataError(f"--scale factor {raw!r} is not a number")
+            raise DataError(f"--scale factor for {var!r} is not a number, "
+                            f"got {raw!r}")
         if not 0 < factor < math.inf:  # also rejects nan
             raise DataError(f"--scale factor for {var!r} must be positive "
                             f"and finite, got {raw}")

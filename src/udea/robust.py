@@ -13,17 +13,18 @@ dataset, of its own arrays.  At sigma = 0 the corner is the data itself:
 ``_corner`` returns ``ds.X`` and ``ds.Y``, which every reader of a corner
 only reads.
 The directional distance solve along the box direction (``_proof``)
-settles most corners without a nominal solve: below ``beta* / 2`` its
-weights ``lam*`` may prove a failure (``_proves_failure``), and at or
-above it its duals may prove a score of 1 (``_proves_success``).  Each
-check runs once where it belongs: ``_certificate`` checks and rescales
-the weights and duals once per ``_proof``, and ``_probe`` alone decides
-whether a corner may be proved, leaving to the proofs only their sigma
-arithmetic.  A corner the proofs leave open takes the floor rule of
-``robust_efficiency`` or one solve, of which the probe reads back only
-the score (``dataset._frontier_score``): not the weights, duals, slacks
-or peers, which ``robust_efficiency`` reports.  Every solve goes straight
-from the arrays into its simplex tableau (``dataset._frontier_tableau``).
+settles most of the search's corners without a nominal solve: below
+``beta* / 2`` its weights ``lam*`` may prove a failure
+(``_proves_failure``), and at or above it its duals may prove a score of
+1 (``_proves_success``).  Each check runs once where it belongs:
+``_certificate`` checks and rescales the weights and duals once per
+``_proof``, and ``_probe`` alone decides whether a corner may be proved,
+leaving to the proofs only their sigma arithmetic.  A corner the proofs
+leave open takes the floor rule of ``robust_efficiency`` or one solve, of
+which the probe reads back only the score (``dataset._frontier_score``):
+not the weights, duals, slacks or peers, which ``robust_efficiency``
+reports.  Every solve goes straight from the arrays into its simplex
+tableau (``dataset._frontier_tableau``).
 """
 
 from dataclasses import dataclass
@@ -75,15 +76,11 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     Environmental output rows are left untouched.
     """
     X, Y = _corner(ds, _check_index(ds, dmu), sigma, eps)
-    # ds is already validated, and the floors keep the corner valid except
-    # for the check in _corner, so the corner skips DeaDataset.__post_init__;
-    # its arrays are copied, as at sigma = 0 they are the data's own
-    corner = DeaDataset.__new__(DeaDataset)
-    vars(corner).update(names=list(ds.names), X=X.copy(), Y=Y.copy(),
-                        env_outputs=ds.env_outputs.copy(),
-                        input_names=list(ds.input_names),
-                        output_names=list(ds.output_names))
-    return corner
+    # copied, as at sigma = 0 they are the data's own arrays
+    return DeaDataset(names=ds.names, X=X.copy(), Y=Y.copy(),
+                      env_outputs=ds.env_outputs.copy(),
+                      input_names=list(ds.input_names),
+                      output_names=list(ds.output_names))
 
 
 def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
@@ -232,19 +229,15 @@ def _probe(ds: DeaDataset, i: int, sigma: float,
 
 def _robust_scores(ds: DeaDataset, i: int, sigmas,
                    eps: float = DEFAULT_EPS) -> list:
-    """The score of unit ``i`` at each of the ascending ``sigmas``.
-
-    Each ``_probe`` reads the duals of one ``_proof`` but not its weights,
-    so every score is a number.  From the first sigma at or above
-    ``beta* / 2`` that scores exactly 1, proved or solved, every later
-    score is 1 without a probe: the score never falls as sigma grows and
+    """The score of unit ``i`` at each of the ascending ``sigmas``: the
+    ``_probe`` of each up to the first that scores exactly 1, and 1 from
+    there on without a probe, as the score never falls as sigma grows and
     never exceeds 1.
     """
-    beta, _, u, v = _proof(ds, i)
     scores = []
     for sigma in sigmas:
-        scores.append(_probe(ds, i, sigma, eps, (beta, None, u, v)))
-        if scores[-1] == 1.0 and sigma >= 0.5 * beta:
+        scores.append(_probe(ds, i, sigma, eps))
+        if scores[-1] == 1.0:
             break
     return scores + [1.0] * (len(sigmas) - len(scores))
 

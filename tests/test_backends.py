@@ -7,15 +7,13 @@ import udea.dataset
 from conftest import DATA_DIR
 from helpers import scalar_simplex_core
 from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
-from udea.robust import UncertaintyConfig
 
 
 def _report_bits(data, config):
     """The rows ``udea <mode>`` reports for ``config`` on the dataset file
     ``data``, every float as its ``float.hex``."""
     ds = apply_scaling(ingest_csv(DATA_DIR / data), config)
-    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
-    _, rows = _compute(config, ds, cfg)
+    _, rows = _compute(config, ds)
     return [[v.hex() if isinstance(v, float) else v for v in row]
             for row in rows]
 

@@ -13,7 +13,7 @@ from udea.cli import (MODES, DataError, RunConfig, _compute, _plot_rows,
                       main)
 from udea.dataset import solve_all
 from udea.iterative import iterative_udea
-from udea._kernels import UNBOUNDED
+from udea._kernels import ITERATION_LIMIT, UNBOUNDED
 from udea.robust import UncertaintyConfig
 
 # the options every mode takes besides --data, and those each mode reads
@@ -254,10 +254,11 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
 @pytest.mark.parametrize("mode, option, value", [
     ("exact", "--nu", "nan"), ("iterative", "--nu", "nan"),
     ("sweep", "--step", "nan"), ("robust", "--sigma", "nan"),
-    ("iterative", "--step", "inf"), ("robust", "--sigma", "inf")])
+    ("iterative", "--step", "inf"), ("robust", "--sigma", "inf"),
+    ("sweep", "--nu", "inf")])
 def test_exit_code_nan_option(example1_csv, capsys, mode, option, value):
     # nan passes a plain "x < 0" check; it must be rejected by name, as
-    # must an infinite step or sigma
+    # must an infinite step or sigma, and an infinite cap on a sweep
     assert main([mode, "--data", str(example1_csv), option, value]) == 2
     assert f"{option[2:]} must be" in capsys.readouterr().err
 
@@ -283,22 +284,24 @@ def test_unread_option_is_a_usage_error(example1_csv, capsys, mode, option):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pairs",
-                         ["x=nan", "x=inf", "x=0", "x=-1", "x=2 x=1"])
+@pytest.mark.parametrize("pairs", ["x=nan", "x=inf", "x=0", "x=-1",
+                                   "x=2 x=1", "x", "x=abc"])
 def test_exit_code_bad_scale(example1_csv, capsys, pairs):
-    # a factor that is not positive and finite, or a variable scaled twice
+    # a factor that is not positive and finite, or a variable scaled
+    # twice, given without a factor or with one that is not a number
     scales = [arg for pair in pairs.split() for arg in ("--scale", pair)]
     assert main(["nominal", "--data", str(example1_csv)] + scales) == 2
     assert "'x'" in capsys.readouterr().err
 
 
 def test_exit_code_solver_fault(example1_csv, capsys, monkeypatch):
-    monkeypatch.setattr(udea.dataset, "simplex_core",
-                        lambda *args, **kwargs: UNBOUNDED)
-    assert main(["nominal", "--data", str(example1_csv)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: solver fault: ")
-    assert err.count("\n") == 1
+    for status in (UNBOUNDED, ITERATION_LIMIT):
+        monkeypatch.setattr(udea.dataset, "simplex_core",
+                            lambda *args, **kwargs: status)
+        assert main(["nominal", "--data", str(example1_csv)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver fault: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("data, preset", [
@@ -312,8 +315,10 @@ def test_nominal_report_has_no_negative_zero(capsys, data, preset):
     assert "-0.000000" not in capsys.readouterr().out
 
 
+# 3 * 0.1 / 0.1 rounds up to 4 steps, one more than the grid needs
 @pytest.mark.parametrize("nu, step, count", [
-    (0.3, 0.1, 4), (0.7, 0.1, 8), (3.6, 0.01, 361), (0.0, 0.1, 1)])
+    (0.3, 0.1, 4), (0.7, 0.1, 8), (3.6, 0.01, 361), (0.0, 0.1, 1),
+    (3 * 0.1, 0.1, 4)])
 def test_sweep_grid_ends_at_nu(nu, step, count):
     sigmas = _sigma_grid(UncertaintyConfig(nu=nu, step=step))
     assert len(sigmas) == count
@@ -420,14 +425,13 @@ def test_iterative_solves_each_nominal_program_once(fixture, lps,
     # mode makes one solve per unit fewer than solve_all plus the searches
     config = RunConfig(mode="iterative", preset="radiotherapy")
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
-    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
     calls = count_lps(monkeypatch)
     nominal = solve_all(ds)
     for i in range(ds.n_units):
-        iterative_udea(ds, i, cfg)
+        iterative_udea(ds, i, config)
     separate = len(calls)
     calls.clear()
-    header, rows = _compute(config, ds, cfg)
+    header, rows = _compute(config, ds)
     assert len(calls) == separate - ds.n_units == lps
     for row, plot_row, res in zip(rows, _plot_rows(header, rows), nominal):
         assert row[1].hex() == plot_row[1].hex() == res.theta.hex()
@@ -443,38 +447,35 @@ def test_exact_lps(fixture, lps, monkeypatch):
     config = RunConfig(mode="exact", preset="radiotherapy"
                        if fixture.startswith("case_study") else None)
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
-    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
     calls = count_lps(monkeypatch)
-    _compute(config, ds, cfg)
+    _compute(config, ds)
     assert len(calls) == lps < 3 * ds.n_units
 
 
 @pytest.mark.parametrize("data, nu, step, lps", [
-    ("case_study_s11_p0.csv", 3.6, 0.01, 4273),
-    ("case_study_s3_p4.csv", 3.6, 0.01, 4294),
+    ("case_study_s11_p0.csv", 3.6, 0.01, 4269),
+    ("case_study_s3_p4.csv", 3.6, 0.01, 4291),
     ("example1.csv", 3.6, 0.01, 207),
     # own inputs reach sigma and outputs the zero floor
     ("clamp", 1.5 * max(CLAMP_X), 0.05, 108)])
 def test_sweep_matches_a_solve_at_every_sigma(data, nu, step, lps,
                                               monkeypatch):
-    # each unit's row is solved only below the first sigma its
-    # directional-distance duals prove efficient, and 1 from there on,
-    # bit for bit what a solve at every sigma gives
-    if data == "clamp":
-        ds = clamp_dataset()
-    else:
-        config = RunConfig(mode="sweep", preset="radiotherapy"
-                           if data.startswith("case_study") else None)
-        ds = apply_scaling(ingest_csv(DATA_DIR / data), config)
-    cfg = UncertaintyConfig(nu=nu, step=step)
+    # each unit's row is solved up to its first sigma that scores
+    # exactly 1, and 1 from there on, bit for bit what a solve at every
+    # sigma gives
+    config = RunConfig(mode="sweep", nu=nu, step=step,
+                       preset="radiotherapy"
+                       if data.startswith("case_study") else None)
+    ds = clamp_dataset() if data == "clamp" \
+        else apply_scaling(ingest_csv(DATA_DIR / data), config)
     calls = count_lps(monkeypatch)
-    header, rows = _compute(RunConfig(mode="sweep"), ds, cfg)
+    header, rows = _compute(config, ds)
     assert len(calls) == lps
     monkeypatch.undo()
     assert header == ["dmu", "sigma", "score"]
     hexed = [[name, sigma.hex(), score.hex()] for name, sigma, score in rows]
     assert hexed == [[name, sigma.hex(), score.hex()]
-                     for name, sigma, score in sweep_reference(ds, cfg)]
+                     for name, sigma, score in sweep_reference(ds, config)]
 
 
 @pytest.mark.parametrize("fixture",

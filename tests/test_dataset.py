@@ -154,6 +154,8 @@ def test_scale_rejects_nonpositive(table1):
         scale_dataset(table1, [1.0, 0.0])
     with pytest.raises(ValueError):
         scale_dataset(table1, [-2.0, 1.0])
+    with pytest.raises(ValueError, match="expected 2 factors"):
+        scale_dataset(table1, [1.0, 1.0, 1.0])
 
 
 def test_units_invariance(rng):
@@ -176,3 +178,11 @@ def test_dataset_validation():
         DeaDataset(names=["a"], X=[[np.nan]], Y=[[1.0]])
     with pytest.raises(ValueError):
         DeaDataset(names=[], X=np.empty((1, 0)), Y=np.empty((1, 0)))
+    with pytest.raises(ValueError, match="inconsistent unit counts"):
+        DeaDataset(names=["a", "b"], X=[[1.0, 2.0]], Y=[[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="env_outputs length"):
+        DeaDataset(names=["a"], X=[[1.0]], Y=[[1.0]],
+                   env_outputs=[False, True])
+    with pytest.raises(ValueError, match="variable name length"):
+        DeaDataset(names=["a"], X=[[1.0]], Y=[[1.0]],
+                   input_names=["x", "z"])

@@ -87,8 +87,8 @@ def test_halving_the_step_tightens(table1):
 def test_sweep_matches_per_unit(table1):
     # the batch run over every unit (CLI iterative mode) gives each unit's
     # own iterative_udea answer, in order
-    cfg = UncertaintyConfig(nu=3.6, step=0.01)
-    _, rows = _compute(RunConfig(mode="iterative"), table1, cfg)
+    cfg = RunConfig(mode="iterative", nu=3.6, step=0.01)
+    _, rows = _compute(cfg, table1)
     assert len(rows) == table1.n_units
     for i, row in enumerate(rows):
         single = iterative_udea(table1, i, cfg)
@@ -227,9 +227,8 @@ def test_search_matches_walk_on_case_study(fixture):
     # the seed's weights settle the point below it and the midpoint
     config = RunConfig(mode="iterative", preset="radiotherapy")
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
-    cfg = UncertaintyConfig(nu=config.nu, step=config.step, eps=config.eps)
     for dmu in range(ds.n_units):
-        assert_same_as_walk(ds, dmu, cfg)
+        assert_same_as_walk(ds, dmu, config)
 
 
 def test_search_matches_walk_random(rng):

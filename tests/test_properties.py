@@ -10,12 +10,14 @@ regression case.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udea.robust
 from helpers import (assert_eps_invariant, assert_same_as_walk,
                      failure_proved, highs_beta, highs_theta, success_proved)
 from udea.cli import _sigma_grid
@@ -155,10 +157,19 @@ SWEEPS = [(1.0, 0.05), (3.6, 0.1), (2.0, 0.25), (15.0, 0.5)]
 @PROPERTIES
 @given(datasets(), st.sampled_from(SWEEPS))
 def test_sweep_is_probe_bit_for_bit(ds, sweep):
+    # the walk probes each sigma up to its first exact 1 and none past
+    # it, and makes no directional-distance solve
     grid = _sigma_grid(UncertaintyConfig(nu=sweep[0], step=sweep[1]))
     for i in range(ds.n_units):
-        assert ([s.hex() for s in _robust_scores(ds, i, grid)]
-                == [_probe(ds, i, sigma).hex() for sigma in grid])
+        with mock.patch.object(udea.robust, "_directional_optimum",
+                               side_effect=AssertionError("DDF solve")), \
+                mock.patch.object(udea.robust, "_probe",
+                                  wraps=_probe) as probe:
+            scores = _robust_scores(ds, i, grid)
+        want = [_probe(ds, i, sigma) for sigma in grid]
+        assert [s.hex() for s in scores] == [s.hex() for s in want]
+        walked = want.index(1.0) + 1 if 1.0 in want else len(grid)
+        assert [c.args[2] for c in probe.call_args_list] == grid[:walked]
 
 
 # (nu, step): coarse and fine grids, an unbounded cap and a zero one

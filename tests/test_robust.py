@@ -108,20 +108,15 @@ def test_transform_rejects_unit_without_positive_input():
     assert transform_box(ds, 0, 2.5).X[:, 0].tolist() == [1e-9, 1e-9]
 
 
-def test_transform_skips_revalidation(table1, monkeypatch):
-    calls = []
-    original = DeaDataset.__post_init__
-
-    def counting(self):
-        calls.append(1)
-        original(self)
-
-    monkeypatch.setattr(DeaDataset, "__post_init__", counting)
-    t = transform_box(table1, 4, 0.5)
-    assert calls == []
-    assert isinstance(t, DeaDataset)
-    assert t.names == table1.names and t.names is not table1.names
-    assert t.env_outputs is not table1.env_outputs
+def test_transform_is_a_dataset_of_its_own(table1):
+    # its names, flags and arrays are copies, the data's own arrays at
+    # sigma = 0 included
+    for sigma in (0.0, 0.5):
+        t = transform_box(table1, 4, sigma)
+        assert isinstance(t, DeaDataset)
+        assert t.names == table1.names and t.names is not table1.names
+        assert t.env_outputs is not table1.env_outputs
+        assert t.X is not table1.X and t.Y is not table1.Y
 
 
 def test_environmental_outputs_untouched(table1):
