@@ -182,6 +182,7 @@ def run(config: RunConfig, ds: DeaDataset):
     """Execute one run mode: write the report and, for the
     minimum-uncertainty modes, the plot data."""
     ds = apply_scaling(ds, config)
+    _check_box(config, ds)
     header, rows = _compute(config, ds)
     fmt = _formatter(config)
 
@@ -200,6 +201,17 @@ def run(config: RunConfig, ds: DeaDataset):
                              for row in _plot_rows(header, rows)], "csv")
         with open(plot_path, "w") as fh:
             fh.write(plot_body)
+
+
+def _check_box(config: RunConfig, ds: DeaDataset):
+    """Reject a box that moves a datum past the largest float: the corner
+    of a unit adds sigma (up to a finite ``nu``) to inputs and outputs."""
+    name = "sigma" if config.mode == "robust" else "nu"
+    shift = getattr(config, name)
+    top = float(max(ds.X.max(), ds.Y[~ds.env_outputs].max(initial=0.0)))
+    if math.isfinite(shift) and not math.isfinite(top + shift):
+        raise DataError(f"{name} {shift} plus the largest datum {top} "
+                        "overflows; scale the data down with --scale")
 
 
 def _plot_rows(header, rows):

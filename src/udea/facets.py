@@ -5,16 +5,19 @@ padded to phi - 1 independent rows with free-disposal recession directions
 (+unit input, -unit output) so axis facets are found too; it counts when
 every unit lies on one side of it, oriented for free disposal.  For each
 subset size every candidate (subset x choice of directions) is stacked into
-one array: one SVD gives the normals and their rank test, one matrix
-product tests support, and the survivors are oriented, snapped and keyed
-as arrays; a ``Hyperplane`` is built only for the first candidate of each
-new facet.  The work is exponential in the unit count and dimension; hard
-size limits steer larger instances to the iterative solver.
+one array: one determinant call gives every normal as a generalised cross
+product, and its length the rank test; one matrix product tests support,
+and the survivors are oriented, snapped and keyed as arrays; a
+``Hyperplane`` is built only for the first candidate of each new facet.
+The work is exponential in the unit count and dimension; hard size limits
+steer larger instances to the iterative solver.
 
 Only the distinct units that no other distinct unit weakly dominates (no
-more of any input, no less of any output) take the extreme-point LP: a
-dominating unit reproduces a dominated one (lam = its unit vector), so
-``is_extreme`` would reject it anyway.
+more of any input, no less of any output) take the extreme-point LP, and
+only against each other.  A dominating unit reproduces a dominated one
+(lam = its unit vector), so ``is_extreme`` would reject the dominated unit
+anyway, and leaving it out of the LPs keeps a unit that dominates it by
+less than ``SCORE_TOL`` from being reproduced by it.
 
 ``exact_udea`` scores a unit against every facet in one array expression
 (``geometry.facet_thresholds``) over the stack its ``FacetSet`` holds, and
@@ -34,8 +37,8 @@ from .robust import DEFAULT_EPS, _certificate, _probe
 
 DEFAULT_DIM_LIMIT = 4
 DEFAULT_UNIT_LIMIT = 64
-# subsets per stacked SVD, which bounds the candidate arrays: 64 extreme
-# units in 4 variables make 635,376 candidates of one subset size
+# subsets per candidate stack, which bounds its arrays to 6,144 row sets in
+# 4 variables: 64 extreme units make 635,376 subsets of size 4
 SUBSET_CHUNK = 1024
 
 
@@ -59,15 +62,16 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
 
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
     # identical units reproduce each other, so neither would test extreme:
-    # only the lowest index of each distinct point is tested, and only if
-    # no other distinct point dominates it
+    # only the lowest index of each distinct point is tested, only if no
+    # other distinct point dominates it, and only against the other such
+    # points, so that no unit is reproduced by one it dominates
     first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
-    distinct = DeaDataset(names=[ds.names[i] for i in first],
-                          X=ds.X[:, first], Y=ds.Y[:, first],
-                          env_outputs=ds.env_outputs)
-    dominated = _dominated(points[first], n)
-    extremes = [i for k, i in enumerate(first)
-                if not dominated[k] and is_extreme(distinct, k)]
+    first = [i for i, dominated in zip(first, _dominated(points[first], n))
+             if not dominated]
+    tested = DeaDataset(names=[ds.names[i] for i in first],
+                        X=ds.X[:, first], Y=ds.Y[:, first],
+                        env_outputs=ds.env_outputs)
+    extremes = [i for k, i in enumerate(first) if is_extreme(tested, k)]
 
     # free-disposal recession directions of the production set
     dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
@@ -154,11 +158,31 @@ def _add_facets(found, tried, subsets, dchoices, points, dirs, n, tol):
 def _unique_normal(rows: np.ndarray):
     """Unit normals of the hyperplanes spanned by each (phi - 1) x phi
     matrix of the stack ``rows``, and the mask of the matrices of full rank
-    (the others span no unique hyperplane)."""
-    _, s, vt = np.linalg.svd(rows)
-    if rows.shape[1] == 0:  # phi = 1: no rows span no hyperplane
-        return vt[:, -1], np.zeros(len(rows), dtype=bool)
-    return vt[:, -1], s[:, -1] > 1e-9 * np.maximum(1.0, s[:, 0])
+    (the others span no unique hyperplane).
+
+    The normal is the generalised cross product: component j is the signed
+    minor of the rows without column j, so it is orthogonal to every row.
+    Its length is the product of the singular values, which bounds the
+    smallest one from below by ``|n| / |rows|_F ** (phi - 2)``: a matrix
+    counts as full rank when that bound passes the test
+    ``s_min > 1e-9 * max(1, s_max)``, with ``|rows|_F`` for ``s_max``.
+    """
+    k, _, phi = rows.shape
+    if phi == 1:  # no rows span no hyperplane
+        return np.ones((k, 1)), np.zeros(k, dtype=bool)
+    # each matrix times a power of two that brings its entries below 1, so
+    # that no minor or square overflows
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=(1, 2)))[1])
+    rows = rows * scale[:, None, None]
+    # row j of the table lists every column but j
+    cols = np.nonzero(~np.eye(phi, dtype=bool))[1].reshape(phi, phi - 1)
+    normals = np.linalg.det(rows[:, :, cols].swapaxes(1, 2))
+    normals[:, 1::2] *= -1.0
+    length = np.sqrt((normals * normals).sum(axis=1))
+    frob = np.sqrt((rows * rows).sum(axis=(1, 2)))
+    # the docstring's test on the scaled rows, where the 1 becomes scale
+    full_rank = length > 1e-9 * np.maximum(scale, frob) * frob ** (phi - 2)
+    return normals / np.where(full_rank, length, 1.0)[:, None], full_rank
 
 
 def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,

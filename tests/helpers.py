@@ -558,21 +558,26 @@ def scalar_simplex_core(T, basis, allowed, tol, max_iter):
 def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
     """Reference facet enumeration: the per-candidate loop that
     ``udea.facets.enumerate_efficient_facets`` replaced, kept verbatim (the
-    size limits aside) but for one change: identical units are collapsed
-    to their lowest index before the extreme-point tests, as in the
-    package.  Unlike the package, it tests every distinct unit, dominated
-    or not.  One SVD, one support test and one orientation per (subset,
-    direction choice) candidate.  The package must return the same facets
-    (alpha, beta and d bit for bit) and generators.
+    size limits aside) but for two changes, as in the package: identical
+    units are collapsed to their lowest index, and a unit that another
+    distinct unit weakly dominates (found pair by pair here) is dropped,
+    before the extreme-point tests among the units left.  One normal, one
+    support test and one orientation per (subset, direction choice)
+    candidate.  The package must return the same facets (alpha, beta and d
+    bit for bit) and generators.
     """
     n, m = ds.n_inputs, ds.n_outputs
     phi = n + m
     points = np.vstack([ds.X, ds.Y]).T  # I x phi
     first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
-    distinct = DeaDataset(names=[ds.names[i] for i in first],
-                          X=ds.X[:, first], Y=ds.Y[:, first],
-                          env_outputs=ds.env_outputs)
-    extremes = [i for k, i in enumerate(first) if is_extreme(distinct, k)]
+    first = [k for k in first
+             if not any(np.all(points[j, :n] <= points[k, :n])
+                        and np.all(points[j, n:] >= points[k, n:])
+                        for j in first if j != k)]
+    tested = DeaDataset(names=[ds.names[i] for i in first],
+                        X=ds.X[:, first], Y=ds.Y[:, first],
+                        env_outputs=ds.env_outputs)
+    extremes = [i for k, i in enumerate(first) if is_extreme(tested, k)]
 
     # free-disposal recession directions of the production set
     dirs = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
@@ -629,14 +634,31 @@ def scalar_enumerate_facets(ds: DeaDataset) -> FacetSet:
 
 
 def scalar_unique_normal(rows: np.ndarray, phi: int):
-    """Unit normal of the hyperplane spanned by ``rows``; None when the rows
-    are rank deficient (no unique hyperplane)."""
-    if rows.shape != (phi - 1, phi):
+    """Unit normal of the hyperplane spanned by ``rows``, one candidate at
+    a time: the generalised cross product of ``udea.facets._unique_normal``
+    (the rows scaled by a power of two below 1, component j the signed
+    minor without column j) and its rank test.  None when the rows are rank
+    deficient (no unique hyperplane)."""
+    if phi < 2 or rows.shape != (phi - 1, phi):
         return None
-    u, s, vt = np.linalg.svd(rows)
-    if phi >= 2 and s[-1] <= 1e-9 * max(1.0, s[0]):
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max())[1])
+    rows = rows * scale
+    normal = np.array([np.linalg.det(np.delete(rows, j, axis=1))
+                       for j in range(phi)])
+    normal[1::2] *= -1.0
+    length = np.sqrt((normal * normal).sum())
+    frob = np.sqrt((rows * rows).sum())
+    if not length > 1e-9 * max(scale, frob) * frob ** (phi - 2):
         return None
-    return vt[-1]
+    return normal / length
+
+
+def svd_unique_normal(rows: np.ndarray):
+    """The SVD's answer for a stack like ``udea.facets._unique_normal``'s:
+    the last right singular vector of each matrix, and whether its smallest
+    singular value passes ``s_min > 1e-9 * max(1, s_max)``."""
+    _, s, vt = np.linalg.svd(rows)
+    return vt[:, -1], s[:, -1] > 1e-9 * np.maximum(1.0, s[:, 0])
 
 
 def scalar_min_uncertainty_to_facet(ds: DeaDataset, dmu: int,

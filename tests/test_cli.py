@@ -251,6 +251,22 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
     assert main(["sweep", "--data", str(example1_csv), "--nu", "1e300"]) == 2
 
 
+@pytest.mark.parametrize("row, args", [
+    ("a,1.7e308,1", ["robust", "--sigma", "1e308"]),
+    ("a,1,1.7e308", ["robust", "--sigma", "1e308"]),
+    ("a,1.7e308,1", ["sweep", "--nu", "1e308", "--step", "1e307"]),
+    ("a,1.7e308,1", ["iterative", "--nu", "1e308", "--step", "1e307"])])
+def test_exit_code_box_overflow(tmp_path, capsys, row, args):
+    # sigma, or a finite nu, that moves an input or output past the
+    # largest float is rejected once per run, before a corner is built
+    path = write_csv(tmp_path / "huge.csv", ["dmu,in:x,out:y", row, "b,1,2"])
+    assert main(args[:1] + ["--data", path] + args[1:]) == 2
+    assert "plus the largest datum 1.7e+308 overflows" in \
+        capsys.readouterr().err
+    # the same data and a box that stays finite
+    assert main(["robust", "--data", path, "--sigma", "1e300"]) == 0
+
+
 @pytest.mark.parametrize("mode, option, value", [
     ("exact", "--nu", "nan"), ("iterative", "--nu", "nan"),
     ("sweep", "--step", "nan"), ("robust", "--sigma", "nan"),

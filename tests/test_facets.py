@@ -7,14 +7,15 @@ from conftest import DATA_DIR
 from helpers import (clamp_dataset, count_lps, random_dataset_2d,
                      scalar_exact_choice, scalar_enumerate_facets,
                      segment_min_uncertainty, select_segment_2d,
-                     sorted_extremes_2d, table1_dataset)
+                     sorted_extremes_2d, svd_unique_normal, table1_dataset)
 import udea.facets
 from udea.cli import RunConfig, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, is_extreme, solve_nominal
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
                          enumerate_efficient_facets, exact_udea)
 from udea.geometry import Hyperplane, facet_thresholds, min_uncertainty_to_facet
-from udea.robust import DEFAULT_EPS, NO_PROOF, _probe
+from udea.robust import (DEFAULT_EPS, NO_PROOF, _probe,
+                         directional_distance)
 
 
 def facet_key(h):
@@ -218,12 +219,18 @@ def _reference_datasets():
                                               3.0]]),
                                    np.array([[1.0, 1.0 + a, 1.0]]))
     # Table 1 plus H = (3 / (1 + 5e-7), 4): B and H reproduce each other
-    # within SCORE_TOL, so neither tests extreme, and H dominates B
-    t1 = table1_dataset()
-    out["near_duplicate"] = DeaDataset(
-        names=t1.names + ["H"], X=np.hstack([t1.X, [[3.0 / (1.0 + 5e-7)]]]),
-        Y=np.hstack([t1.Y, [[4.0]]]))
+    # within SCORE_TOL, and H dominates B
+    out["near_duplicate"] = near_duplicate_dataset(4.0)
     return out
+
+
+def near_duplicate_dataset(y_h):
+    """Table 1 plus H = (3 / (1 + 5e-7), ``y_h``), which B reproduces
+    within SCORE_TOL for ``y_h`` near B's output 4."""
+    t1 = table1_dataset()
+    return DeaDataset(names=t1.names + ["H"],
+                      X=np.hstack([t1.X, [[3.0 / (1.0 + 5e-7)]]]),
+                      Y=np.hstack([t1.Y, [[y_h]]]))
 
 
 REFERENCE_DATASETS = _reference_datasets()
@@ -296,6 +303,79 @@ def test_facets_ordered_by_their_own_rounded_values(name):
     assert keys == sorted(set(keys))
 
 
+def _candidate_stacks(ds, monkeypatch):
+    """Every stack of candidate row sets that enumerating ``ds`` hands to
+    ``_unique_normal``."""
+    stacks = []
+    closed_form = udea.facets._unique_normal
+
+    def recording(rows):
+        stacks.append(rows.copy())
+        return closed_form(rows)
+    with monkeypatch.context() as m:
+        m.setattr(udea.facets, "_unique_normal", recording)
+        enumerate_efficient_facets(ds)
+    return stacks
+
+
+def _rank_deficient_stacks():
+    """Row sets in 2 to 4 variables that span no hyperplane: a repeated
+    row, generators on one line, and a zero row."""
+    rng = np.random.default_rng(5)
+    for phi in (2, 3, 4):
+        rows = rng.uniform(0.5, 10.0, (phi - 1, phi)).round(3)
+        repeated = rows.copy()
+        repeated[-1] = repeated[0]
+        collinear = rows.copy()
+        collinear[-1] = 2.5 * collinear[0]  # p2 - p0 = 2.5 (p1 - p0)
+        zero = rows.copy()
+        zero[-1] = 0.0
+        if phi == 2:  # one row: only the zero row is deficient
+            yield np.array([zero])
+        else:
+            yield np.array([repeated, collinear, zero])
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+def test_closed_form_normals_match_svd(name, monkeypatch):
+    # the SVD, independent of the minors, gives the same unit normal up to
+    # sign and the same rank verdict for every candidate row set
+    stacks = _candidate_stacks(REFERENCE_DATASETS[name], monkeypatch)
+    assert stacks
+    for rows in stacks:
+        normals, full_rank = udea.facets._unique_normal(rows)
+        ref, ref_full_rank = svd_unique_normal(rows)
+        assert full_rank.tolist() == ref_full_rank.tolist()
+        sign = np.where((normals * ref).sum(axis=1) < 0, -1.0, 1.0)
+        gap = np.abs(normals - sign[:, None] * ref).max(axis=1)
+        assert np.all(gap[full_rank] <= 1e-12)
+
+
+def test_normals_of_large_data_do_not_overflow(monkeypatch):
+    # each matrix is scaled by a power of two before its minors are taken,
+    # so rows near 1e181, whose minors' squares would pass the largest
+    # float, give the same bits as the rows themselves
+    for rows in _candidate_stacks(REFERENCE_DATASETS["split22"],
+                                  monkeypatch):
+        normals, full_rank = udea.facets._unique_normal(rows)
+        big_normals, big_full_rank = udea.facets._unique_normal(
+            rows * 2.0 ** 600)
+        assert big_full_rank.tolist() == full_rank.tolist()
+        assert big_normals[full_rank].tobytes() == \
+            normals[full_rank].tobytes()
+
+
+def test_rank_deficient_stacks_span_no_hyperplane():
+    for rows in _rank_deficient_stacks():
+        _, full_rank = udea.facets._unique_normal(rows)
+        assert not full_rank.any()
+        assert not svd_unique_normal(rows)[1].any()
+    # one variable: no rows, which span no hyperplane
+    normals, full_rank = udea.facets._unique_normal(np.zeros((3, 0, 1)))
+    assert normals.shape == (3, 1)
+    assert not full_rank.any()
+
+
 def test_one_hyperplane_per_facet(monkeypatch):
     # 1,390 supporting candidates find the 26 facets; only the first
     # candidate of each facet builds a Hyperplane
@@ -337,11 +417,18 @@ def _random_datasets():
 DOMINANCE_DATASETS = {**REFERENCE_DATASETS, **_random_datasets()}
 
 
-@pytest.mark.parametrize("name", sorted(DOMINANCE_DATASETS))
+def _test_every_distinct_unit(monkeypatch):
+    monkeypatch.setattr(udea.facets, "_dominated",
+                        lambda points, n: np.zeros(len(points), dtype=bool))
+
+
+@pytest.mark.parametrize("name", sorted(set(DOMINANCE_DATASETS)
+                                        - {"near_duplicate"}))
 def test_dominance_skip_changes_no_facet(name, monkeypatch):
     # a unit that another distinct unit weakly dominates is reproduced by
-    # it, so skipping its extreme-point LP leaves the facets, their
-    # generators and their order as testing every distinct unit does
+    # it, so skipping its extreme-point LP, and leaving it out of the
+    # others', leaves the facets, their generators and their order as
+    # testing every distinct unit against every other does
     ds = DOMINANCE_DATASETS[name]
     tested = []
 
@@ -351,8 +438,7 @@ def test_dominance_skip_changes_no_facet(name, monkeypatch):
     monkeypatch.setattr(udea.facets, "is_extreme", counting)
     got = enumerate_efficient_facets(ds)
     skipping = len(tested)
-    monkeypatch.setattr(udea.facets, "_dominated",
-                        lambda points, n: np.zeros(len(points), dtype=bool))
+    _test_every_distinct_unit(monkeypatch)
     tested.clear()
     ref = enumerate_efficient_facets(ds)
     distinct = len(np.unique(np.vstack([ds.X, ds.Y]), axis=1).T)
@@ -363,6 +449,33 @@ def test_dominance_skip_changes_no_facet(name, monkeypatch):
         assert h.alpha.tobytes() == r.alpha.tobytes()
         assert h.beta.tobytes() == r.beta.tobytes()
         assert h.d.hex() == r.d.hex()
+
+
+def test_dominance_skip_keeps_near_duplicate_facets(monkeypatch):
+    # H dominates B and B reproduces H within SCORE_TOL: tested against
+    # each other, neither is extreme and the facets A-H and H-C are lost;
+    # tested without the dominated B, H is extreme
+    ds = REFERENCE_DATASETS["near_duplicate"]
+    assert enumerate_efficient_facets(ds).generators == [
+        [3], [2, 3], [2, 6], [0, 6], [0]]
+    _test_every_distinct_unit(monkeypatch)
+    assert enumerate_efficient_facets(ds).generators == [[3], [2, 3], [0]]
+
+
+def test_near_duplicate_exact_upsilon():
+    # E's facet is H-C once H is extreme: upsilon* = beta* / 2
+    ds = near_duplicate_dataset(4.0)
+    out = exact_udea(ds, 4)
+    assert out.upsilon == pytest.approx(directional_distance(ds, 4) / 2,
+                                        abs=1e-12)
+    assert out.upsilon == pytest.approx(0.7857143, abs=1e-7)
+    assert ds.names[4] == "E"
+    # a near-duplicate that dominates nothing still hides its facets (a
+    # documented limitation): E scores against C-D, not H-C
+    ds = near_duplicate_dataset(4.0 * (1.0 - 1e-7))
+    assert exact_udea(ds, 4).upsilon == pytest.approx(0.875, abs=1e-12)
+    assert directional_distance(ds, 4) / 2 == pytest.approx(0.7857143,
+                                                            abs=1e-7)
 
 
 def test_dominated_units_take_no_extreme_point_lp(table1, monkeypatch):
