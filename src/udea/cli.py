@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
-from .iterative import _grid_index, iterative_udea
+from .iterative import _grid_index, _search_top, iterative_udea
 from .lp import SolverFault
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
                      UncertaintyConfig, _probe, _robust_scores)
@@ -134,12 +134,10 @@ def ingest_csv(path) -> DeaDataset:
                                 f"negative or non-finite value {raw}")
             values.append(value)
         table.append(values)
-    # one unit per row of `table`, one variable per row of X and Y, copied
-    # to C order: a matrix-vector product may round differently on the
-    # transposed layout
+    # one unit per row of `table`, one variable per row of X and Y
     table = np.array(table, dtype=float).reshape(len(rows), len(header) - 1)
-    X = table[:, in_cols].T.copy()
-    Y = table[:, out_cols].T.copy()
+    X = table[:, in_cols].T
+    Y = table[:, out_cols].T
     if not rows:
         raise DataError(f"{path}: no data rows")
     for k, var in enumerate(input_names):
@@ -153,8 +151,7 @@ def ingest_csv(path) -> DeaDataset:
         raise DataError(f"{path}: row {rows[k][0]}: unit {names[k]!r} has "
                         "no positive input")
     try:
-        return DeaDataset(names=names, X=X, Y=Y,
-                          env_outputs=np.array(env_flags, dtype=bool),
+        return DeaDataset(names=names, X=X, Y=Y, env_outputs=env_flags,
                           input_names=input_names, output_names=output_names)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}")
@@ -205,9 +202,21 @@ def run(config: RunConfig, ds: DeaDataset):
 
 def _check_box(config: RunConfig, ds: DeaDataset):
     """Reject a box that moves a datum past the largest float: the corner
-    of a unit adds sigma (up to a finite ``nu``) to inputs and outputs."""
+    of a unit adds sigma (up to a finite ``nu``) to inputs and outputs.
+    At ``nu = inf`` the bound for ``iterative`` is the top of each unit's
+    search; ``exact`` has no grid to bound it by."""
     name = "sigma" if config.mode == "robust" else "nu"
     shift = getattr(config, name)
+    if config.mode == "iterative" and shift == math.inf:
+        name, shift = "the search's sigma", 0.0
+        for i in range(ds.n_units):
+            # a unit whose grid is too fine raises before it probes above 0,
+            # if it searches at all
+            try:
+                k = _search_top(ds, i, config.step, config)
+            except ValueError:
+                continue
+            shift = max(shift, k * config.step)
     top = float(max(ds.X.max(), ds.Y[~ds.env_outputs].max(initial=0.0)))
     if math.isfinite(shift) and not math.isfinite(top + shift):
         raise DataError(f"{name} {shift} plus the largest datum {top} "

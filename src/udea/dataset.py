@@ -21,7 +21,7 @@ the same tableau.
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,13 @@ class DeaDataset:
     output constraints unchanged but are exempt from uncertainty transforms.
     Variable names are unique across inputs and outputs, so a name picks
     out one row.
+
+    A dataset owns its data: construction copies ``X`` and ``Y`` into
+    C-ordered float arrays, ``env_outputs`` into a bool array and the names
+    into lists, and validates the copies.  A caller's later writes into what
+    it passed do not reach the dataset, and no result depends on the
+    caller's memory layout.  A derived dataset is
+    ``dataclasses.replace(ds, ...)``, which copies and validates again.
     """
 
     names: list
@@ -52,8 +59,8 @@ class DeaDataset:
 
     def __post_init__(self):
         self.names = list(self.names)
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
+        self.X = np.array(self.X, dtype=float, order="C", ndmin=2)
+        self.Y = np.array(self.Y, dtype=float, order="C", ndmin=2)
         n, i_x = self.X.shape
         m, i_y = self.Y.shape
         if i_x != i_y or i_x != len(self.names):
@@ -70,15 +77,16 @@ class DeaDataset:
         if np.any(self.X.sum(axis=0) <= 0):
             raise ValueError("every unit needs at least one positive input")
         if self.env_outputs is None:
-            self.env_outputs = np.zeros(m, dtype=bool)
-        else:
-            self.env_outputs = np.asarray(self.env_outputs, dtype=bool)
-            if self.env_outputs.shape != (m,):
-                raise ValueError("env_outputs length mismatch")
+            self.env_outputs = np.zeros(m)
+        self.env_outputs = np.array(self.env_outputs, dtype=bool)
+        if self.env_outputs.shape != (m,):
+            raise ValueError("env_outputs length mismatch")
         if self.input_names is None:
             self.input_names = [f"in{k + 1}" for k in range(n)]
         if self.output_names is None:
             self.output_names = [f"out{k + 1}" for k in range(m)]
+        self.input_names = list(self.input_names)
+        self.output_names = list(self.output_names)
         if len(self.input_names) != n or len(self.output_names) != m:
             raise ValueError("variable name length mismatch")
         variables = self.variable_names()
@@ -98,7 +106,7 @@ class DeaDataset:
         return self.Y.shape[0]
 
     def variable_names(self):
-        return list(self.input_names) + list(self.output_names)
+        return self.input_names + self.output_names
 
 
 @dataclass
@@ -295,14 +303,7 @@ def scale_dataset(ds: DeaDataset, factors) -> DeaDataset:
         raise ValueError(f"expected {n + m} factors, got {factors.shape}")
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValueError("scale factors must be positive and finite")
-    return DeaDataset(
-        names=list(ds.names),
-        X=ds.X * factors[:n, None],
-        Y=ds.Y * factors[n:, None],
-        env_outputs=ds.env_outputs.copy(),
-        input_names=list(ds.input_names),
-        output_names=list(ds.output_names),
-    )
+    return replace(ds, X=ds.X * factors[:n, None], Y=ds.Y * factors[n:, None])
 
 
 def _check_index(ds: DeaDataset, dmu: int) -> int:

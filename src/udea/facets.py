@@ -27,6 +27,7 @@ the attaining facet, a supporting hyperplane, is the certificate that lets
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,9 +69,8 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
     first = sorted(np.unique(points, axis=0, return_index=True)[1].tolist())
     first = [i for i, dominated in zip(first, _dominated(points[first], n))
              if not dominated]
-    tested = DeaDataset(names=[ds.names[i] for i in first],
-                        X=ds.X[:, first], Y=ds.Y[:, first],
-                        env_outputs=ds.env_outputs)
+    tested = replace(ds, names=[ds.names[i] for i in first],
+                     X=ds.X[:, first], Y=ds.Y[:, first])
     extremes = [i for k, i in enumerate(first) if is_extreme(tested, k)]
 
     # free-disposal recession directions of the production set

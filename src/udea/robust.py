@@ -27,7 +27,7 @@ reports.  Every solve goes straight from the arrays into its simplex
 tableau (``dataset._frontier_tableau``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,14 +73,13 @@ def transform_box(ds: DeaDataset, dmu: int, sigma: float,
     Transformed inputs are floored at ``eps`` and outputs at zero so
     uncertainty never introduces negative data.  With ``eps = 0`` a unit
     whose inputs all reach the floor is rejected, as ``DeaDataset`` would.
-    Environmental output rows are left untouched.
+    Environmental output rows are left untouched.  The corner is
+    ``dataclasses.replace(ds, X=..., Y=...)``, so the new dataset copies
+    the corner's arrays, the data's own at ``sigma = 0``, as it copies the
+    names and flags.
     """
     X, Y = _corner(ds, _check_index(ds, dmu), sigma, eps)
-    # copied, as at sigma = 0 they are the data's own arrays
-    return DeaDataset(names=ds.names, X=X.copy(), Y=Y.copy(),
-                      env_outputs=ds.env_outputs.copy(),
-                      input_names=list(ds.input_names),
-                      output_names=list(ds.output_names))
+    return replace(ds, X=X, Y=Y)
 
 
 def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
@@ -89,7 +88,8 @@ def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
 
     At ``sigma = 0`` the corner equals the data, and they are ``ds.X`` and
     ``ds.Y`` themselves, not copies: a caller reads a corner and never
-    writes into it (``transform_box`` copies them for its dataset).
+    writes into it, and the dataset that ``transform_box`` builds around
+    it makes its own copies.
     """
     # also rejects nan; an infinite sigma gives infinite rival inputs,
     # which the slacks of lam = e_i would multiply by 0

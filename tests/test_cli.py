@@ -249,16 +249,23 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
     assert main(["iterative", "--data", path, "--nu", "inf",
                  "--step", "1e-10"]) == 2
     assert main(["sweep", "--data", str(example1_csv), "--nu", "1e300"]) == 2
+    # a grid too fine only for an efficient unit, which searches nothing
+    path = write_csv(tmp_path / "wide.csv",
+                     ["dmu,in:x,out:y", "a,1,1", "e,1e20,1e30", "c,2,1"])
+    assert main(["iterative", "--data", path, "--nu", "inf"]) == 0
 
 
 @pytest.mark.parametrize("row, args", [
     ("a,1.7e308,1", ["robust", "--sigma", "1e308"]),
     ("a,1,1.7e308", ["robust", "--sigma", "1e308"]),
     ("a,1.7e308,1", ["sweep", "--nu", "1e308", "--step", "1e307"]),
-    ("a,1.7e308,1", ["iterative", "--nu", "1e308", "--step", "1e307"])])
+    ("a,1.7e308,1", ["iterative", "--nu", "1e308", "--step", "1e307"]),
+    ("a,1.7e308,1", ["iterative", "--nu", "inf", "--step", "1e306"])])
 def test_exit_code_box_overflow(tmp_path, capsys, row, args):
-    # sigma, or a finite nu, that moves an input or output past the
-    # largest float is rejected once per run, before a corner is built
+    # sigma, a finite nu, or at nu = inf the top of a unit's search (half
+    # its own input, 8.5e307, for unit a), that moves an input or output
+    # past the largest float is rejected once per run, before a corner is
+    # built
     path = write_csv(tmp_path / "huge.csv", ["dmu,in:x,out:y", row, "b,1,2"])
     assert main(args[:1] + ["--data", path] + args[1:]) == 2
     assert "plus the largest datum 1.7e+308 overflows" in \

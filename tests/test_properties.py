@@ -10,6 +10,7 @@ regression case.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -91,9 +92,14 @@ def test_nominal_scores(ds):
     # efficient: its radial projection in place of p would lower every
     # input row that holds theta.  Without that input, an optimum may
     # take p in place of a unit that dominates it, such as (2, 0) in
-    # place of (1, 0) with the same outputs.
+    # place of (1, 0) with the same outputs.  The dataset holds its own
+    # C-ordered copies, so the same data passed in Fortran order give the
+    # same bits.
+    fortran = replace(ds, X=np.asfortranarray(ds.X),
+                      Y=np.asfortranarray(ds.Y))
     for i in range(ds.n_units):
         res = solve_nominal(ds, i)
+        assert _hexes(solve_nominal(fortran, i)) == _hexes(res)
         assert 0.0 < res.theta <= 1.0
         assert res.lam.min() >= 0.0 and abs(res.lam.sum() - 1.0) <= 1e-15
         for p in res.peers:
@@ -101,6 +107,13 @@ def test_nominal_scores(ds):
                 assert solve_nominal(ds, p).theta == pytest.approx(1.0,
                                                                    abs=1e-6)
         assert res.efficient or res.binding_inputs
+
+
+def _hexes(res):
+    """theta, lam and both slack vectors of a nominal result, as the
+    ``float.hex`` of each."""
+    return [v.hex() for v in np.hstack([res.theta, res.lam, res.input_slacks,
+                                        res.output_slacks]).tolist()]
 
 
 @PROPERTIES

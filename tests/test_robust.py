@@ -9,7 +9,7 @@ from helpers import (assert_eps_invariant, best_corner_score, clamp_dataset,
                      highs_beta, random_dataset, success_proved,
                      table1_plus_g)
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
-from udea.dataset import DeaDataset, solve_all, solve_nominal
+from udea.dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _certificate,
                          _directional_optimum, _probe, directional_distance,
@@ -110,11 +110,13 @@ def test_transform_rejects_unit_without_positive_input():
 
 def test_transform_is_a_dataset_of_its_own(table1):
     # its names, flags and arrays are copies, the data's own arrays at
-    # sigma = 0 included
-    for sigma in (0.0, 0.5):
-        t = transform_box(table1, 4, sigma)
+    # sigma = 0 included, and so are those of a scaled dataset
+    derived = [transform_box(table1, 4, sigma) for sigma in (0.0, 0.5)]
+    for t in derived + [scale_dataset(table1, [1.0, 1.0])]:
         assert isinstance(t, DeaDataset)
-        assert t.names == table1.names and t.names is not table1.names
+        for name in ("names", "input_names", "output_names"):
+            assert getattr(t, name) == getattr(table1, name)
+            assert getattr(t, name) is not getattr(table1, name)
         assert t.env_outputs is not table1.env_outputs
         assert t.X is not table1.X and t.Y is not table1.Y
 
