@@ -135,6 +135,6 @@ def _simplex_core(T, basis, allowed, tol, max_iter):
 
 
 # ``simplex_core`` is the name ``udea.lp`` and ``udea.dataset`` each bind
-# and call; the benchmark's tracing swaps only ``udea.lp``'s, and its tests
-# read ``simplex_core_numpy``
+# and call; the benchmark's tracing swaps only ``udea.lp``'s, and the
+# benchmark's own tests (perfbench/tests) read ``simplex_core_numpy``
 simplex_core = simplex_core_numpy = _simplex_core

@@ -8,12 +8,12 @@ import pytest
 import udea.robust
 from helpers import (CLAMP_X, CLAMP_Y, assert_capability_from_trace,
                      assert_same_as_walk, clamp_dataset, count_lps,
-                     linear_walk_udea, random_dataset, random_dataset_2d,
-                     table1_dataset, table1_plus_g)
+                     linear_walk_udea, random_dataset, table1_dataset,
+                     table1_plus_g)
 from conftest import DATA_DIR
 from udea.cli import RunConfig, _compute, apply_scaling, ingest_csv
 from udea.dataset import SCORE_TOL, DeaDataset, solve_nominal
-from udea.facets import enumerate_efficient_facets, exact_udea
+from udea.facets import exact_udea
 from udea.iterative import _grid_index, iterative_udea
 from udea.lp import SolverFault
 from udea.outcome import UdeaOutcome
@@ -116,29 +116,6 @@ def test_capable_is_the_one_capability_field():
     assert UdeaOutcome(dmu=0).capable is False
 
 
-def test_iterative_within_one_step_of_exact(rng):
-    step = 0.01
-    cfg = UncertaintyConfig(nu=np.inf, step=step)
-    checked = 0
-    while checked < 20:
-        ds = random_dataset_2d(rng)
-        try:
-            fs = enumerate_efficient_facets(ds)
-        except ValueError:
-            continue
-        for dmu in range(ds.n_units):
-            if solve_nominal(ds, dmu).efficient:
-                continue
-            exact = exact_udea(ds, dmu, facet_set=fs).upsilon
-            # the facet formula ignores the nonnegativity clamps; skip
-            # cases where a clamp engages before the threshold is reached
-            if exact + step >= min(ds.Y.min(), ds.X[0, dmu]):
-                continue
-            approx = iterative_udea(ds, dmu, cfg).upsilon
-            assert abs(approx - exact) <= step + 1e-9
-        checked += 1
-
-
 def test_terminates_with_infinite_cap(table1):
     # even with nu = inf the grid walk stops once efficiency is reached
     out = iterative_udea(table1, 5, UncertaintyConfig(nu=np.inf, step=0.1))
@@ -229,33 +206,6 @@ def test_search_matches_walk_on_case_study(fixture):
     ds = apply_scaling(ingest_csv(DATA_DIR / fixture), config)
     for dmu in range(ds.n_units):
         assert_same_as_walk(ds, dmu, config)
-
-
-def test_search_matches_walk_random(rng):
-    configs = [(3.6, 0.05), (1.0, 0.01), (2.5, 0.3), (4.0, 0.1)]
-    for case in range(24):
-        ds = random_dataset(rng, max_units=8)
-        nu, step = configs[case % len(configs)]
-        for dmu in range(ds.n_units):
-            assert_same_as_walk(ds, dmu, UncertaintyConfig(nu=nu, step=step))
-
-
-def test_search_matches_walk_random_unbounded_cap(rng):
-    # with nu = inf the walk only stops on success, so keep units that a
-    # finite cap shows succeed on the grid
-    checked = 0
-    while checked < 20:
-        ds = random_dataset(rng, max_units=8)
-        dmu = int(rng.integers(ds.n_units))
-        step = 0.05
-        capped = linear_walk_udea(ds, dmu, UncertaintyConfig(nu=6.0,
-                                                             step=step))
-        if not capped.capable or capped.upsilon >= 6.0 - step:
-            continue
-        out = assert_same_as_walk(ds, dmu,
-                                  UncertaintyConfig(nu=np.inf, step=step))
-        assert out.upsilon == capped.upsilon
-        checked += 1
 
 
 def _assert_bisection_solve_count(ds, monkeypatch):

@@ -25,7 +25,6 @@ from udea.dataset import is_extreme
 from udea.lp import LEQ, LinearProgram, solve_lp
 from udea.robust import directional_distance, robust_efficiency
 
-KERNELS = [simplex_core]
 TOL = 1e-9
 
 
@@ -36,18 +35,17 @@ def _run(core, T, basis, allowed, max_iter=100_000):
 
 
 def _assert_same(T, basis, allowed, max_iter=100_000):
-    """Every kernel ends as the scalar loop does; returns the status."""
+    """The kernel ends as the scalar loop does; returns the status."""
     want = _run(scalar_simplex_core, T, basis, allowed, max_iter)
-    for core in KERNELS:
-        assert _run(core, T, basis, allowed, max_iter) == want
+    assert _run(simplex_core, T, basis, allowed, max_iter) == want
     return want[0]
 
 
-def _stepped(core, T, basis, allowed):
+def _stepped(T, basis, allowed):
     """The kernel run one pivot per call until it stops."""
     T, basis = T.copy(), basis.copy()
     while True:
-        status = core(T, basis, allowed, TOL, 1)
+        status = simplex_core(T, basis, allowed, TOL, 1)
         if status != ITERATION_LIMIT:
             return status, basis.tolist(), T.tobytes()
 
@@ -153,10 +151,9 @@ def test_masked_minimum_falls_back_to_first_allowed():
                               np.array([-5.0, -2.0, -2.0]))
     allowed = np.array([False, True, True, True, True])
     assert _assert_same(T, basis, allowed, max_iter=1) == ITERATION_LIMIT
-    for core in KERNELS:
-        T1, basis1 = T.copy(), basis.copy()
-        core(T1, basis1, allowed, TOL, 1)
-        assert 1 in basis1.tolist() and 2 not in basis1.tolist()
+    T1, basis1 = T.copy(), basis.copy()
+    simplex_core(T1, basis1, allowed, TOL, 1)
+    assert 1 in basis1.tolist() and 2 not in basis1.tolist()
     assert _assert_same(T, basis, allowed) == OPTIMAL
 
 
@@ -172,8 +169,7 @@ def test_overflowing_ratios_decide_as_the_reference():
     with np.errstate(over="ignore"):
         want = _run(scalar_simplex_core, T, basis, allowed)
     assert want[0] == OPTIMAL
-    for core in KERNELS:
-        assert _run(core, T, basis, allowed) == want
+    assert _run(simplex_core, T, basis, allowed) == want
 
 
 def test_frontier_programs_table1_and_random(recorded, rng):
@@ -234,9 +230,8 @@ def test_stepping_ends_as_one_call(recorded, rng):
         T, basis = _degenerate_tableau(rng)
         cases.append((T, basis, rng.random(T.shape[1] - 1) < 0.8))
     for T, basis, allowed in cases:
-        for core in KERNELS:
-            assert (_stepped(core, T, basis, allowed)
-                    == _run(core, T, basis, allowed))
+        assert (_stepped(T, basis, allowed)
+                == _run(simplex_core, T, basis, allowed))
 
 
 def _highs(T):
@@ -249,24 +244,22 @@ def _highs(T):
 
 
 def _assert_optimal_or_unbounded(T0, basis0):
-    """Every kernel, with every column allowed, ends at a primal and dual
+    """The kernel, with every column allowed, ends at a primal and dual
     feasible basis whose objective is HiGHS's, or unbounded as HiGHS
     finds it; whatever the pivoting rule.  Returns the status."""
     res = _highs(T0)
     m, n = T0.shape[0] - 1, T0.shape[1] - 1
-    allowed = np.ones(n, bool)
-    for core in KERNELS:
-        T, basis = T0.copy(), basis0.copy()
-        status = core(T, basis, allowed, TOL, 100_000)
-        if status == UNBOUNDED:
-            assert res.status == 3
-            continue
-        assert status == OPTIMAL and res.status == 0
-        assert np.all(T[:m, n] >= -1e-9)
-        assert np.all(T[m, :n] >= -TOL)
-        x = np.zeros(n)
-        x[basis] = T[:m, n]
-        assert T0[m, :n] @ x == pytest.approx(res.fun, abs=1e-9)
+    T, basis = T0.copy(), basis0.copy()
+    status = simplex_core(T, basis, np.ones(n, bool), TOL, 100_000)
+    if status == UNBOUNDED:
+        assert res.status == 3
+        return status
+    assert status == OPTIMAL and res.status == 0
+    assert np.all(T[:m, n] >= -1e-9)
+    assert np.all(T[m, :n] >= -TOL)
+    x = np.zeros(n)
+    x[basis] = T[:m, n]
+    assert T0[m, :n] @ x == pytest.approx(res.fun, abs=1e-9)
     return status
 
 
@@ -301,12 +294,11 @@ def test_beale_example_does_not_cycle():
     T0, basis0 = _slack_tableau(BEALE_A, BEALE_B, BEALE_C)
     allowed = np.ones(T0.shape[1] - 1, bool)
     assert _assert_same(T0, basis0, allowed) == OPTIMAL
-    for core in KERNELS:
-        T, basis = T0.copy(), basis0.copy()
-        assert core(T, basis, allowed, TOL, 100_000) == OPTIMAL
-        # the bottom-right cell holds minus the objective
-        assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-12)
-        assert (_stepped(core, T0, basis0, allowed)
-                == _run(core, T0, basis0, allowed))
+    T, basis = T0.copy(), basis0.copy()
+    assert simplex_core(T, basis, allowed, TOL, 100_000) == OPTIMAL
+    # the bottom-right cell holds minus the objective
+    assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-12)
+    assert (_stepped(T0, basis0, allowed)
+            == _run(simplex_core, T0, basis0, allowed))
     sol = solve_lp(LinearProgram(BEALE_C, BEALE_A, [LEQ] * 3, BEALE_B))
     assert sol.objective == pytest.approx(-0.05, abs=1e-12)

@@ -15,12 +15,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import udea.robust
 from helpers import (assert_eps_invariant, assert_same_as_walk,
-                     failure_proved, highs_beta, highs_theta, success_proved)
+                     failure_proved, highs_beta, highs_theta, success_proved,
+                     table1_dataset)
 from udea.cli import _sigma_grid
 from udea.dataset import SCORE_TOL, DeaDataset, is_extreme, solve_nominal
 from udea.facets import enumerate_efficient_facets, exact_udea
@@ -31,6 +32,13 @@ from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _directional_optimum,
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None,
                       max_examples=100)
+
+# explicit examples, run besides the drawn ones: Table 1, whose unit D
+# (10, 8) is efficient by its output alone, and b = (10, 1) far behind
+# a = (1, 10), so that a's input is a small share of b's: the rivals'
+# shift up moves b's score more than its own shift down
+TABLE1 = table1_dataset()
+FAR_RIVAL = DeaDataset(names=["a", "b"], X=[[1.0, 10.0]], Y=[[10.0, 1.0]])
 
 # a few round values recur, so that ties and zeros are common
 VALUES = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]),
@@ -141,6 +149,8 @@ def test_robust_score(case):
 
 @PROPERTIES
 @given(probes())
+@example((TABLE1, 3, 0.5, 1.0))
+@example((FAR_RIVAL, 1, 0.25, 0.5))
 def test_score_never_falls_as_sigma_rises(case):
     ds, i, low, high = case
     assert _probe(ds, i, high) >= _probe(ds, i, low) - 1e-9
@@ -148,6 +158,7 @@ def test_score_never_falls_as_sigma_rises(case):
 
 @PROPERTIES
 @given(probes())
+@example((TABLE1, 3, 0.5, 1.0))
 def test_score_at_least_nominal(case):
     ds, i, low, high = case
     nominal = solve_nominal(ds, i).theta
@@ -192,6 +203,8 @@ SEARCHES = [(3.6, 0.05), (1.0, 0.01), (2.5, 0.3), (4.0, 0.1),
 
 @PROPERTIES
 @given(units(), st.sampled_from(SEARCHES))
+# an inefficient unit at nu = inf, which the drawn examples miss
+@example((TABLE1, 4), (math.inf, 0.05))
 def test_search_is_the_walk(unit, search):
     ds, i = unit
     assert_same_as_walk(ds, i, UncertaintyConfig(nu=search[0],
@@ -268,6 +281,8 @@ def highs_cases(draw):
 
 @PROPERTIES
 @given(highs_cases())
+# b's own input 6 at sigma = 4 lies within 2 sigma, yet it scores 5/6
+@example((FAR_RIVAL, 1, 4.0))
 def test_frontier_programs_match_highs(case):
     # HiGHS on the programs as the model states them; it drops the 1e-9
     # floor's coefficients, which below sigma = 1e-6 moves its scores

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (assert_eps_invariant, best_corner_score, clamp_dataset,
-                     count_lps, efficiency_gain_upper_bound, failure_proved,
-                     highs_beta, random_dataset, success_proved,
-                     table1_plus_g)
+from helpers import (assert_eps_invariant, clamp_dataset, count_lps,
+                     efficiency_gain_upper_bound, failure_proved,
+                     random_dataset, success_proved, table1_plus_g)
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
-from udea.facets import enumerate_efficient_facets, exact_udea
+from udea.facets import exact_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _certificate,
                          _directional_optimum, _probe, directional_distance,
                          robust_efficiency, transform_box)
@@ -141,59 +140,6 @@ def test_robust_scores_table1(table1):
         1.0, abs=1e-9)
 
 
-def _assert_monotone(rng, eps, sigmas_for):
-    for _ in range(6):
-        ds = random_dataset(rng, max_units=8)
-        dmu = int(rng.integers(ds.n_units))
-        prev = -np.inf
-        for sigma in sigmas_for(ds):
-            theta = robust_efficiency(ds, dmu, sigma, eps=eps).theta
-            assert theta >= prev - 1e-9
-            prev = theta
-
-
-def test_robust_monotone_in_sigma(rng):
-    _assert_monotone(rng, 1e-6, lambda ds: (0.0, 0.1, 0.25, 0.5, 1.0))
-
-
-def test_robust_monotone_in_sigma_default_eps(rng):
-    # past every own input, where the default floor sits at the pivot
-    # tolerance and robust_efficiency scores the floored unit without a solve
-    _assert_monotone(rng, DEFAULT_EPS,
-                     lambda ds: np.linspace(0.0, 1.5 * ds.X.max(), 40))
-
-
-def test_robust_at_least_nominal(rng):
-    # up to 1.5 x max(X), past every own input
-    for _ in range(6):
-        ds = random_dataset(rng, max_units=8)
-        for i in range(ds.n_units):
-            nominal = solve_nominal(ds, i).theta
-            for sigma in [0.3, *np.linspace(0.0, 1.5 * ds.X.max(), 40)]:
-                assert robust_efficiency(ds, i, sigma).theta >= \
-                    nominal - 1e-9
-
-
-def _assert_large_sigma_efficient(rng, eps):
-    # sigma large enough to drive the unit's own inputs to the clamp floor
-    # makes any unit efficient
-    for _ in range(6):
-        ds = random_dataset(rng, max_units=8)
-        for i in range(ds.n_units):
-            sigma = float(ds.X[:, i].max()) - 1e-6
-            assert robust_efficiency(ds, i, sigma,
-                                     eps=eps).theta == pytest.approx(
-                1.0, abs=1e-9)
-
-
-def test_large_sigma_reaches_efficiency(rng):
-    _assert_large_sigma_efficient(rng, 1e-6)
-
-
-def test_large_sigma_reaches_efficiency_default_eps(rng):
-    _assert_large_sigma_efficient(rng, DEFAULT_EPS)
-
-
 @pytest.mark.parametrize("fixture, preset", [
     ("example1.csv", None), ("table1_dup.csv", None),
     ("case_study_s11_p0.csv", "radiotherapy"),
@@ -230,22 +176,6 @@ def test_floored_own_input_matches_sound_floor(rng):
         assert got.lam.tolist() == [float(k == i) for k in range(ds.n_units)]
         assert got.binding_inputs == list(range(ds.n_inputs))
         checked += 1
-
-
-def test_corner_is_optimal_over_box(rng):
-    # the favourable corner beats (or ties) every exhaustive +/-sigma
-    # perturbation pattern of every cell
-    for _ in range(4):
-        n_units = int(rng.integers(2, 5))
-        ds = DeaDataset(
-            names=[f"u{k}" for k in range(n_units)],
-            X=rng.uniform(1.0, 5.0, size=(1, n_units)).round(2),
-            Y=rng.uniform(1.0, 5.0, size=(1, n_units)).round(2),
-        )
-        dmu = int(rng.integers(n_units))
-        sigma = round(float(rng.uniform(0.1, 0.6)), 2)
-        corner = robust_efficiency(ds, dmu, sigma).theta
-        assert corner >= best_corner_score(ds, dmu, sigma) - 1e-9
 
 
 def test_zero_intensity_units_do_not_matter(rng):
@@ -301,18 +231,6 @@ def test_transform_preserves_metadata(table1):
     assert solve_all(t)[1].theta >= solve_all(table1)[1].theta - 1e-9
 
 
-def test_directional_distance_matches_highs(rng):
-    pytest.importorskip("scipy.optimize")
-    for case in range(20):
-        ds = random_dataset(rng, max_units=10, max_dim=5)
-        if case % 2 and ds.n_outputs > 1:
-            ds = DeaDataset(names=ds.names, X=ds.X, Y=ds.Y,
-                            env_outputs=[True] + [False] * (ds.n_outputs - 1))
-        for i in range(ds.n_units):
-            assert directional_distance(ds, i) == pytest.approx(
-                highs_beta(ds, i), abs=1e-9)
-
-
 def test_directional_distance_table1(table1):
     assert directional_distance(table1, 4) == pytest.approx(11.0 / 7.0,
                                                             abs=1e-12)
@@ -320,82 +238,6 @@ def test_directional_distance_table1(table1):
         exact_udea(table1, 4).upsilon, abs=1e-12)
     for i in range(4):  # A..D are efficient
         assert directional_distance(table1, i) == 0.0
-
-
-def test_directional_distance_zero_for_efficient_units(rng):
-    for _ in range(10):
-        ds = random_dataset(rng, max_units=10, max_dim=4)
-        for i in range(ds.n_units):
-            if solve_nominal(ds, i).theta == 1.0:
-                assert directional_distance(ds, i) == pytest.approx(
-                    0.0, abs=1e-12)
-
-
-def test_half_directional_distance_is_exact_upsilon(rng):
-    checked = 0
-    while checked < 15:
-        ds = random_dataset(rng, max_units=10, max_dim=4)
-        try:
-            facet_set = enumerate_efficient_facets(ds)
-        except ValueError:
-            continue
-        # neither the facet thresholds nor beta* / 2 see the clamps, so
-        # they agree whether or not a clamp binds below the threshold
-        for i in range(ds.n_units):
-            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
-            assert directional_distance(ds, i) / 2.0 == pytest.approx(
-                exact, abs=1e-9)
-        checked += 1
-
-
-def test_half_directional_distance_is_exact_upsilon_with_copied_units(rng):
-    # a copied efficient unit must not hide the facets through it
-    for _ in range(12):
-        ds = random_dataset(rng, max_units=10, max_dim=4)
-        efficient = [i for i in range(ds.n_units)
-                     if solve_nominal(ds, i).theta == 1.0]
-        copies = rng.choice(efficient, size=min(3, len(efficient)),
-                            replace=False)
-        ds = DeaDataset(names=ds.names + [f"copy{k}" for k in copies],
-                        X=np.hstack([ds.X, ds.X[:, copies]]),
-                        Y=np.hstack([ds.Y, ds.Y[:, copies]]))
-        facet_set = enumerate_efficient_facets(ds)
-        for i in range(ds.n_units):
-            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
-            assert directional_distance(ds, i) / 2.0 == pytest.approx(
-                exact, abs=1e-9)
-
-
-def test_half_directional_distance_is_exact_upsilon_with_env_output(rng):
-    # an environmental output stays put under the box transform, so its
-    # facet coefficient must not enter the threshold's rate
-    for case in range(16):
-        n_in = 1 + case % 2
-        n_out = int(rng.integers(1, 4 - n_in))
-        n_units = int(rng.integers(4, 11))
-        ds = DeaDataset(
-            names=[f"u{k}" for k in range(n_units)],
-            X=rng.uniform(0.5, 5.0, (n_in, n_units)).round(3),
-            Y=rng.uniform(0.5, 5.0, (n_out + 1, n_units)).round(3),
-            env_outputs=[False] * n_out + [True])
-        facet_set = enumerate_efficient_facets(ds)
-        for i in range(ds.n_units):
-            exact = exact_udea(ds, i, facet_set=facet_set).upsilon
-            assert directional_distance(ds, i) / 2.0 == pytest.approx(
-                exact, abs=1e-9)
-
-
-def test_directional_weights_are_a_point_of_the_simplex(rng):
-    for _ in range(10):
-        ds = random_dataset(rng, max_units=10, max_dim=4)
-        for i in range(ds.n_units):
-            beta, lam, _ = _directional_optimum(ds, i)
-            assert beta == directional_distance(ds, i)
-            assert lam.min() >= 0.0
-            assert lam.sum() == pytest.approx(1.0, abs=1e-15)
-            # lam meets the rows of the directional distance program
-            assert np.all(ds.X @ lam + beta <= ds.X[:, i] + 1e-9)
-            assert np.all(ds.Y @ lam - beta >= ds.Y[:, i] - 1e-9)
 
 
 def _certificate_cases(rng):
@@ -467,23 +309,6 @@ def test_weights_prove_only_failures(rng, eps, monkeypatch):
                                  settled)
     assert proofs > 100
     assert min(settled.values()) > 100, settled
-
-
-def test_directional_weights_prove_failure_below_half_beta(rng):
-    # clear of the floors, beta* / 2 is the minimum uncertainty, and
-    # lam* proves every grid point below it fails, up to a margin; at
-    # beta* / 2 itself the unit may still fail (the output-axis case)
-    proofs = 0
-    for _ in range(8):
-        ds = random_dataset(rng, max_units=8)
-        ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
-        for i in range(ds.n_units):
-            beta, lam, _ = _directional_optimum(ds, i)
-            for sigma in np.arange(0.0, 0.5 * beta - 1e-3, 0.05):
-                assert failure_proved(ds, i, sigma, lam)
-                proofs += 1
-            assert not failure_proved(ds, i, 0.5 * beta + 1e-3, lam)
-    assert proofs > 20
 
 
 def test_unusable_weights_prove_nothing(table1):
@@ -613,22 +438,6 @@ def test_duals_prove_only_successes(rng, eps, monkeypatch):
     assert proofs > 500
     assert output_only > 10
     assert min(settled.values()) > 100, settled
-
-
-def test_directional_duals_prove_success_from_half_beta(rng):
-    # clear of the floors, the duals prove every sigma above beta* / 2
-    proofs = 0
-    for _ in range(8):
-        ds = random_dataset(rng, max_units=8)
-        ds = DeaDataset(names=ds.names, X=ds.X + 5.0, Y=ds.Y + 5.0)
-        for i in range(ds.n_units):
-            beta, _, duals = _directional_optimum(ds, i)
-            for sigma in np.arange(0.5 * beta + 1e-3, 0.5 * beta + 2.0, 0.05):
-                assert success_proved(ds, i, sigma, duals)
-                proofs += 1
-            if beta > 2e-3:
-                assert not success_proved(ds, i, 0.5 * beta - 1e-3, duals)
-    assert proofs > 100
 
 
 def test_unusable_duals_prove_nothing(table1):
