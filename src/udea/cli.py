@@ -17,10 +17,10 @@ import numpy as np
 
 from .dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from .facets import SizeLimitError, enumerate_efficient_facets, exact_udea
-from .iterative import _grid_index, _search_top, iterative_udea
+from .iterative import _grid_index, iterative_udea
 from .lp import SolverFault
 from .robust import (DEFAULT_CAP, DEFAULT_EPS, DEFAULT_STEP,
-                     UncertaintyConfig, _probe, _robust_scores)
+                     UncertaintyConfig, _robust_scores)
 
 MODES = ("nominal", "robust", "sweep", "exact", "iterative")
 # the report columns that the modes reporting upsilon_star (exact and
@@ -179,7 +179,6 @@ def run(config: RunConfig, ds: DeaDataset):
     """Execute one run mode: write the report and, for the
     minimum-uncertainty modes, the plot data."""
     ds = apply_scaling(ds, config)
-    _check_box(config, ds)
     header, rows = _compute(config, ds)
     fmt = _formatter(config)
 
@@ -198,29 +197,6 @@ def run(config: RunConfig, ds: DeaDataset):
                              for row in _plot_rows(header, rows)], "csv")
         with open(plot_path, "w") as fh:
             fh.write(plot_body)
-
-
-def _check_box(config: RunConfig, ds: DeaDataset):
-    """Reject a box that moves a datum past the largest float: the corner
-    of a unit adds sigma (up to a finite ``nu``) to inputs and outputs.
-    At ``nu = inf`` the bound for ``iterative`` is the top of each unit's
-    search; ``exact`` has no grid to bound it by."""
-    name = "sigma" if config.mode == "robust" else "nu"
-    shift = getattr(config, name)
-    if config.mode == "iterative" and shift == math.inf:
-        name, shift = "the search's sigma", 0.0
-        for i in range(ds.n_units):
-            # a unit whose grid is too fine raises before it probes above 0,
-            # if it searches at all
-            try:
-                k = _search_top(ds, i, config.step, config)
-            except ValueError:
-                continue
-            shift = max(shift, k * config.step)
-    top = float(max(ds.X.max(), ds.Y[~ds.env_outputs].max(initial=0.0)))
-    if math.isfinite(shift) and not math.isfinite(top + shift):
-        raise DataError(f"{name} {shift} plus the largest datum {top} "
-                        "overflows; scale the data down with --scale")
 
 
 def _plot_rows(header, rows):
@@ -247,13 +223,10 @@ def _compute(config: RunConfig, ds: DeaDataset):
                         + list(res.input_slacks) + list(res.output_slacks))
         return header, rows
 
-    if config.mode == "robust":
-        rows = [[ds.names[i], config.sigma,
-                 _probe(ds, i, config.sigma, config.eps)] for i in units]
-        return ["dmu", "sigma", "score"], rows
-
-    if config.mode == "sweep":
-        sigmas = _sigma_grid(config)
+    if config.mode in ("robust", "sweep"):
+        # robust is the sweep of its one sigma
+        sigmas = ([config.sigma] if config.mode == "robust"
+                  else _sigma_grid(config))
         rows = [[ds.names[i], s, score] for i in units
                 for s, score in zip(sigmas,
                                     _robust_scores(ds, i, sigmas, config.eps))]

@@ -81,6 +81,9 @@ class DeaDataset:
         self.env_outputs = np.array(self.env_outputs, dtype=bool)
         if self.env_outputs.shape != (m,):
             raise ValueError("env_outputs length mismatch")
+        # the largest datum a box moves, which robust._corner adds sigma to
+        self._top = float(max(self.X.max(),
+                              self.Y[~self.env_outputs].max(initial=0.0)))
         if self.input_names is None:
             self.input_names = [f"in{k + 1}" for k in range(n)]
         if self.output_names is None:

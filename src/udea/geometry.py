@@ -72,7 +72,7 @@ class Hyperplane:
 def support_tol(ds: DeaDataset) -> float:
     """``SUPPORT_TOL * max(1, largest datum)`` of the nonnegative data of
     ``ds``: the distance within which a unit lies on a hyperplane."""
-    return SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max())
+    return SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max(initial=0.0))
 
 
 @dataclass

@@ -90,6 +90,10 @@ def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
     ``ds.Y`` themselves, not copies: a caller reads a corner and never
     writes into it, and the dataset that ``transform_box`` builds around
     it makes its own copies.
+
+    A sigma that carries the largest datum the box moves (an input or a
+    non-environmental output) past the largest float has no corner, and
+    is rejected before any cell is added to.
     """
     # also rejects nan; an infinite sigma gives infinite rival inputs,
     # which the slacks of lam = e_i would multiply by 0
@@ -97,10 +101,14 @@ def _corner(ds: DeaDataset, i: int, sigma: float, eps: float):
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return ds.X, ds.Y
+    if not ds._top + sigma < np.inf:
+        raise ValueError(f"sigma {sigma} plus the largest datum {ds._top} "
+                         "overflows; scale the data down")
     X = ds.X + sigma
     np.subtract(ds.X[:, i], sigma, out=X[:, i])
     Y = ds.Y - sigma
-    np.add(ds.Y[:, i], sigma, out=Y[:, i])
+    # environmental rows are restored below, and never added to
+    np.add(ds.Y[:, i], sigma, out=Y[:, i], where=~ds.env_outputs)
     np.copyto(Y, ds.Y, where=ds.env_outputs[:, None])
     np.maximum(X, eps, out=X)
     np.maximum(Y, 0.0, out=Y)

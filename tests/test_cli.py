@@ -253,6 +253,14 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
     path = write_csv(tmp_path / "wide.csv",
                      ["dmu,in:x,out:y", "a,1,1", "e,1e20,1e30", "c,2,1"])
     assert main(["iterative", "--data", path, "--nu", "inf"]) == 0
+    # units efficient at sigma = 0 build no corner, so neither a grid too
+    # fine nor a nu that would carry 1.7e308 past the largest float is
+    # reached
+    path = write_csv(tmp_path / "efficient.csv",
+                     ["dmu,in:x,out:y", "a,1.7e308,2", "b,1,1"])
+    assert main(["iterative", "--data", path, "--nu", "1e308"]) == 0
+    assert main(["sweep", "--data", path, "--nu", "1e308",
+                 "--step", "1e307"]) == 0
 
 
 @pytest.mark.parametrize("row, args", [
@@ -264,8 +272,8 @@ def test_exit_code_grid_too_fine(tmp_path, example1_csv):
 def test_exit_code_box_overflow(tmp_path, capsys, row, args):
     # sigma, a finite nu, or at nu = inf the top of a unit's search (half
     # its own input, 8.5e307, for unit a), that moves an input or output
-    # past the largest float is rejected once per run, before a corner is
-    # built
+    # past the largest float is rejected where its corner is built, before
+    # any cell overflows
     path = write_csv(tmp_path / "huge.csv", ["dmu,in:x,out:y", row, "b,1,2"])
     assert main(args[:1] + ["--data", path] + args[1:]) == 2
     assert "plus the largest datum 1.7e+308 overflows" in \

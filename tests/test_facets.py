@@ -374,6 +374,10 @@ def test_rank_deficient_stacks_span_no_hyperplane():
     normals, full_rank = udea.facets._unique_normal(np.zeros((3, 0, 1)))
     assert normals.shape == (3, 1)
     assert not full_rank.any()
+    # so through the API, too: one input and no outputs find no facet
+    ds = DeaDataset(names=["a", "b"], X=[[1.0, 2.0]], Y=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="no efficient facets found"):
+        exact_udea(ds, 0)
 
 
 def test_one_hyperplane_per_facet(monkeypatch):

@@ -39,6 +39,11 @@ PROPERTIES = settings(derandomize=True, database=None, deadline=None,
 # shift up moves b's score more than its own shift down
 TABLE1 = table1_dataset()
 FAR_RIVAL = DeaDataset(names=["a", "b"], X=[[1.0, 10.0]], Y=[[10.0, 1.0]])
+# two inputs and no outputs: unit d = (3, 3) lies 0.5 behind the facet
+# through b = (2, 2)
+NO_OUTPUTS = DeaDataset(names=list("abcd"), X=[[1.0, 2.0, 3.0, 3.0],
+                                               [3.0, 2.0, 1.0, 3.0]],
+                        Y=np.zeros((0, 4)))
 
 # a few round values recur, so that ties and zeros are common
 VALUES = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0]),
@@ -230,6 +235,7 @@ def test_directional_distance(ds):
 
 @PROPERTIES
 @given(datasets(variables=4))
+@example(NO_OUTPUTS)
 def test_exact_is_half_the_directional_distance(ds):
     # neither the facet thresholds nor beta* / 2 see the floors, so they
     # agree whether or not a floor binds below the threshold; the grid

@@ -10,6 +10,7 @@ from helpers import (assert_eps_invariant, clamp_dataset, count_lps,
 from udea.cli import RunConfig, _sigma_grid, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, scale_dataset, solve_all, solve_nominal
 from udea.facets import exact_udea
+from udea.iterative import iterative_udea
 from udea.robust import (DEFAULT_EPS, UncertaintyConfig, _certificate,
                          _directional_optimum, _probe, directional_distance,
                          robust_efficiency, transform_box)
@@ -77,6 +78,22 @@ def test_sigma_must_be_nonnegative_and_finite(table1, sigma):
             entry(table1, 4, sigma)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda ds: transform_box(ds, 1, 1e308),
+    lambda ds: robust_efficiency(ds, 1, 1e308),
+    lambda ds: iterative_udea(ds, 0, UncertaintyConfig(nu=np.inf,
+                                                       step=1e306))],
+    ids=["transform_box", "robust_efficiency", "iterative_udea"])
+def test_box_past_the_largest_float_is_rejected(entry):
+    # a's input 1.7e308 plus sigma passes the largest float: the corner
+    # is rejected before any cell overflows; the search of a probes up to
+    # half its own input, 8.5e307
+    ds = DeaDataset(names=["a", "b"], X=[[1.7e308, 1.0]], Y=[[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"sigma .* plus the largest datum "
+                                         r"1\.7e\+308 overflows"):
+        entry(ds)
+
+
 def test_transform_half(table1):
     t = transform_box(table1, 4, 0.5)
     assert t.X[0].tolist() == [1.5, 3.5, 7.5, 10.5, 7.5, 6.5]
@@ -127,6 +144,12 @@ def test_environmental_outputs_untouched(table1):
     t = transform_box(ds, 2, 0.5)
     assert np.array_equal(t.Y[1], ds.Y[1])
     assert not np.array_equal(t.Y[0], ds.Y[0])
+    # the box never adds to an environmental row, however large, and its
+    # bound reads only the rows it moves
+    big = DeaDataset(names=list("ABCDEF"), X=table1.X,
+                     Y=np.vstack([table1.Y, np.full(6, 1.7e308)]),
+                     env_outputs=[False, True])
+    assert np.array_equal(transform_box(big, 2, 1e308).Y[1], big.Y[1])
 
 
 def test_robust_scores_table1(table1):
