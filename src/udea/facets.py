@@ -34,7 +34,7 @@ import numpy as np
 from .dataset import DeaDataset, _check_index, is_extreme
 from .geometry import FacetSet, Hyperplane, facet_thresholds, support_tol
 from .outcome import UdeaOutcome
-from .robust import DEFAULT_EPS, _certificate, _probe
+from .robust import DEFAULT_EPS, _probe
 
 DEFAULT_DIM_LIMIT = 4
 DEFAULT_UNIT_LIMIT = 64
@@ -140,19 +140,24 @@ def _add_facets(found, tried, subsets, dchoices, points, dirs, n, tol):
     oriented = sign[:, None] * normals[keep]
     oriented[np.abs(oriented) <= otol] = 0.0
     keys = np.round(np.column_stack([oriented, sign * d[keep]]), 7)
-    for j in np.sort(np.unique(keys, axis=0, return_index=True)[1]):
-        key = tuple(keys[j].tolist())
-        if key in tried:
-            continue
-        tried.add(key)
-        k = keep[j]
-        subset = subsets[k // n_d]
+    new = []
+    for j, key in enumerate(map(tuple, keys.tolist())):
+        if key not in tried:
+            tried.add(key)
+            new.append(j)
+    built = []
+    for row, s, k in zip(oriented[new].tolist(), sign[new].tolist(),
+                         keep[new].tolist()):
+        subset = subsets[k // n_d].tolist()
         # d again from a row of points: the dot product's rounding depends
         # on the operands' strides, and the hyperplane keeps this d
-        h = Hyperplane(alpha=oriented[j, :n], beta=oriented[j, n:],
-                       d=sign[j] * float(normals[k] @ points[subset[0]]))
-        own = np.round(np.concatenate([h.alpha, h.beta, [h.d]]), 7)
-        found.setdefault(tuple(own.tolist()), (h, sorted(subset.tolist())))
+        h = Hyperplane(alpha=row[:n], beta=row[n:],
+                       d=s * float(normals[k] @ points[subset[0]]))
+        built.append((h, sorted(subset)))
+    own = np.round([[*h.alpha.tolist(), *h.beta.tolist(), h.d]
+                    for h, _ in built], 7)
+    for key, facet in zip(map(tuple, own.tolist()), built):
+        found.setdefault(key, facet)
 
 
 def _unique_normal(rows: np.ndarray):
@@ -213,12 +218,10 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
     # along the box direction: a proof with beta* = 2 upsilon, which
     # _probe reads only at sigma >= beta* / 2, that is at sigma = upsilon
     sigma = min(upsilon, nu)
-    facet = facet_set.facets[k]
-    _, u, v = _certificate(ds, None, np.concatenate([-facet.beta,
-                                                     facet.alpha]))
+    u, v = facet_set.certificate(ds, k)
     gamma = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0, eps,
                    (2.0 * upsilon, None, u, v))
     return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=gamma,
                        capable=upsilon < nu or (upsilon <= nu and attainable),
-                       facet=facet, facet_index=k,
+                       facet=facet_set.facets[k], facet_index=k,
                        attainable=attainable)

@@ -5,7 +5,8 @@ vertex enumeration for small LPs and exhaustive perturbation-corner search
 for the robust transform.  The worked example's 2-D geometry and the
 dataset CSV writer live here too, since only the tests use them, and so do
 the scalar loops the package's array code replaced (simplex kernel, facet
-enumeration, facet scoring), kept as references.
+enumeration, facet scoring) and the per-unit exact solver, kept as
+references.
 """
 
 import csv
@@ -17,13 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 import udea.dataset
-from udea.dataset import (SCORE_TOL, DeaDataset, _frontier_score,
-                          _nominal_tableau, is_extreme)
+from udea.dataset import (SCORE_TOL, DeaDataset, _check_index,
+                          _frontier_score, _nominal_tableau, is_extreme)
 from udea.facets import FacetSet
 from udea.iterative import iterative_udea
 from udea.geometry import (AXIS_TOL, SUPPORT_TOL, Hyperplane, MinUncertainty,
                            min_uncertainty_to_facet)
-from udea.robust import (DEFAULT_EPS, _certificate, _proves_failure,
+from udea.outcome import UdeaOutcome
+from udea.robust import (DEFAULT_EPS, _certificate, _probe, _proves_failure,
                          _proves_success, robust_efficiency, transform_box)
 
 
@@ -693,3 +695,37 @@ def scalar_exact_choice(ds: DeaDataset, dmu: int, facets):
             best = cand
     _, strict_flag, k, upsilon = best
     return k, upsilon, strict_flag == 0
+
+
+def per_unit_exact_udea(ds: DeaDataset, dmu: int, nu: float,
+                        facet_set: FacetSet,
+                        eps: float = DEFAULT_EPS) -> UdeaOutcome:
+    """Reference ``udea.facets.exact_udea``: the per-unit version it
+    replaced, kept verbatim but for taking its facet set, which recomputes
+    for every unit the box rates of the facets and the (u, v) certificate
+    of the attaining one, where the package keeps both on the set.  The
+    package must return the same outcome, upsilon and gamma bit for bit."""
+    i = _check_index(ds, dmu)
+    fs = facet_set
+    zero = np.zeros(len(fs))
+    rate = 2.0 * np.abs(-sum(fs.alpha, zero)
+                        + sum(fs.beta[~ds.env_outputs], zero))
+    finite = rate > AXIS_TOL
+    gap = np.abs(sum(fs.alpha * ds.X[:, i, None], zero)
+                 + sum(fs.beta * ds.Y[:, i, None], zero) - fs.d)
+    gap[gap <= fs.tol] = 0.0
+    values = np.full(len(fs), math.inf)
+    np.divide(gap, rate, out=values, where=finite)
+    attainable = finite & fs.attainable
+    k = int(np.lexsort((~attainable, np.round(values, 12)))[0])
+    upsilon = float(values[k])
+    attainable = bool(attainable[k])
+    sigma = min(upsilon, nu)
+    facet = fs.facets[k]
+    _, u, v = _certificate(ds, None, np.concatenate([-facet.beta,
+                                                     facet.alpha]))
+    gamma = _probe(ds, i, sigma if math.isfinite(sigma) else 0.0, eps,
+                   (2.0 * upsilon, None, u, v))
+    return UdeaOutcome(dmu=i, upsilon=upsilon, gamma=gamma,
+                       capable=upsilon < nu or (upsilon <= nu and attainable),
+                       facet=facet, facet_index=k, attainable=attainable)

@@ -571,7 +571,7 @@ EXPECTED_REPORTS = {"nominal": [], "exact": [], "iterative": [],
 @pytest.mark.parametrize("report", sorted(EXPECTED_REPORTS))
 @pytest.mark.parametrize("fixture", ["example1", "table1_dup",
                                      "case_study_s11_p0", "case_study_s3_p4",
-                                     "quoted_names"])
+                                     "quoted_names", "exact_limit"])
 def test_report_matches_committed(fixture, report, capsys):
     argv = [report.split("_")[0], "--data", str(DATA_DIR / f"{fixture}.csv")]
     if fixture.startswith("case_study"):

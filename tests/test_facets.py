@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from helpers import (clamp_dataset, count_lps, random_dataset_2d,
-                     scalar_exact_choice, scalar_enumerate_facets,
-                     segment_min_uncertainty, select_segment_2d,
-                     sorted_extremes_2d, svd_unique_normal, table1_dataset)
+from helpers import (clamp_dataset, count_lps, per_unit_exact_udea,
+                     random_dataset_2d, scalar_exact_choice,
+                     scalar_enumerate_facets, segment_min_uncertainty,
+                     select_segment_2d, sorted_extremes_2d, svd_unique_normal,
+                     table1_dataset)
 import udea.facets
 from udea.cli import RunConfig, apply_scaling, ingest_csv
 from udea.dataset import DeaDataset, is_extreme, solve_nominal
@@ -266,6 +267,68 @@ def test_scoring_matches_facet_loop(name):
                                                 abs=1e-12)
 
 
+def _cli_fixtures():
+    """(name, dataset) of every committed fixture as the CLI scales it."""
+    for path in sorted(DATA_DIR.glob("*.csv")):
+        preset = "radiotherapy" if path.stem.startswith("case_study") else None
+        yield path.stem, apply_scaling(ingest_csv(path),
+                                       RunConfig(mode="exact", preset=preset))
+
+
+PIN_DATASETS = {**REFERENCE_DATASETS,
+                **{f"data/{name}": ds for name, ds in _cli_fixtures()}}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_DATASETS))
+def test_exact_udea_matches_per_unit_reference(name, monkeypatch):
+    # the rates and certificates a set keeps give every outcome the bits
+    # of the per-unit solver that recomputed them for each unit, and as
+    # many gamma solves: any certificate proves only what holds, so one
+    # kept for the wrong facet shows as a solve it should have spared
+    ds = PIN_DATASETS[name]
+    fs = enumerate_efficient_facets(ds)
+    calls = count_lps(monkeypatch)
+    for nu in (math.inf, 0.5):
+        for i in range(ds.n_units):
+            calls.clear()
+            out = exact_udea(ds, i, nu=nu, facet_set=fs)
+            solves = len(calls)
+            calls.clear()
+            ref = per_unit_exact_udea(ds, i, nu, fs)
+            assert solves == len(calls)
+            assert out.upsilon.hex() == ref.upsilon.hex()
+            assert float(out.gamma).hex() == float(ref.gamma).hex()
+            assert out.capable == ref.capable
+            assert out.attainable == ref.attainable
+            assert out.facet_index == ref.facet_index
+
+
+def test_set_scores_follow_the_environmental_mask():
+    # one set scored against the env dataset, the same arrays with no
+    # environmental row, and the env dataset again scores each as a set
+    # built afresh does, bit for bit: no rate is kept under the wrong mask
+    env = REFERENCE_DATASETS["env"]
+    plain = DeaDataset(names=env.names, X=env.X, Y=env.Y)
+
+    def scores(ds, fs):
+        out = []
+        for i in range(ds.n_units):
+            values, attainable = facet_thresholds(ds, i, fs)
+            e = exact_udea(ds, i, facet_set=fs)
+            out.append((values.tobytes(), attainable.tobytes(),
+                        e.upsilon.hex(), float(e.gamma).hex(), e.capable,
+                        e.facet_index))
+        return out
+    shared = enumerate_efficient_facets(env)
+    got = {}
+    for name, ds in (("env", env), ("plain", plain), ("env", env)):
+        fresh = FacetSet(shared.facets, shared.generators, shared.tol)
+        got[name] = scores(ds, shared)
+        assert got[name] == scores(ds, fresh), name
+    # the mask moves the rates, so a rate kept under the wrong one shows
+    assert [v for v, *_ in got["env"]] != [v for v, *_ in got["plain"]]
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
 def test_one_facet_threshold_is_the_batch_entry(name):
     ds = REFERENCE_DATASETS[name]
@@ -511,11 +574,8 @@ def _gamma_cases():
     """(name, dataset, facet set): the fixtures as the CLI scales them, the
     datasets above, a strict output-axis threshold, and a facet past an
     own input, where the floor rule scores gamma."""
-    for path in sorted(DATA_DIR.glob("*.csv")):
-        preset = "radiotherapy" if path.stem.startswith("case_study") else None
-        ds = apply_scaling(ingest_csv(path),
-                           RunConfig(mode="exact", preset=preset))
-        yield path.stem, ds, enumerate_efficient_facets(ds)
+    for name, ds in _cli_fixtures():
+        yield name, ds, enumerate_efficient_facets(ds)
     for name, ds in sorted(DOMINANCE_DATASETS.items()):
         yield name, ds, enumerate_efficient_facets(ds)
     strict = DeaDataset(names=["a", "b"], X=[[2.0, 6.0]], Y=[[5.0, 4.5]])

@@ -38,7 +38,7 @@ PRESETS = {"case_study_s11_p0.csv": "radiotherapy",
 
 def _data_files():
     files = sorted(DATA_DIR.glob("*.csv"))
-    assert len(files) == 5
+    assert len(files) == 6
     return [apply_scaling(ingest_csv(path),
                           RunConfig(mode="nominal",
                                     preset=PRESETS.get(path.name)))
