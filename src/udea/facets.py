@@ -19,8 +19,9 @@ only against each other.  A dominating unit reproduces a dominated one
 anyway, and leaving it out of the LPs keeps a unit that dominates it by
 less than ``SCORE_TOL`` from being reproduced by it.
 
-``exact_udea`` scores a unit against every facet in one array expression
-(``geometry.facet_thresholds``) over the stack its ``FacetSet`` holds, and
+``exact_udea`` reads a unit's thresholds and attaining facet from the
+scores its ``FacetSet`` keeps for the dataset (``FacetSet.scores``, which
+scores every unit at once, the first time a set meets the dataset), and
 the attaining facet, a supporting hyperplane, is the certificate that lets
 ``robust._probe`` score gamma = 1 at upsilon without a solve.
 """
@@ -32,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dataset import DeaDataset, _check_index, is_extreme
-from .geometry import FacetSet, Hyperplane, facet_thresholds, support_tol
+from .geometry import FacetSet, Hyperplane, support_tol
 from .outcome import UdeaOutcome
 from .robust import DEFAULT_EPS, _probe
 
@@ -82,10 +83,12 @@ def enumerate_efficient_facets(ds: DeaDataset) -> FacetSet:
     for s_size in range(1, min(phi, len(extremes)) + 1):
         dchoices = np.array(
             list(itertools.combinations(range(phi), phi - s_size)), dtype=int)
-        subsets = itertools.combinations(extremes, s_size)
-        while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
-            _add_facets(found, tried, np.array(chunk), dchoices, points,
-                        dirs, n, tol)
+        flat = itertools.chain.from_iterable(
+            itertools.combinations(extremes, s_size))
+        while (chunk := np.fromiter(itertools.islice(
+                flat, SUBSET_CHUNK * s_size), dtype=int)).size:
+            _add_facets(found, tried, chunk.reshape(-1, s_size), dchoices,
+                        points, dirs, n, tol)
 
     ordered = sorted(found.items(), key=lambda kv: kv[0])
     return FacetSet(facets=[v[0] for _, v in ordered],
@@ -203,14 +206,9 @@ def exact_udea(ds: DeaDataset, dmu: int, nu: float = math.inf,
         facet_set = enumerate_efficient_facets(ds)
     if not facet_set.facets:
         raise ValueError("no efficient facets found")
-    values, attainable = facet_thresholds(ds, i, facet_set)
-    # smallest value first, snapped so float noise cannot break a genuine
-    # tie; on ties an attainable facet before a strict one (a strict
-    # threshold needs more uncertainty than an equal attainable one), then
-    # the lowest index
-    k = int(np.lexsort((~attainable, np.round(values, 12)))[0])
-    upsilon = float(values[k])
-    attainable = bool(attainable[k])
+    values, attainable, facet = facet_set.scores(ds)
+    k = int(facet[i])
+    upsilon, attainable = float(values[k, i]), bool(attainable[k])
     # gamma at the smaller of upsilon and nu; with neither finite, at
     # sigma = 0, where the corner is the data itself.  The facet's
     # (v, u) = (alpha, -beta) are variable-returns multipliers (Banker,

@@ -5,12 +5,13 @@ A facet of the efficient frontier is an oriented supporting hyperplane
 ``alpha'x + beta'y = d`` with the production set on the >= side, input
 coefficients >= 0 and output coefficients <= 0.  With that orientation the
 closed form below reproduces the worked two-dimensional example exactly.
-A ``FacetSet`` stacks its facets once, when it is built, and the formula
-is evaluated for the whole stack at once (``facet_thresholds``); one facet
-is a set of one.  A set carries the support tolerance of the data it was
-enumerated from (``support_tol``), and keeps what depends on the facets
-alone: the box rates, once per environmental mask, and each facet's
-gamma certificate, so that scoring a unit computes only its gaps.
+A ``FacetSet`` stacks its facets once, when it is built, and scores a
+dataset once: the formula for every unit against every facet, and each
+unit's attaining facet, in one array expression (``FacetSet.scores``); one
+facet is a set of one.  A set carries the support tolerance of the data it
+was enumerated from (``support_tol``), and keeps the last dataset scored
+with its scores, and each facet's gamma certificate, so that solving a unit
+reads its column and computes only its gamma.
 """
 
 import math
@@ -84,15 +85,14 @@ def support_tol(ds: DeaDataset) -> float:
 
 @dataclass
 class FacetSet:
-    """Facets and their generators, stacked once, when the set is built, for
-    ``facet_thresholds``: one column per facet.  ``tol`` is the
-    ``support_tol`` of the data the facets were enumerated from; a set built
-    by hand snaps only gaps of exactly 0 unless it is given one.
+    """Facets and their generators, stacked once, when the set is built:
+    one column per facet.  ``tol`` is the ``support_tol`` of the data the
+    facets were enumerated from; a set built by hand snaps only gaps of
+    exactly 0 unless it is given one.
 
-    What does not depend on the unit scored is kept on the set: the box
-    rates, once per environmental mask the set is scored against
-    (``box_rates``), and a facet's gamma certificate, once per facet
-    (``certificate``)."""
+    The set scores a dataset once (``scores``) and keeps the last dataset
+    scored with its scores, and a facet's gamma certificate once per facet
+    (``certificate``), so that solving a unit computes neither."""
 
     facets: list
     generators: list = field(default_factory=list)   # extreme-unit indices per facet
@@ -102,10 +102,12 @@ class FacetSet:
         self.alpha = np.array([h.alpha for h in self.facets], dtype=float).T
         self.beta = np.array([h.beta for h in self.facets], dtype=float).T
         self.d = np.array([h.d for h in self.facets], dtype=float)
-        # alpha is not zero; box_rates adds that the box moves it
+        # alpha is not zero; scores adds that the box moves it
         self.attainable = np.array([h.alpha_norm > AXIS_TOL
                                     for h in self.facets], dtype=bool)
-        self._rates = {}
+        # (dataset, its scores) of the last dataset scored: holding the
+        # dataset keeps its id from passing to a new one, for `is`
+        self._scored = None, None
         self._certificates = {}
 
     def __len__(self):
@@ -114,25 +116,56 @@ class FacetSet:
     def __iter__(self):
         return iter(self.facets)
 
-    def box_rates(self, env_outputs):
-        """(rate, finite, attainable) of every facet for data whose
-        environmental outputs are the mask ``env_outputs``: the rate
-        ``2 |-sum(alpha) + sum(beta)|`` at which the box closes a facet's
-        gap, environmental outputs left out; the mask of the facets it
-        moves; and of those whose threshold is attainable at equality."""
-        key = env_outputs.tobytes()
-        if key not in self._rates:
-            # sums over the variables one row at a time, so that a facet's
-            # rate does not depend on the facets stacked with it
+    def scores(self, ds: DeaDataset):
+        """(values, attainable, facet) of every unit of ``ds``: the K x I
+        smallest box half-widths moving unit i's virtual point onto each
+        translated facet k, the mask of the facets whose threshold is
+        attainable at equality, and each unit's attaining facet.
+
+        The unit moves by sigma along the box direction (inputs down,
+        outputs up) and every rival by sigma against it, so the gap
+        ``|alpha'x + beta'y - d|`` closes at twice the rate
+        ``|-sum(alpha) + sum(beta)|``, environmental outputs left out.  A
+        gap no larger than the support tolerance ``tol`` is the unit lying
+        on the facet, and scores 0, not its round-off.  A facet that the
+        box cannot move (zero rate) has value inf.  For output-axis facets
+        the value is a strict threshold: the unit needs any amount beyond
+        it, never exactly it (the projection argument only works in the
+        limit of a vanishing facet gradient).
+
+        The attaining facet has the smallest value, snapped so that float
+        noise cannot break a genuine tie; on ties an attainable facet comes
+        before a strict one (a strict threshold needs more uncertainty than
+        an equal attainable one), then the lowest index.  A nan value comes
+        last, as a sort puts it.
+
+        The scores are kept for the last dataset scored, that object: a
+        dataset whose arrays are written to in place after it was scored
+        keeps its scores.
+        """
+        if self._scored[0] is not ds:
+            # sums over the variables one row at a time, so that a value
+            # does not depend on the facets or units stacked with it
             zero = np.zeros(len(self))
             rate = 2.0 * np.abs(-sum(self.alpha, zero)
-                                + sum(self.beta[~env_outputs], zero))
+                                + sum(self.beta[~ds.env_outputs], zero))
             finite = rate > AXIS_TOL
-            rates = rate, finite, finite & self.attainable
-            for a in rates:  # shared by every unit scored
+            zero = np.zeros((len(self), ds.n_units))
+            gap = np.abs(sum(self.alpha[:, :, None] * ds.X[:, None], zero)
+                         + sum(self.beta[:, :, None] * ds.Y[:, None], zero)
+                         - self.d[:, None])
+            gap[gap <= self.tol] = 0.0
+            values = np.full(gap.shape, math.inf)
+            np.divide(gap, rate[:, None], out=values, where=finite[:, None])
+            attainable = finite & self.attainable
+            key = np.round(values, 12)
+            tie = (key == np.fmin.reduce(key)) | np.isnan(key).all(axis=0)
+            facet = np.argmax(np.where(tie, attainable[:, None] + 1, 0),
+                              axis=0)
+            for a in (values, attainable, facet):  # shared by every unit
                 a.flags.writeable = False
-            self._rates[key] = rates
-        return self._rates[key]
+            self._scored = ds, (values, attainable, facet)
+        return self._scored[1]
 
     def certificate(self, ds: DeaDataset, k: int):
         """(u, v) of facet ``k`` for units of ``ds``: the ``_certificate``
@@ -150,36 +183,9 @@ class MinUncertainty(NamedTuple):
     attainable_at_equality: bool
 
 
-def facet_thresholds(ds: DeaDataset, dmu: int, facet_set: FacetSet):
-    """Smallest box half-width moving the unit's virtual point onto each
-    translated facet of ``facet_set``: the arrays (values, attainable).
-
-    The unit moves by sigma along the box direction (inputs down, outputs
-    up) and every rival by sigma against it, so the gap ``|alpha'x + beta'y - d|`` closes at twice
-    the rate ``|-sum(alpha) + sum(beta)|``, environmental outputs left out.
-    A gap no larger than the set's support tolerance ``facet_set.tol`` is
-    the unit lying on the facet, and scores 0, not its round-off.  A facet
-    that the box cannot move (zero rate) has value inf.  For output-axis
-    facets the value is a strict threshold: the unit needs any amount
-    beyond it, never exactly it (the projection argument only works in the
-    limit of a vanishing facet gradient).
-    """
-    fs = facet_set
-    rate, finite, attainable = fs.box_rates(ds.env_outputs)
-    # sums over the variables one row at a time, as box_rates does
-    zero = np.zeros(len(fs))
-    gap = np.abs(sum(fs.alpha * ds.X[:, dmu, None], zero)
-                 + sum(fs.beta * ds.Y[:, dmu, None], zero) - fs.d)
-    gap[gap <= fs.tol] = 0.0
-    values = np.full(len(fs), math.inf)
-    np.divide(gap, rate, out=values, where=finite)
-    return values, attainable
-
-
 def min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                              h: Hyperplane) -> MinUncertainty:
-    """``facet_thresholds`` for the one facet ``h``, at the support
-    tolerance of ``ds``."""
-    values, attainable = facet_thresholds(
-        ds, dmu, FacetSet([h], tol=support_tol(ds)))
-    return MinUncertainty(float(values[0]), bool(attainable[0]))
+    """Unit ``dmu``'s entry of ``FacetSet.scores`` for the one facet ``h``,
+    at the support tolerance of ``ds``."""
+    values, attainable, _ = FacetSet([h], tol=support_tol(ds)).scores(ds)
+    return MinUncertainty(float(values[0, dmu]), bool(attainable[0]))

@@ -665,10 +665,10 @@ def svd_unique_normal(rows: np.ndarray):
 
 def scalar_min_uncertainty_to_facet(ds: DeaDataset, dmu: int,
                                     h: Hyperplane) -> MinUncertainty:
-    """Reference threshold of one facet: the per-facet formula that
-    ``udea.geometry.facet_thresholds`` replaced, kept verbatim but for
-    leaving environmental outputs out of the denominator and scoring a gap
-    within the enumeration's support tolerance as 0."""
+    """Reference threshold of one facet: the per-facet formula that the
+    array formula (now ``udea.geometry.FacetSet.scores``) replaced, kept
+    verbatim but for leaving environmental outputs out of the denominator
+    and scoring a gap within the enumeration's support tolerance as 0."""
     gap = abs(h.value(ds.X[:, dmu], ds.Y[:, dmu]))
     if gap <= SUPPORT_TOL * max(1.0, ds.X.max(), ds.Y.max()):
         gap = 0.0
@@ -701,10 +701,12 @@ def per_unit_exact_udea(ds: DeaDataset, dmu: int, nu: float,
                         facet_set: FacetSet,
                         eps: float = DEFAULT_EPS) -> UdeaOutcome:
     """Reference ``udea.facets.exact_udea``: the per-unit version it
-    replaced, kept verbatim but for taking its facet set, which recomputes
-    for every unit the box rates of the facets and the (u, v) certificate
-    of the attaining one, where the package keeps both on the set.  The
-    package must return the same outcome, upsilon and gamma bit for bit."""
+    replaced, kept verbatim but for taking its facet set.  It scores only
+    its own unit, box rates included, picks the attaining facet by a sort
+    and takes that facet's (u, v) certificate afresh, where the package
+    scores every unit of a dataset at once and keeps the certificates on
+    the set.  The package must return the same outcome, upsilon and gamma
+    bit for bit."""
     i = _check_index(ds, dmu)
     fs = facet_set
     zero = np.zeros(len(fs))

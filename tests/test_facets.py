@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from helpers import (clamp_dataset, count_lps, per_unit_exact_udea,
                      table1_dataset)
 import udea.facets
 from udea.cli import RunConfig, apply_scaling, ingest_csv
-from udea.dataset import DeaDataset, is_extreme, solve_nominal
+from udea.dataset import (DeaDataset, is_extreme, scale_dataset,
+                          solve_nominal)
 from udea.facets import (DEFAULT_UNIT_LIMIT, FacetSet, SizeLimitError,
                          enumerate_efficient_facets, exact_udea)
-from udea.geometry import Hyperplane, facet_thresholds, min_uncertainty_to_facet
+from udea.geometry import Hyperplane, min_uncertainty_to_facet
 from udea.robust import (DEFAULT_EPS, NO_PROOF, _probe,
                          directional_distance)
 
@@ -304,40 +306,67 @@ def test_exact_udea_matches_per_unit_reference(name, monkeypatch):
 
 
 def test_set_scores_follow_the_environmental_mask():
-    # one set scored against the env dataset, the same arrays with no
-    # environmental row, and the env dataset again scores each as a set
-    # built afresh does, bit for bit: no rate is kept under the wrong mask
+    # one set scored in turn against the env dataset, the same arrays with
+    # no environmental row, other values, a copy (a new object) and the env
+    # dataset again scores each as a set built afresh does, and solves each
+    # unit as the per-unit reference does, bit for bit: the scores it keeps
+    # are those of the dataset asked about
     env = REFERENCE_DATASETS["env"]
-    plain = DeaDataset(names=env.names, X=env.X, Y=env.Y)
+    datasets = (("env", env), ("plain", DeaDataset(env.names, env.X, env.Y)),
+                ("scaled", scale_dataset(env, [2.0, 0.5, 3.0])),
+                ("copy", replace(env)), ("env", env))
 
     def scores(ds, fs):
-        out = []
+        values, attainable, facet = fs.scores(ds)
+        out = [values.tobytes(), attainable.tobytes(), facet.tobytes()]
         for i in range(ds.n_units):
-            values, attainable = facet_thresholds(ds, i, fs)
             e = exact_udea(ds, i, facet_set=fs)
-            out.append((values.tobytes(), attainable.tobytes(),
-                        e.upsilon.hex(), float(e.gamma).hex(), e.capable,
-                        e.facet_index))
+            ref = per_unit_exact_udea(ds, i, math.inf, fs)
+            assert (e.upsilon.hex(), float(e.gamma).hex(), e.capable,
+                    e.attainable, e.facet_index) == (
+                ref.upsilon.hex(), float(ref.gamma).hex(), ref.capable,
+                ref.attainable, ref.facet_index)
+            out.append((e.upsilon.hex(), float(e.gamma).hex()))
         return out
     shared = enumerate_efficient_facets(env)
     got = {}
-    for name, ds in (("env", env), ("plain", plain), ("env", env)):
+    for name, ds in datasets:
         fresh = FacetSet(shared.facets, shared.generators, shared.tol)
         got[name] = scores(ds, shared)
         assert got[name] == scores(ds, fresh), name
-    # the mask moves the rates, so a rate kept under the wrong one shows
-    assert [v for v, *_ in got["env"]] != [v for v, *_ in got["plain"]]
+    # the mask and the values move the scores, so scores kept for another
+    # dataset show
+    assert got["env"][0] != got["plain"][0] != got["scaled"][0]
+    assert got["copy"] == got["env"]
+
+
+def test_attaining_facet_is_the_sorted_first():
+    # the smallest rounded value, an attainable facet first on ties, then
+    # the lowest index, a nan value last: the per-unit sort's pick.  Here C
+    # ties a strict (output-axis) facet with a later attainable one, A ties
+    # two attainable ones, and facets whose d is nan score nan
+    ds = table1_dataset()
+    nan_strict = Hyperplane([0.0], [-1.0], math.nan)
+    facets = [Hyperplane([1.0], [0.0], 1.0), Hyperplane([0.0], [-1.0], -8.0),
+              Hyperplane([0.0], [-1.0], -7.0), Hyperplane([3.0], [-3.0], 0.0),
+              Hyperplane([1.0], [-1.0], math.nan)]
+    for fs in (FacetSet(facets), FacetSet([nan_strict, facets[-1]]),
+               FacetSet([nan_strict, facets[1]])):
+        values, attainable, facet = fs.scores(ds)
+        for i in range(ds.n_units):
+            key = np.round(values[:, i], 12)
+            assert facet[i] == np.lexsort((~attainable, key))[0], (fs, i)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
 def test_one_facet_threshold_is_the_batch_entry(name):
     ds = REFERENCE_DATASETS[name]
     fs = enumerate_efficient_facets(ds)
+    values, attainable, _ = fs.scores(ds)
     for i in range(ds.n_units):
-        values, attainable = facet_thresholds(ds, i, fs)
         for k, h in enumerate(fs.facets):
             one = min_uncertainty_to_facet(ds, i, h)
-            assert one.value.hex() == float(values[k]).hex()
+            assert one.value.hex() == float(values[k, i]).hex()
             assert one.attainable_at_equality == attainable[k]
 
 
@@ -348,12 +377,12 @@ def test_generators_score_zero_on_their_facets(name):
     # cannot move (every coefficient on an env output) stays at inf
     ds = REFERENCE_DATASETS[name]
     fs = enumerate_efficient_facets(ds)
+    values = fs.scores(ds)[0]
     moved = (np.abs(fs.alpha).sum(axis=0)
              + np.abs(fs.beta[~ds.env_outputs]).sum(axis=0)) > 0
     for k, generators in enumerate(fs.generators):
         for g in generators:
-            values, _ = facet_thresholds(ds, g, fs)
-            assert values[k] == (0.0 if moved[k] else math.inf)
+            assert values[k, g] == (0.0 if moved[k] else math.inf)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
@@ -426,6 +455,21 @@ def test_normals_of_large_data_do_not_overflow(monkeypatch):
         assert big_full_rank.tolist() == full_rank.tolist()
         assert big_normals[full_rank].tobytes() == \
             normals[full_rank].tobytes()
+
+
+def test_one_overflowing_unit_warns_the_first_call_on_its_dataset():
+    # the rounding of a threshold past about 1.8e296 overflows (README,
+    # Limitations).  A set scores every unit of a dataset at once, so the
+    # first call, here for b, whose own thresholds are small, warns for
+    # a's, and a later call for a reads the kept scores without scoring
+    # again.  The warning stays unmasked: it is all that flags a's
+    # upsilon* = 0, where it is 0.5
+    ds = DeaDataset(names=["a", "b"], X=[[1.7e308, 1.0]], Y=[[1.0, 2.0]])
+    fs = enumerate_efficient_facets(ds)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert exact_udea(ds, 1, facet_set=fs).upsilon == 0.0
+    # a RuntimeWarning is an error here (pyproject's filterwarnings)
+    assert exact_udea(ds, 0, facet_set=fs).upsilon == 0.0
 
 
 def test_rank_deficient_stacks_span_no_hyperplane():
